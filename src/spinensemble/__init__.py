@@ -14,7 +14,6 @@ from .circuit import (
     Gate,
     compose_propagator,
     format_circuit,
-    gate_unitary,
     parse_circuit,
     random_circuit,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "expectation_per_initial_state",
     "format_circuit",
     "frobenius_distance",
-    "gate_unitary",
     "hermitian",
     "hermitian_eigenvalues",
     "is_fully_product",

@@ -13,6 +13,11 @@ Temporal order convention: textual order IS application order.  The first
 line acts on states first, so the composed propagator of gates g1..gL is
 the matrix product U(gL) ... U(g2) U(g1).  Every matrix uses the package's
 big-endian basis convention (spin 1 = most significant bit).
+
+Gates are never embedded as 2**N x 2**N matrices.  Each one is applied
+locally: its 2x2 or 4x4 matrix multiplies one or two axes of the array
+read as a (2,)*n tensor, which costs O(K**2) per gate on a K x K operand
+instead of the O(K**3) of a dense product.
 """
 
 from __future__ import annotations
@@ -23,15 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qlinalg import (
-    IDENTITY_2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    ValidationError,
-    embed_single_spin,
-    unitary,
-)
+from .qlinalg import PAULI_X, PAULI_Y, PAULI_Z, ValidationError, unitary
 
 SINGLE_SPIN_KINDS = ("H", "X", "Y", "Z", "S", "T")
 ROTATION_KINDS = ("RX", "RY", "RZ")
@@ -192,44 +189,72 @@ def _rotation_matrix(kind: str, angle: float) -> np.ndarray:
     return np.array([[np.exp(-0.5j * angle), 0], [0, np.exp(0.5j * angle)]], dtype=complex)
 
 
-def gate_unitary(gate: Gate, n_spins: int) -> np.ndarray:
-    """The full 2**N unitary of one gate, identity on untouched spins."""
-    if max(gate.targets) > n_spins:
-        raise ValidationError(f"gate targets {gate.targets} exceed n_spins={n_spins}")
+def _gate_matrix(gate: Gate) -> np.ndarray:
+    """The gate's own 2x2 (one spin) or 4x4 (two spins, |first second>) matrix."""
     if gate.kind in TWO_SPIN_KINDS:
-        return _embed_two_spin(_FIXED_2Q[gate.kind], gate.targets, n_spins)
-    m = _rotation_matrix(gate.kind, gate.angle) if gate.kind in ROTATION_KINDS else _FIXED_1Q[gate.kind]
-    return embed_single_spin(m, gate.targets[0], n_spins)
+        return _FIXED_2Q[gate.kind]
+    if gate.kind in ROTATION_KINDS:
+        return _rotation_matrix(gate.kind, gate.angle)
+    return _FIXED_1Q[gate.kind]
 
 
-def _embed_two_spin(m4: np.ndarray, targets: tuple[int, int], n_spins: int) -> np.ndarray:
-    """Place a 4x4 gate on an arbitrary ordered pair of spins."""
-    k = 2**n_spins
-    pos_a = n_spins - targets[0]  # bit position of first target, from LSB
-    pos_b = n_spins - targets[1]
-    out = np.zeros((k, k), dtype=complex)
-    for i in range(k):
-        u = (i >> pos_a) & 1
-        v = (i >> pos_b) & 1
-        base = i & ~(1 << pos_a) & ~(1 << pos_b)
-        for u2 in (0, 1):
-            for v2 in (0, 1):
-                amp = m4[2 * u2 + v2, 2 * u + v]
-                if amp != 0:
-                    j = base | (u2 << pos_a) | (v2 << pos_b)
-                    out[j, i] += amp
-    return out
+# A one-spin gate views the tensor as a batch of (2, width) slices and
+# multiplies each slice by the 2x2 matrix.  A batch of more than _NARROW
+# slices narrower than _NARROW is multiplied instead as one product with a
+# dense 2w x 2w block.  Of K x K operands, only a density matrix's column
+# axes are that narrow; there the per-slice calls cost more than the block
+# (without it, simulate-n10 took 1.15x and sweep-n8 1.29x as long per
+# command; BENCH_local_gates.json, narrow_slice_branch).  Row axes always
+# take the per-slice form, which rounds like the dense Kronecker-embedded
+# product it replaces.
+_NARROW = 32
+
+
+def _apply_gate(state: np.ndarray, matrix: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Left-multiply a gate matrix onto 0-based axes of a (2,)*n tensor.
+
+    ``state`` holds 2**n entries in big-endian axis order, in any shape: a
+    K x K operator is a (2,)*2N tensor whose first N axes index its rows.
+    For a 4x4 matrix, ``axes`` lists the axes of its first and second
+    basis factor, in either order.  Returns a new array of state's shape.
+    """
+    if len(axes) == 1:
+        (a,) = axes
+        view = state.reshape(2**a, 2, -1)
+        batch, width = view.shape[0], view.shape[2]
+        if batch > _NARROW and width < _NARROW:
+            # kron(matrix.T, I_width) applied to each flattened slice
+            block = np.zeros((2, width, 2, width), dtype=complex)
+            diagonal = np.arange(width)
+            block[:, diagonal, :, diagonal] = matrix.T
+            out = view.reshape(batch, 2 * width) @ block.reshape(2 * width, 2 * width)
+        else:
+            out = matrix @ view
+        return out.reshape(state.shape)
+    a, b = axes
+    m = matrix.reshape(2, 2, 2, 2)
+    if a > b:
+        a, b = b, a
+        m = m.transpose(1, 0, 3, 2)
+    view = state.reshape(2**a, 2, 2 ** (b - a - 1), 2, -1)
+    return np.einsum("ijkl,akblc->aibjc", m, view, optimize=True).reshape(state.shape)
+
+
+def _spin_axes(gate: Gate, offset: int = 0) -> tuple[int, ...]:
+    """Tensor axes of the gate's targets, shifted by offset (N for columns)."""
+    return tuple(offset + t - 1 for t in gate.targets)
 
 
 def compose_propagator(circuit: Circuit) -> np.ndarray:
     """Product of the gate unitaries, first listed gate applied first.
 
-    Returns the identity for an empty circuit; the result is validated to
-    be unitary before being handed back.
+    The gates act in order on the rows of the identity.  Returns the
+    identity for an empty circuit; the result is validated to be unitary
+    before being handed back.
     """
     u = np.eye(circuit.dim, dtype=complex)
     for gate in circuit.gates:
-        u = gate_unitary(gate, circuit.n_spins) @ u
+        u = _apply_gate(u, _gate_matrix(gate), _spin_axes(gate))
     return unitary(u)
 
 

@@ -19,6 +19,7 @@ validation failure such as a non-unitary propagator.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -35,13 +36,7 @@ from .circuit import (
     parse_circuit,
     random_circuit,
 )
-from .engine import (
-    PATHWAY_TOL,
-    compare_pathways,
-    ensemble_expectation_sum,
-    ensemble_expectation_trace,
-    evolve_eigenstate,
-)
+from .engine import PATHWAY_TOL, compare_pathways, evolve_eigenstate
 from .entanglement import (
     SeparabilityReport,
     entanglement_report,
@@ -196,7 +191,7 @@ def load_config(path: str) -> RunConfig:
         if not os.path.isfile(resolved):
             raise ConfigError(f"circuit file not found: {resolved}")
     if config.observable is not None:
-        parse_observable(config.observable, n_spins)
+        _observable_spec(config.observable, n_spins)
     if config.bipartition is not None:
         if n_spins < 2:
             raise ConfigError("bipartition requires at least 2 spins")
@@ -213,19 +208,27 @@ def load_config(path: str) -> RunConfig:
 
 def parse_observable(spec: str, n_spins: int) -> tuple[str, np.ndarray]:
     """'x' means the collective x observable; 'x@2' means spin 2 only."""
+    axis, spin = _observable_spec(spec, n_spins)
+    if spin is None:
+        return f"collective {axis}", collective_observable(n_spins, axis)
+    return f"spin-{spin} {axis}", single_spin_observable(n_spins, axis, spin)
+
+
+def _observable_spec(spec: str, n_spins: int) -> tuple[str, int | None]:
+    """Check an observable spec without building it: (axis, spin or None)."""
     text = spec.strip()
-    if "@" in text:
-        axis, _, spin_text = text.partition("@")
-        axis, spin_text = axis.strip(), spin_text.strip()
-        _require_config_axis(axis)
-        if not spin_text.isdigit():
-            raise ConfigError(f"observable spin must be an integer, got {spin_text!r}")
-        spin = int(spin_text)
-        if not 1 <= spin <= n_spins:
-            raise ConfigError(f"observable spin {spin} out of range for {n_spins} spins")
-        return f"spin-{spin} {axis}", single_spin_observable(n_spins, axis, spin)
-    _require_config_axis(text)
-    return f"collective {text}", collective_observable(n_spins, text)
+    if "@" not in text:
+        _require_config_axis(text)
+        return text, None
+    axis, _, spin_text = text.partition("@")
+    axis, spin_text = axis.strip(), spin_text.strip()
+    _require_config_axis(axis)
+    if not spin_text.isdigit():
+        raise ConfigError(f"observable spin must be an integer, got {spin_text!r}")
+    spin = int(spin_text)
+    if not 1 <= spin <= n_spins:
+        raise ConfigError(f"observable spin {spin} out of range for {n_spins} spins")
+    return axis, spin
 
 
 def _require_config_axis(axis: str):
@@ -297,7 +300,7 @@ def run_simulate(config: RunConfig, output_path: str | None = None) -> dict:
     ensemble = build_ensemble(config)
     _, observable = parse_observable(config.observable, config.n_spins)
 
-    result = compare_pathways(circuit, ensemble, observable)
+    (result,) = compare_pathways(circuit, propagator, ensemble, [observable])
     tolerance = PATHWAY_TOL * ensemble.molecule_count
 
     part = None
@@ -320,7 +323,8 @@ def run_simulate(config: RunConfig, output_path: str | None = None) -> dict:
         entanglement_section = None
 
     rho_initial = equilibrium_density_matrix(ensemble)
-    rho_evolved = propagator @ rho_initial @ propagator.conj().T
+    rho_evolved = (propagator * ensemble.probabilities) @ propagator.conj().T
+    del propagator, observable  # the PPT stage below sets a run's peak memory
     if part is not None:
         initial_rep = ppt_report(rho_initial, part, config.ball_radius)
         evolved_rep = ppt_report(rho_evolved, part, config.ball_radius)
@@ -359,7 +363,7 @@ def run_sweep(config: RunConfig, n_circuits: int, output_path: str | None = None
         raise ConfigError(f"circuit count must be nonnegative, got {n_circuits}")
 
     ensemble = build_ensemble(config)
-    observables = {axis: collective_observable(config.n_spins, axis) for axis in SWEEP_AXES}
+    observables = [collective_observable(config.n_spins, axis) for axis in SWEEP_AXES]
     tolerance = PATHWAY_TOL * ensemble.molecule_count
     rng = np.random.default_rng(config.seed)
 
@@ -367,12 +371,10 @@ def run_sweep(config: RunConfig, n_circuits: int, output_path: str | None = None
     worst = None
     for index in range(n_circuits):
         circuit = random_circuit(config.n_spins, rng)
-        propagator = compose_propagator(circuit)
+        results = compare_pathways(circuit, compose_propagator(circuit), ensemble, observables)
         circuit_max = 0.0
-        for axis in SWEEP_AXES:
-            a = ensemble_expectation_sum(propagator, ensemble, observables[axis])
-            b = ensemble_expectation_trace(propagator, ensemble, observables[axis])
-            difference = abs(a - b)
+        for axis, result in zip(SWEEP_AXES, results):
+            difference = result.abs_difference
             circuit_max = max(circuit_max, difference)
             if worst is None or difference > worst["abs_difference"]:
                 worst = {
@@ -404,14 +406,32 @@ def run_sweep(config: RunConfig, n_circuits: int, output_path: str | None = None
 
 
 def _write_report(report: dict, config: RunConfig, output_path: str | None):
+    """Render first, then replace the target in one step.
+
+    A run that fails while rendering or writing leaves an earlier report
+    at the target untouched and no temporary file behind.
+    """
     if output_path is not None:
         target = output_path
     elif config.output_path is not None:
         target = config.resolve(config.output_path)
     else:
         raise ConfigError("no output path: set output_path in the config or pass --output")
-    with open(target, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(render_report(report))
+    text = render_report(report)
+    # Write through a symlink instead of replacing it with a regular file.
+    target = os.path.realpath(target)
+    directory, name = os.path.split(target)
+    temp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+        with contextlib.suppress(FileNotFoundError):
+            os.chmod(temp, os.stat(target).st_mode & 0o7777)
+        os.replace(temp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temp)
+        raise
 
 
 def render_report(report: dict) -> str:

@@ -4,9 +4,11 @@ Pathway A ("sum") mirrors the physical picture of C_k molecules starting
 in eigenstate k: evolve each computational eigenstate separately under
 the propagator, take its expectation value of the observable, and form
 the population-weighted sum over initial states.  Pathway B ("trace")
-builds the equilibrium density matrix once, conjugates it by the
-propagator, and reads M * tr(rho' * obs).  The two share no evolution
-code; their agreement is the package's central consistency check, so a
+builds the equilibrium density matrix once, conjugates it gate by gate as
+G rho G^dagger, and reads M * tr(rho' * obs).  The trace pathway never
+reads the propagator: the two share only the gate list, so a defect in
+composing the propagator shows up as a disagreement instead of cancelling
+out.  Their agreement is the package's central consistency check, so a
 result where they disagree hands both numbers back instead of hiding one.
 
 Per-state expectation values depend only on the initial eigenstate index,
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, compose_propagator
+from .circuit import Circuit, _apply_gate, _gate_matrix, _spin_axes
 from .qlinalg import ValidationError, hermitian, unitary
 from .spin_system import ThermalEnsemble, equilibrium_density_matrix
 
@@ -77,6 +79,10 @@ def per_state_expectations(propagator: np.ndarray, observable: np.ndarray) -> np
         raise ValidationError(
             f"observable shape {obs.shape} does not match propagator shape {u.shape}"
         )
+    return _per_state_values(u, obs)
+
+
+def _per_state_values(u: np.ndarray, obs: np.ndarray) -> np.ndarray:
     w = obs @ u
     values = np.empty(u.shape[0], dtype=float)
     for k in range(u.shape[0]):
@@ -130,36 +136,75 @@ def _weighted_sum(ensemble: ThermalEnsemble, per_state: np.ndarray) -> float:
 
 
 def ensemble_expectation_trace(
-    propagator: np.ndarray, ensemble: ThermalEnsemble, observable: np.ndarray
+    circuit: Circuit, ensemble: ThermalEnsemble, observable: np.ndarray
 ) -> float:
-    """Pathway B: M * tr(U rho U' * obs) with rho the equilibrium mixture."""
-    u = unitary(propagator)
+    """Pathway B: M * tr(rho' * obs), rho' the equilibrium mixture evolved gate by gate."""
     obs = hermitian(observable)
+    _require_dims(circuit, ensemble, [obs])
+    rho = _evolved_density_matrix(circuit, ensemble)
+    return _trace_value(rho, obs, ensemble.molecule_count)
+
+
+def _evolved_density_matrix(circuit: Circuit, ensemble: ThermalEnsemble) -> np.ndarray:
+    """G rho G^dagger for each gate in order: G on the row axes of the
+    (2,)*2N tensor of rho, conj(G) on its column axes."""
     rho = equilibrium_density_matrix(ensemble)
-    if obs.shape != rho.shape or u.shape != rho.shape:
-        raise ValidationError("propagator, observable, and density matrix dims disagree")
-    evolved = u @ rho @ u.conj().T
-    raw = np.trace(evolved @ obs)
+    for gate in circuit.gates:
+        matrix = _gate_matrix(gate)
+        rho = _apply_gate(rho, matrix, _spin_axes(gate))
+        rho = _apply_gate(rho, matrix.conj(), _spin_axes(gate, circuit.n_spins))
+    return rho
+
+
+def _trace_value(rho: np.ndarray, obs: np.ndarray, molecule_count: float) -> float:
+    # tr(rho obs) = sum_ij rho_ij obs_ji = sum_ij conj(obs_ij) rho_ij for Hermitian obs
+    raw = np.vdot(obs, rho)
     if abs(raw.imag) > IMAG_TOL:
         raise ValidationError(f"trace expectation has imaginary residual {raw.imag:.3e}")
-    return float(ensemble.molecule_count * raw.real)
+    return float(molecule_count * raw.real)
+
+
+def _require_dims(circuit: Circuit, ensemble: ThermalEnsemble, matrices) -> None:
+    dim = ensemble.system.dim
+    if circuit.dim != dim:
+        raise ValidationError(f"circuit dim {circuit.dim} does not match system dim {dim}")
+    for m in matrices:
+        if m.shape != (dim, dim):
+            raise ValidationError(f"matrix shape {m.shape} does not match system dim {dim}")
 
 
 def compare_pathways(
-    circuit: Circuit, ensemble: ThermalEnsemble, observable: np.ndarray
-) -> PathwayResult:
-    """Compose the circuit's propagator, run both pathways, report both.
+    circuit: Circuit,
+    propagator: np.ndarray,
+    ensemble: ThermalEnsemble,
+    observables,
+) -> tuple[PathwayResult, ...]:
+    """Run both pathways for each observable and report both numbers.
 
-    The propagator is the only shared intermediate; everything after it is
-    computed twice by design.
+    The sum pathway reads ``propagator``, which should be the circuit's
+    own from ``compose_propagator``; that call checked it is unitary, and
+    this one does not check it again.  The trace pathway evolves the
+    density matrix from the circuit's gate list and never reads the
+    propagator, so a propagator that is not the circuit's, unitary or
+    not, shows up as a disagreement rather than as an error.  Each
+    observable is checked to be Hermitian; the evolved density matrix is
+    built once and read for every observable.
     """
-    propagator = compose_propagator(circuit)
-    per_state = per_state_expectations(propagator, observable)
-    total = _weighted_sum(ensemble, per_state)
-    trace_value = ensemble_expectation_trace(propagator, ensemble, observable)
-    return PathwayResult(
-        expectation_sum=total,
-        expectation_trace=trace_value,
-        abs_difference=abs(total - trace_value),
-        per_state_values=per_state,
-    )
+    u = np.asarray(propagator, dtype=complex)
+    checked = [hermitian(obs) for obs in observables]
+    _require_dims(circuit, ensemble, [u, *checked])
+    rho = _evolved_density_matrix(circuit, ensemble)
+    results = []
+    for obs in checked:
+        per_state = _per_state_values(u, obs)
+        total = _weighted_sum(ensemble, per_state)
+        trace_value = _trace_value(rho, obs, ensemble.molecule_count)
+        results.append(
+            PathwayResult(
+                expectation_sum=total,
+                expectation_trace=trace_value,
+                abs_difference=abs(total - trace_value),
+                per_state_values=per_state,
+            )
+        )
+    return tuple(results)

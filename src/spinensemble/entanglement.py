@@ -100,7 +100,7 @@ def entanglement_entropy(coefficients: np.ndarray) -> float:
         raise ValidationError(f"squared coefficients sum to {total}, expected 1")
     mask = probs > 0.0
     entropy = float(-(probs[mask] * np.log2(probs[mask])).sum())
-    if entropy < 0.0:
+    if entropy <= 0.0:  # also turns the -0.0 of a product state into 0.0
         if entropy < -ENTROPY_CLAMP_TOL:
             raise ValidationError(f"entropy {entropy} below clamp budget")
         entropy = 0.0

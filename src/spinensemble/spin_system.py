@@ -92,14 +92,18 @@ def boltzmann_populations(energies, temperature: float, molecule_count: float) -
     """Level counts C_k = M exp(-E_k/T) / Z.
 
     Energies are shifted by their minimum before exponentiation so large
-    E/T ratios cannot overflow; the shift cancels in the normalization.
+    E/T ratios cannot overflow to inf; the shift cancels in the
+    normalization.
     """
     if temperature <= 0:
         raise ValidationError(f"temperature must be positive, got {temperature}")
     if molecule_count <= 0:
         raise ValidationError(f"molecule_count must be positive, got {molecule_count}")
     e = np.asarray(energies, dtype=float)
-    weights = np.exp(-(e - e.min()) / temperature)
+    # At extreme E/T the exponent overflows to -inf, whose weight 0 is the
+    # correct limit; no warning is due.
+    with np.errstate(over="ignore"):
+        weights = np.exp(-(e - e.min()) / temperature)
     return molecule_count * weights / weights.sum()
 
 

@@ -61,7 +61,7 @@ def test_criterion_1_pathway_agreement_on_random_circuits():
             budget = 1e-10 * ensemble.molecule_count
             for axis in "xyz":
                 a = ensemble_expectation_sum(propagator, ensemble, observables[axis])
-                b = ensemble_expectation_trace(propagator, ensemble, observables[axis])
+                b = ensemble_expectation_trace(circuit, ensemble, observables[axis])
                 if abs(a - b) > budget:
                     problems.append(
                         f"N={n_spins} circuit {index} axis {axis}: |{a} - {b}| > {budget}"
@@ -144,8 +144,12 @@ def test_criterion_4_identity_circuit_transverse_null():
             ensemble = _random_ensemble(rng, n_spins)
             budget = 1e-12 * ensemble.molecule_count
             for axis in "xy":
-                result = compare_pathways(
-                    Circuit(n_spins), ensemble, collective_observable(n_spins, axis)
+                circuit = Circuit(n_spins)
+                (result,) = compare_pathways(
+                    circuit,
+                    compose_propagator(circuit),
+                    ensemble,
+                    [collective_observable(n_spins, axis)],
                 )
                 if abs(result.expectation_sum) > budget:
                     problems.append(f"N={n_spins} {axis}: sum {result.expectation_sum}")

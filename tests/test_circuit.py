@@ -8,9 +8,10 @@ from spinensemble.circuit import (
     Circuit,
     CircuitParseError,
     Gate,
+    _apply_gate,
+    _gate_matrix,
     compose_propagator,
     format_circuit,
-    gate_unitary,
     parse_circuit,
     random_circuit,
 )
@@ -18,6 +19,11 @@ from spinensemble.qlinalg import ValidationError
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 EYE = np.eye(2, dtype=complex)
+
+
+def gate_propagator(gate, n_spins):
+    """The full 2**N unitary of one gate: the propagator of a one-gate circuit."""
+    return compose_propagator(Circuit(n_spins, (gate,)))
 
 
 class TestGateType:
@@ -121,14 +127,14 @@ class TestFormat:
 class TestGateUnitary:
     def test_hadamard_on_single_spin(self):
         expected = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-        np.testing.assert_allclose(gate_unitary(Gate("H", (1,)), 1), expected)
+        np.testing.assert_allclose(gate_propagator(Gate("H", (1,)), 1), expected)
 
     def test_x_on_second_spin_embeds_right(self):
-        np.testing.assert_array_equal(gate_unitary(Gate("X", (2,)), 2), np.kron(EYE, SX))
+        np.testing.assert_array_equal(gate_propagator(Gate("X", (2,)), 2), np.kron(EYE, SX))
 
     def test_cnot_truth_table(self):
         """Control on spin 1 flips spin 2 only for |10> and |11>."""
-        u = gate_unitary(Gate("CNOT", (1, 2)), 2)
+        u = gate_propagator(Gate("CNOT", (1, 2)), 2)
         perm = {0: 0, 1: 1, 2: 3, 3: 2}
         for src, dst in perm.items():
             e = np.zeros(4)
@@ -138,7 +144,7 @@ class TestGateUnitary:
 
     def test_cnot_reversed_targets(self):
         """Control on spin 2: flips spin 1 when the LOW bit is set."""
-        u = gate_unitary(Gate("CNOT", (2, 1)), 2)
+        u = gate_propagator(Gate("CNOT", (2, 1)), 2)
         perm = {0: 0, 1: 3, 2: 2, 3: 1}
         for src, dst in perm.items():
             e = np.zeros(4)
@@ -147,7 +153,7 @@ class TestGateUnitary:
 
     def test_cnot_across_gap(self):
         """Control spin 1, target spin 3, bystander spin 2 untouched."""
-        u = gate_unitary(Gate("CNOT", (1, 3)), 3)
+        u = gate_propagator(Gate("CNOT", (1, 3)), 3)
         for src in range(8):
             dst = src ^ 1 if src & 4 else src  # flip LSB when MSB set
             e = np.zeros(8)
@@ -155,42 +161,42 @@ class TestGateUnitary:
             assert (u @ e)[dst] == 1.0
 
     def test_swap_exchanges_basis_labels(self):
-        u = gate_unitary(Gate("SWAP", (1, 2)), 2)
+        u = gate_propagator(Gate("SWAP", (1, 2)), 2)
         np.testing.assert_array_equal(
             u, np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
         )
 
     def test_cz_is_symmetric_in_targets(self):
         np.testing.assert_array_equal(
-            gate_unitary(Gate("CZ", (1, 2)), 2), gate_unitary(Gate("CZ", (2, 1)), 2)
+            gate_propagator(Gate("CZ", (1, 2)), 2), gate_propagator(Gate("CZ", (2, 1)), 2)
         )
 
     def test_rz_phases(self):
         theta = 0.81
-        u = gate_unitary(Gate("RZ", (1,), theta), 1)
+        u = gate_propagator(Gate("RZ", (1,), theta), 1)
         np.testing.assert_allclose(
             u, np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)]), atol=1e-15
         )
 
     def test_rx_pi_is_minus_i_x(self):
-        u = gate_unitary(Gate("RX", (1,), math.pi), 1)
+        u = gate_propagator(Gate("RX", (1,), math.pi), 1)
         np.testing.assert_allclose(u, -1j * SX, atol=1e-15)
 
     def test_ry_two_pi_is_minus_identity(self):
-        u = gate_unitary(Gate("RY", (1,), 2 * math.pi), 1)
+        u = gate_propagator(Gate("RY", (1,), 2 * math.pi), 1)
         np.testing.assert_allclose(u, -EYE, atol=1e-15)
 
     def test_every_kind_embeds_to_a_unitary(self):
         rng = np.random.default_rng(72)
         for _ in range(60):
             circuit = random_circuit(4, rng, min_depth=1, max_depth=1)
-            u = gate_unitary(circuit.gates[0], 4)
+            u = gate_propagator(circuit.gates[0], 4)
             np.testing.assert_allclose(u.conj().T @ u, np.eye(16), atol=1e-12)
 
     def test_two_spin_embedding_matches_kron_when_adjacent(self):
         g = Gate("CNOT", (2, 3))
-        expected = np.kron(EYE, gate_unitary(Gate("CNOT", (1, 2)), 2))
-        np.testing.assert_array_equal(gate_unitary(g, 3), expected)
+        expected = np.kron(EYE, gate_propagator(Gate("CNOT", (1, 2)), 2))
+        np.testing.assert_array_equal(gate_propagator(g, 3), expected)
 
 
 class TestComposePropagator:
@@ -228,6 +234,95 @@ class TestComposePropagator:
             u = compose_propagator(random_circuit(3, rng))
             dev = np.max(np.abs(u.conj().T @ u - np.eye(8)))
             assert dev <= 1e-10
+
+
+def dense_gate(gate, n_spins):
+    """Kronecker-product reference for one gate: a sum of tensor products.
+
+    A 4x4 gate m on spins (a, b) is the sum over its entries of
+    m[(i, j), (k, l)] * |i><k| (spin a) x |j><l| (spin b) x I elsewhere.
+    """
+    m = _gate_matrix(gate)
+    if len(gate.targets) == 1:
+        (t,) = gate.targets
+        return np.kron(np.kron(np.eye(2 ** (t - 1)), m), np.eye(2 ** (n_spins - t)))
+    a, b = gate.targets
+    full = np.zeros((2**n_spins, 2**n_spins), dtype=complex)
+    for (i, j, k, l), amp in np.ndenumerate(m.reshape(2, 2, 2, 2)):
+        factors = [np.eye(2)] * n_spins
+        factors[a - 1] = np.outer(np.eye(2)[i], np.eye(2)[k])
+        factors[b - 1] = np.outer(np.eye(2)[j], np.eye(2)[l])
+        term = factors[0]
+        for f in factors[1:]:
+            term = np.kron(term, f)
+        full += amp * term
+    return full
+
+
+def dense_propagator(circuit):
+    u = np.eye(circuit.dim, dtype=complex)
+    for gate in circuit.gates:
+        u = dense_gate(gate, circuit.n_spins) @ u
+    return u
+
+
+class TestLocalGateApplication:
+    """Local application must reproduce the dense Kronecker product bit for bit."""
+
+    def test_random_circuits_match_dense_reference(self):
+        rng = np.random.default_rng(78)
+        for n_spins in range(1, 7):
+            for _ in range(8):
+                circuit = random_circuit(n_spins, rng)
+                np.testing.assert_array_equal(
+                    compose_propagator(circuit), dense_propagator(circuit)
+                )
+
+    @pytest.mark.parametrize(
+        "text,n_spins",
+        [
+            ("H 2\nCNOT 3 1\nRY 1 0.7\nCNOT 3 1", 3),
+            ("RX 4 1.3\nH 1\nSWAP 1 4\nT 2\nSWAP 4 1", 4),
+            ("H 5\nRY 2 2.1\nCZ 5 2\nCNOT 2 5\nSWAP 1 6\nH 3\nCNOT 6 3", 6),
+        ],
+    )
+    def test_reversed_and_distant_targets_match_dense_reference(self, text, n_spins):
+        circuit = parse_circuit(text, n_spins)
+        np.testing.assert_array_equal(compose_propagator(circuit), dense_propagator(circuit))
+
+    def test_cnot_reversed_and_non_adjacent_permutes_basis(self):
+        """CNOT 3 1 on 3 spins: spin 3 (LSB) controls spin 1 (MSB)."""
+        u = compose_propagator(parse_circuit("CNOT 3 1", 3))
+        for src in range(8):
+            dst = src ^ 4 if src & 1 else src
+            assert u[dst, src] == 1.0 and np.count_nonzero(u[:, src]) == 1
+
+    def test_swap_across_gap_exchanges_outer_spins(self):
+        u = compose_propagator(parse_circuit("SWAP 1 4", 4))
+        for src in range(16):
+            high, low = (src >> 3) & 1, src & 1
+            dst = (src & 0b0110) | (low << 3) | high
+            assert u[dst, src] == 1.0 and np.count_nonzero(u[:, src]) == 1
+
+    def test_every_axis_of_an_operator_tensor(self):
+        """Both kernel branches: one-spin gates on all 10 axes of a 32 x 32 operator."""
+        rng = np.random.default_rng(79)
+        state = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+        for gate in (Gate("H", (1,)), Gate("RX", (1,), 0.9), Gate("T", (1,))):
+            m = _gate_matrix(gate)
+            for axis in range(10):
+                expected = np.kron(np.kron(np.eye(2**axis), m), np.eye(2 ** (9 - axis)))
+                got = _apply_gate(state, m, (axis,))
+                np.testing.assert_allclose(
+                    got.reshape(-1), expected @ state.reshape(-1), rtol=0, atol=1e-14
+                )
+
+    def test_input_is_not_modified(self):
+        state = np.arange(16, dtype=complex).reshape(4, 4)
+        before = state.copy()
+        _apply_gate(state, _gate_matrix(Gate("H", (1,))), (0,))
+        _apply_gate(state, _gate_matrix(Gate("CNOT", (2, 1))), (1, 0))
+        np.testing.assert_array_equal(state, before)
 
 
 class TestRandomCircuit:

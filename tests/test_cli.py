@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from spinensemble import circuit as circuit_module
 from spinensemble.circuit import CircuitParseError
 from spinensemble.cli import (
     ConfigError,
@@ -19,6 +24,7 @@ from spinensemble.cli import (
 from spinensemble.qlinalg import ValidationError
 from spinensemble.spin_system import collective_observable, single_spin_observable
 
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 BELL_TEXT = "H 1\nCNOT 1 2\n"
 
 BASE_CONFIG = """\
@@ -125,6 +131,20 @@ class TestLoadConfig:
         )
         with pytest.raises(ConfigError, match="at least 2 spins"):
             load_config(str(path))
+
+    def test_observable_checked_without_building_it(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("load_config built an observable matrix")
+
+        monkeypatch.setattr("spinensemble.cli.collective_observable", refuse)
+        monkeypatch.setattr("spinensemble.cli.single_spin_observable", refuse)
+        assert load_config(write_config(tmp_path)).observable == "x"
+        spin_text = BASE_CONFIG.replace("observable = x", "observable = z@2")
+        assert load_config(write_config(tmp_path, spin_text)).observable == "z@2"
+        for bad, fragment in (("z@3", "out of range"), ("z@two", "integer"), ("w@1", "axis")):
+            text = BASE_CONFIG.replace("observable = x", f"observable = {bad}")
+            with pytest.raises(ConfigError, match=fragment):
+                load_config(write_config(tmp_path, text))
 
     def test_unreadable_config(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
@@ -278,6 +298,28 @@ class TestRunSimulate:
         assert target.exists()
         assert not (tmp_path / "report.json").exists()
 
+    def test_product_state_entropies_are_positive_zero(self, tmp_path):
+        config = load_config(write_config(tmp_path, circuit="H 1\n"))
+        report = run_simulate(config)
+        for entry in report["entanglement"]["per_state"]:
+            assert entry["is_product"] is True
+            assert math.copysign(1.0, entry["entropy_bits"]) == 1.0 and entry["entropy_bits"] == 0.0
+        text = (tmp_path / "report.json").read_text()
+        assert text.count('"entropy_bits": 0,') == 4 and '"entropy_bits": -0' not in text
+        assert "entropy range 0.000000..0.000000 bits" in "\n".join(summary_lines(report))
+
+    def test_observable_is_built_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = parse_observable
+
+        def counting(spec, n_spins):
+            calls.append(spec)
+            return original(spec, n_spins)
+
+        monkeypatch.setattr("spinensemble.cli.parse_observable", counting)
+        assert main(["simulate", "--config", write_config(tmp_path)]) == 0
+        assert calls == ["x"]
+
     def test_reports_are_byte_deterministic(self, tmp_path):
         config = load_config(write_config(tmp_path))
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -425,3 +467,66 @@ class TestMainExitCodes:
         path = write_config(tmp_path, BASE_CONFIG.replace("observable = x", "observable = k"))
         assert main(["simulate", "--config", path]) == 1
         assert "axis must be x, y, or z" in capsys.readouterr().err
+
+    def test_non_unitary_gate_exits_2(self, tmp_path, capsys, monkeypatch):
+        skewed = np.array([[1, 1], [0, 1]], dtype=complex)
+        monkeypatch.setitem(circuit_module._FIXED_1Q, "H", skewed)
+        path = write_config(tmp_path)
+        assert main(["simulate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: matrix is not unitary")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "report.json").exists()
+
+
+class TestFailedRunKeepsReport:
+    """A run that fails after the numerics must leave an earlier report intact."""
+
+    def test_overflowing_temperature_keeps_earlier_report(self, tmp_path):
+        path = write_config(tmp_path)
+        assert main(["simulate", "--config", path]) == 0
+        report = tmp_path / "report.json"
+        before = report.read_bytes()
+        names_before = sorted(os.listdir(tmp_path))
+        # epsilon = spread / T overflows to inf, which the report cannot hold
+        write_config(tmp_path, BASE_CONFIG.replace("temperature = 3.0e5", "temperature = 1e-320"))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinensemble", "simulate", "--config", path],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["validation error: non-finite value inf in report"]
+        assert report.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == names_before
+
+
+class TestReportReplacement:
+    """The report replaces its target in one step, keeping what a rewrite keeps."""
+
+    def test_existing_report_keeps_its_mode(self, tmp_path):
+        path = write_config(tmp_path)
+        report = tmp_path / "report.json"
+        report.write_text("old\n")
+        report.chmod(0o640)
+        assert main(["simulate", "--config", path]) == 0
+        assert report.stat().st_mode & 0o7777 == 0o640
+        assert json.loads(report.read_text())["pathways"]["within_tolerance"] is True
+
+    def test_symlinked_target_is_written_through(self, tmp_path):
+        path = write_config(tmp_path)
+        real = tmp_path / "reports" / "real.json"
+        real.parent.mkdir()
+        real.write_text("old\n")
+        link = tmp_path / "report.json"
+        link.symlink_to(real)
+        assert main(["simulate", "--config", path]) == 0
+        assert link.is_symlink()
+        assert json.loads(real.read_text())["pathways"]["within_tolerance"] is True
+        assert sorted(os.listdir(real.parent)) == ["real.json"]

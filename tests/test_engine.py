@@ -1,8 +1,9 @@
 """Checks that the two readout pathways agree and stay honest.
 
 The sum pathway averages pure-state expectation values over the initial
-eigenstates; the trace pathway evolves the mixed equilibrium state. They
-share only the propagator, so agreement is evidence, not tautology.
+eigenstates; the trace pathway evolves the mixed equilibrium state gate by
+gate. They share only the gate list, not the propagator, so agreement is
+evidence, not tautology.
 """
 
 import numpy as np
@@ -29,6 +30,11 @@ H2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 def zeeman_ensemble(n_spins, temperature=3.0e5, molecule_count=1.0e6):
     system = SpinSystem.zeeman([2.0 / (1 + j) for j in range(n_spins)])
     return ThermalEnsemble.boltzmann(system, temperature, molecule_count)
+
+
+def run_compare(circuit, ensemble, *observables):
+    """compare_pathways with the circuit's own propagator."""
+    return compare_pathways(circuit, compose_propagator(circuit), ensemble, observables)
 
 
 class TestEvolveEigenstate:
@@ -110,10 +116,11 @@ class TestEnsembleSum:
         rng = np.random.default_rng(43)
         for n_spins in (1, 2, 3):
             ens = zeeman_ensemble(n_spins)
-            u = random_unitary(rng, ens.system.dim)
+            circuit = random_circuit(n_spins, rng, min_depth=20, max_depth=20)
+            u = compose_propagator(circuit)
             obs = random_hermitian(rng, ens.system.dim)
             s = ensemble_expectation_sum(u, ens, obs)
-            t = ensemble_expectation_trace(u, ens, obs)
+            t = ensemble_expectation_trace(circuit, ens, obs)
             assert abs(s - t) <= PATHWAY_TOL * ens.molecule_count
 
 
@@ -123,23 +130,24 @@ class TestEnsembleTrace:
         rng = np.random.default_rng(44)
         system = SpinSystem.zeeman([2.0, 1.0])
         ens = ThermalEnsemble(system, 1.0, 4.0, populations=np.ones(4))
-        u = random_unitary(rng, 4)
-        value = ensemble_expectation_trace(u, ens, collective_observable(2, "z"))
+        circuit = random_circuit(2, rng, min_depth=20, max_depth=20)
+        value = ensemble_expectation_trace(circuit, ens, collective_observable(2, "z"))
         assert abs(value) < 1e-12
 
     def test_bell_circuit_agreement_is_tight(self):
         ens = zeeman_ensemble(2)
-        u = compose_propagator(parse_circuit("H 1\nCNOT 1 2", 2))
+        circuit = parse_circuit("H 1\nCNOT 1 2", 2)
+        u = compose_propagator(circuit)
         obs = collective_observable(2, "z")
         s = ensemble_expectation_sum(u, ens, obs)
-        t = ensemble_expectation_trace(u, ens, obs)
+        t = ensemble_expectation_trace(circuit, ens, obs)
         assert abs(s - t) <= 1e-12 * ens.molecule_count
 
 
 class TestComparePathways:
     def test_empty_circuit_traceless_observable(self):
         ens = zeeman_ensemble(2)
-        result = compare_pathways(Circuit(2), ens, collective_observable(2, "x"))
+        (result,) = run_compare(Circuit(2), ens, collective_observable(2, "x"))
         assert result.expectation_sum == 0.0
         assert result.expectation_trace == 0.0
         assert result.abs_difference == 0.0
@@ -147,7 +155,7 @@ class TestComparePathways:
     def test_bell_circuit_result_fields(self):
         ens = zeeman_ensemble(2)
         circuit = parse_circuit("H 1\nCNOT 1 2", 2)
-        result = compare_pathways(circuit, ens, collective_observable(2, "z"))
+        (result,) = run_compare(circuit, ens, collective_observable(2, "z"))
         assert isinstance(result, PathwayResult)
         assert result.abs_difference <= PATHWAY_TOL * ens.molecule_count
         assert result.per_state_values.shape == (4,)
@@ -155,14 +163,14 @@ class TestComparePathways:
     def test_abs_difference_is_consistent(self):
         rng = np.random.default_rng(45)
         ens = zeeman_ensemble(3)
-        result = compare_pathways(random_circuit(3, rng), ens, collective_observable(3, "y"))
+        (result,) = run_compare(random_circuit(3, rng), ens, collective_observable(3, "y"))
         assert result.abs_difference == abs(result.expectation_sum - result.expectation_trace)
 
     def test_sum_reconstructs_from_per_state_values(self):
         """Reported per-state values plus populations must rebuild the sum bit-exactly."""
         rng = np.random.default_rng(46)
         ens = zeeman_ensemble(2)
-        result = compare_pathways(random_circuit(2, rng), ens, collective_observable(2, "x"))
+        (result,) = run_compare(random_circuit(2, rng), ens, collective_observable(2, "x"))
         acc = 0.0
         for k in range(4):
             acc += ens.populations[k] * result.per_state_values[k]
@@ -170,14 +178,69 @@ class TestComparePathways:
 
     def test_per_state_values_are_read_only(self):
         ens = zeeman_ensemble(1)
-        result = compare_pathways(Circuit(1), ens, collective_observable(1, "z"))
+        (result,) = run_compare(Circuit(1), ens, collective_observable(1, "z"))
         with pytest.raises(ValueError):
             result.per_state_values[0] = 7.0
 
     def test_dimension_mismatch_rejected(self):
         ens = zeeman_ensemble(2)
         with pytest.raises(ValidationError, match="match"):
-            compare_pathways(Circuit(1), ens, collective_observable(1, "z"))
+            run_compare(Circuit(1), ens, collective_observable(1, "z"))
+
+
+class TestPathwayIndependence:
+    def test_foreign_propagator_shows_as_disagreement(self):
+        """The trace pathway reads the gate list, never the propagator it is handed."""
+        ens = zeeman_ensemble(2)
+        circuit = parse_circuit("X 1", 2)
+        foreign = compose_propagator(Circuit(2))
+        (result,) = compare_pathways(circuit, foreign, ens, [collective_observable(2, "z")])
+        assert result.abs_difference > PATHWAY_TOL * ens.molecule_count
+        assert result.expectation_trace == ensemble_expectation_trace(
+            circuit, ens, collective_observable(2, "z")
+        )
+
+    def test_non_unitary_propagator_shows_as_disagreement(self):
+        """compare_pathways does not re-check U; a scaled one disagrees instead."""
+        ens = zeeman_ensemble(2)
+        circuit = parse_circuit("RY 1 0.4\nCNOT 1 2", 2)
+        scaled = 1.5 * compose_propagator(circuit)
+        (result,) = compare_pathways(circuit, scaled, ens, [collective_observable(2, "z")])
+        assert result.abs_difference > PATHWAY_TOL * ens.molecule_count
+        scaled_trace = 2.25 * result.expectation_trace
+        assert abs(result.expectation_sum - scaled_trace) <= PATHWAY_TOL * ens.molecule_count
+
+    def test_several_observables_match_single_pathway_calls(self):
+        rng = np.random.default_rng(49)
+        ens = zeeman_ensemble(3)
+        circuit = random_circuit(3, rng, min_depth=20, max_depth=20)
+        u = compose_propagator(circuit)
+        observables = [collective_observable(3, axis) for axis in "xyz"]
+        results = compare_pathways(circuit, u, ens, observables)
+        assert len(results) == 3
+        for obs, result in zip(observables, results):
+            assert result.expectation_sum == ensemble_expectation_sum(u, ens, obs)
+            assert result.expectation_trace == ensemble_expectation_trace(circuit, ens, obs)
+
+    def test_trace_pathway_matches_dense_conjugation(self):
+        """Gate-by-gate G rho G^dagger against U rho U^dagger, up to 7 spins."""
+        rng = np.random.default_rng(50)
+        for n_spins in range(1, 8):
+            ens = zeeman_ensemble(n_spins)
+            circuit = random_circuit(n_spins, rng, min_depth=20, max_depth=20)
+            u = compose_propagator(circuit)
+            obs = random_hermitian(rng, ens.system.dim)
+            rho = (u * ens.probabilities) @ u.conj().T
+            dense = ens.molecule_count * np.trace(rho @ obs).real
+            local = ensemble_expectation_trace(circuit, ens, obs)
+            assert abs(local - dense) <= PATHWAY_TOL * ens.molecule_count
+
+    def test_rejects_non_hermitian_observable(self):
+        bad = np.array([[0, 1], [0, 0]], dtype=complex)
+        with pytest.raises(ValidationError, match="[Hh]ermitian"):
+            run_compare(Circuit(1), zeeman_ensemble(1), bad)
+        with pytest.raises(ValidationError, match="[Hh]ermitian"):
+            ensemble_expectation_trace(Circuit(1), zeeman_ensemble(1), bad)
 
 
 class TestLinearity:
@@ -195,9 +258,9 @@ class TestLinearity:
         assert ensemble_expectation_sum(u, doubled, obs) == 2.0 * ensemble_expectation_sum(
             u, base, obs
         )
-        assert ensemble_expectation_trace(u, doubled, obs) == 2.0 * ensemble_expectation_trace(
-            u, base, obs
-        )
+        assert ensemble_expectation_trace(
+            circuit, doubled, obs
+        ) == 2.0 * ensemble_expectation_trace(circuit, base, obs)
 
     def test_tripling_molecules_scales_within_roundoff(self):
         rng = np.random.default_rng(48)

@@ -111,6 +111,14 @@ class TestEntanglementReport:
         assert report.is_product
         assert report.entropy_bits == 0.0
 
+    def test_product_state_entropy_is_positive_zero(self):
+        """-0.0 would print as "-0" in reports; product states must give +0.0."""
+        psi = np.kron(np.array([1, 0]), np.array([INV_SQRT2, INV_SQRT2])).astype(complex)
+        for coeffs in (np.array([1.0, 0.0]), schmidt_coefficients(psi, CUT_12)):
+            entropy = entanglement_entropy(coeffs)
+            assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
+        assert math.copysign(1.0, entanglement_report(psi, CUT_12).entropy_bits) == 1.0
+
     def test_zero_entropy_iff_rank_one(self):
         rng = np.random.default_rng(53)
         for _ in range(40):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,12 @@ class TestBoltzmannPopulations:
         pops = boltzmann_populations([0.0, 1e6], 1e-3, 10.0)
         assert np.all(np.isfinite(pops))
         np.testing.assert_allclose(pops, [10.0, 0.0], atol=1e-12)
+
+    def test_overflowing_exponent_gives_zero_weight_silently(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pops = boltzmann_populations([-1.5, -0.5, 0.5, 1.5], 1e-320, 1.0e6)
+        np.testing.assert_array_equal(pops, [1.0e6, 0.0, 0.0, 0.0])
 
     def test_rejects_bad_temperature_and_count(self):
         with pytest.raises(ValidationError, match="temperature"):
