@@ -13,7 +13,8 @@ byte-deterministic function of config, circuit text, and seed.  No
 timestamps, no environment echo.
 
 Exit codes: 0 success, 1 usage or config or parse trouble, 2 numeric
-validation failure such as a non-unitary propagator.
+validation failure such as a non-unitary propagator, or a linear-algebra
+routine that fails or runs out of memory.
 """
 
 from __future__ import annotations
@@ -586,6 +587,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return 2
+    except (np.linalg.LinAlgError, MemoryError) as exc:
+        print(f"numeric error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, _apply_gate, _gate_matrix, _spin_axes
-from .qlinalg import ValidationError, hermitian, unitary
+from .qlinalg import ValidationError, _inner, hermitian, unitary
 from .spin_system import ThermalEnsemble, equilibrium_density_matrix
 
 IMAG_TOL = 1e-10
@@ -158,7 +158,7 @@ def _evolved_density_matrix(circuit: Circuit, ensemble: ThermalEnsemble) -> np.n
 
 def _trace_value(rho: np.ndarray, obs: np.ndarray, molecule_count: float) -> float:
     # tr(rho obs) = sum_ij rho_ij obs_ji = sum_ij conj(obs_ij) rho_ij for Hermitian obs
-    raw = np.vdot(obs, rho)
+    raw = _inner(obs, rho)
     if abs(raw.imag) > IMAG_TOL:
         raise ValidationError(f"trace expectation has imaginary residual {raw.imag:.3e}")
     return float(molecule_count * raw.real)

@@ -23,6 +23,7 @@ from .qlinalg import (
     PSD_TOL,
     BipartitionSpec,
     ValidationError,
+    _inner,
     density_matrix,
     frobenius_distance,
     hermitian_eigenvalues,
@@ -132,7 +133,7 @@ def is_fully_product(state: np.ndarray, n_spins: int) -> bool:
 
 
 def _distance_fields(rho: np.ndarray) -> tuple[float, float]:
-    purity = float(np.trace(rho @ rho).real)
+    purity = _inner(rho, rho).real  # tr(rho^2) = sum |rho_ij|^2 for Hermitian rho
     dist = frobenius_distance(rho, maximally_mixed(rho.shape[0]))
     return dist, purity
 

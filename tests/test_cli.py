@@ -38,6 +38,16 @@ bipartition = 1|2
 output_path = report.json
 """
 
+ONE_SPIN_CONFIG = """\
+n_spins = 1
+larmor = 2.0
+temperature = 3.0e5
+molecule_count = 1.0e6
+circuit_path = bell.qc
+observable = x
+output_path = report.json
+"""
+
 
 def write_config(tmp_path, text=BASE_CONFIG, circuit=BELL_TEXT, name="run.cfg"):
     (tmp_path / "bell.qc").write_text(circuit)
@@ -327,6 +337,26 @@ class TestRunSimulate:
         run_simulate(config, output_path=str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "text,circuit,expected",
+        [(BASE_CONFIG, BELL_TEXT, 1), (ONE_SPIN_CONFIG, "H 1\n", 0)],
+        ids=["two-spins", "one-spin"],
+    )
+    def test_one_eigendecomposition_per_simulate(self, tmp_path, monkeypatch, text, circuit, expected):
+        """Only the evolved partial transpose needs LAPACK: the initial state
+        and its partial transpose are diagonal, and the evolved state's PSD
+        check is a Cholesky factorization."""
+        shapes = []
+        original = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert main(["simulate", "--config", write_config(tmp_path, text, circuit)]) == 0
+        assert len(shapes) == expected
+
 
 class TestRunSweep:
     def make_config(self, tmp_path, extra="seed = 7\n"):
@@ -478,6 +508,30 @@ class TestMainExitCodes:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "error",
+        [np.linalg.LinAlgError("Eigenvalues did not converge"), MemoryError("Unable to allocate")],
+    )
+    def test_linear_algebra_failure_exits_2_and_keeps_report(
+        self, tmp_path, capsys, monkeypatch, error
+    ):
+        path = write_config(tmp_path)
+        assert main(["simulate", "--config", path]) == 0
+        report = tmp_path / "report.json"
+        before = report.read_bytes()
+        names_before = sorted(os.listdir(tmp_path))
+        capsys.readouterr()
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        assert main(["simulate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"numeric error: {type(error).__name__}: {error}"]
+        assert report.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == names_before
+
 
 class TestFailedRunKeepsReport:
     """A run that fails after the numerics must leave an earlier report intact."""
@@ -505,6 +559,70 @@ class TestFailedRunKeepsReport:
         assert proc.stderr.splitlines() == ["validation error: non-finite value inf in report"]
         assert report.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == names_before
+
+
+TEN_SPIN_CIRCUIT = """\
+H 1
+CNOT 1 6
+RY 2 0.7
+CNOT 2 7
+H 3
+CZ 3 8
+RX 4 1.3
+CNOT 4 9
+T 5
+H 5
+SWAP 5 10
+RZ 6 0.4
+H 7
+CNOT 7 2
+RY 8 2.1
+S 9
+CNOT 10 5
+H 10
+RX 6 0.9
+CZ 1 10
+"""
+
+
+class TestThreadCountIndependence:
+    """Report bytes do not depend on the BLAS thread count, apart from the
+    two fields read off the eigendecomposition of the evolved partial
+    transpose."""
+
+    def test_ten_spin_report_at_one_and_two_threads(self, tmp_path):
+        (tmp_path / "ten.qc").write_text(TEN_SPIN_CIRCUIT)
+        config = tmp_path / "ten.cfg"
+        config.write_text(
+            "n_spins = 10\n"
+            "larmor = 2.9, 2.6, 2.3, 2.1, 1.8, 1.5, 1.3, 1.1, 0.8, 0.6\n"
+            "temperature = 3.0e5\nmolecule_count = 1.0e6\ncircuit_path = ten.qc\n"
+            "observable = x\nbipartition = 1,2,3,4,5|6,7,8,9,10\n"
+        )
+        runs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p
+            )
+            for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[name] = threads
+            output = tmp_path / f"threads{threads}.json"
+            argv = ["simulate", "--config", str(config), "--output", str(output)]
+            runs[threads] = (subprocess.Popen([sys.executable, "-m", "spinensemble", *argv], env=env), output)
+        for proc, _ in runs.values():
+            assert proc.wait(timeout=300) == 0
+        one, two = (output.read_text().splitlines() for _, output in runs.values())
+        assert len(one) == len(two)
+        evolved = one.index('    "evolved": {')
+        solver_fields = {
+            i
+            for i in range(evolved, len(one))
+            if one[i].lstrip().startswith(('"min_pt_eigenvalue"', '"negativity"'))
+        }
+        assert len(solver_fields) == 2
+        differing = {i for i, (a, b) in enumerate(zip(one, two)) if a != b}
+        assert differing <= solver_fields
 
 
 class TestReportReplacement:

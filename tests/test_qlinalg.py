@@ -6,6 +6,7 @@ from spinensemble.qlinalg import (
     DIM_CAP,
     PAULI_X,
     PAULI_Z,
+    PSD_TOL,
     BipartitionSpec,
     ValidationError,
     as_matrix,
@@ -216,6 +217,37 @@ class TestHermitianEigenvalues:
                 hermitian_eigenvalues(a),
                 atol=1e-9,
             )
+
+
+class TestSpectrumShortcuts:
+    """The diagonal and Cholesky paths decide exactly as an eigendecomposition."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16, 33, 64, 127, 256, 512, 1024])
+    def test_diagonal_spectrum_is_bitwise_eigvalsh(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(3):
+            signs = rng.choice([-1.0, 1.0], size=dim)
+            diagonal = signs * 10.0 ** rng.uniform(-12, 2, size=dim)
+            a = np.diag(diagonal).astype(complex)
+            assert hermitian_eigenvalues(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
+
+    @pytest.mark.parametrize("dim", [4, 64, 1024])
+    def test_psd_decision_matches_eigvalsh(self, dim):
+        rng = np.random.default_rng(60 + dim)
+        u = random_unitary(rng, dim)
+        for floor in (-10.0, -2.0, -0.75, -0.25, 0.0, 1.0):
+            spectrum = rng.uniform(0.5, 1.5, size=dim)
+            spectrum[1:] *= (1.0 - floor * PSD_TOL) / spectrum[1:].sum()
+            spectrum[0] = floor * PSD_TOL
+            rho = (u * spectrum) @ u.conj().T
+            rho = (rho + rho.conj().T) / 2
+            lo = np.linalg.eigvalsh(rho)[0]
+            if lo < -PSD_TOL:
+                with pytest.raises(ValidationError, match=f"negative eigenvalue {lo:.3e}$"):
+                    density_matrix(rho)
+            else:
+                density_matrix(rho)
+            assert (lo < -PSD_TOL) == (floor < -1.0)
 
 
 class TestPartialTrace:
