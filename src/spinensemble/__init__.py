@@ -53,6 +53,7 @@ from .qlinalg import (
 )
 from .spin_system import (
     EpsilonReport,
+    PauliSum,
     SpinSystem,
     ThermalEnsemble,
     boltzmann_populations,
@@ -71,6 +72,7 @@ __all__ = [
     "EpsilonReport",
     "Gate",
     "PathwayResult",
+    "PauliSum",
     "SeparabilityReport",
     "SpinSystem",
     "ThermalEnsemble",

@@ -15,9 +15,11 @@ the matrix product U(gL) ... U(g2) U(g1).  Every matrix uses the package's
 big-endian basis convention (spin 1 = most significant bit).
 
 Gates are never embedded as 2**N x 2**N matrices.  Each one is applied
-locally: its 2x2 or 4x4 matrix multiplies one or two axes of the array
-read as a (2,)*n tensor, which costs O(K**2) per gate on a K x K operand
-instead of the O(K**3) of a dense product.
+locally to one or two axes of the array read as a (2,)*n tensor: a
+one-spin gate's 2x2 matrix multiplies its axis, and a two-spin gate,
+whose 4x4 matrix has one entry of +-1 per row, copies or negates slices.
+Either costs O(K**2) per gate on a K x K operand instead of the O(K**3)
+of a dense product.
 """
 
 from __future__ import annotations
@@ -215,8 +217,9 @@ def _apply_gate(state: np.ndarray, matrix: np.ndarray, axes: tuple[int, ...]) ->
 
     ``state`` holds 2**n entries in big-endian axis order, in any shape: a
     K x K operator is a (2,)*2N tensor whose first N axes index its rows.
-    For a 4x4 matrix, ``axes`` lists the axes of its first and second
-    basis factor, in either order.  Returns a new array of state's shape.
+    For a 4x4 matrix, which must be a signed permutation, ``axes`` lists
+    the axes of its first and second basis factor, in either order.
+    Returns a new array of state's shape.
     """
     if len(axes) == 1:
         (a,) = axes
@@ -231,13 +234,41 @@ def _apply_gate(state: np.ndarray, matrix: np.ndarray, axes: tuple[int, ...]) ->
         else:
             out = matrix @ view
         return out.reshape(state.shape)
-    a, b = axes
+    return _permute_pair(state, matrix, *axes)
+
+
+def _permute_pair(state: np.ndarray, matrix: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Apply a 4x4 signed permutation (CNOT, CZ, SWAP) to axes a and b.
+
+    Each output slice is one input slice, copied or negated, so the result
+    is exact.  The view (2**a, 2, gap, 2, width) is read as (2**a, 4*gap,
+    width): one ``take`` along the merged middle axis copies whole
+    contiguous runs of ``width`` entries in memory order.  Copying the four
+    quadrants one by one instead re-reads every cache line once per
+    quadrant when width is small, as it is on a density matrix's column
+    axes.
+    """
     m = matrix.reshape(2, 2, 2, 2)
     if a > b:
         a, b = b, a
         m = m.transpose(1, 0, 3, 2)
-    view = state.reshape(2**a, 2, 2 ** (b - a - 1), 2, -1)
-    return np.einsum("ijkl,akblc->aibjc", m, view, optimize=True).reshape(state.shape)
+    m = m.reshape(4, 4)
+    rows, sources = np.nonzero(m)
+    signs = m[rows, sources]
+    permutes = rows.tolist() == sorted(sources.tolist()) == [0, 1, 2, 3]
+    if not permutes or not np.all((signs == 1) | (signs == -1)):
+        raise ValidationError("a two-spin gate must permute basis states, up to sign")
+    gap = 2 ** (b - a - 1)
+    # output position (i, y, j) of the merged axis reads (k, y, l), where
+    # row 2i + j of the gate matrix has its entry in column 2k + l
+    source = sources.reshape(2, 1, 2)
+    index = (source >> 1) * (2 * gap) + np.arange(gap)[:, None] * 2 + (source & 1)
+    out = np.take(state.reshape(2**a, 4 * gap, -1), index.reshape(-1), axis=1)
+    quadrants = out.reshape(2**a, 2, gap, 2, -1)
+    for row in np.flatnonzero(signs == -1):
+        quadrant = quadrants[:, row >> 1, :, row & 1]
+        np.negative(quadrant, out=quadrant)
+    return out.reshape(state.shape)
 
 
 def _spin_axes(gate: Gate, offset: int = 0) -> tuple[int, ...]:

@@ -12,6 +12,10 @@ and floats printed with 17 significant digits, so a report is a
 byte-deterministic function of config, circuit text, and seed.  No
 timestamps, no environment echo.
 
+The observable spec names a PauliSum, the collective or one spin's
+magnetisation, which the pathways read term by term: neither command
+builds a 2**N x 2**N observable matrix.
+
 Exit codes: 0 success, 1 usage or config or parse trouble, 2 numeric
 validation failure such as a non-unitary propagator, or a linear-algebra
 routine that fails or runs out of memory.
@@ -46,13 +50,12 @@ from .entanglement import (
 )
 from .qlinalg import BipartitionSpec, ValidationError
 from .spin_system import (
+    PauliSum,
     SpinSystem,
     ThermalEnsemble,
-    collective_observable,
     default_energies,
     epsilon_report,
     equilibrium_density_matrix,
-    single_spin_observable,
 )
 
 SWEEP_AXES = ("x", "y", "z")
@@ -207,12 +210,12 @@ def load_config(path: str) -> RunConfig:
     return config
 
 
-def parse_observable(spec: str, n_spins: int) -> tuple[str, np.ndarray]:
+def parse_observable(spec: str, n_spins: int) -> tuple[str, PauliSum]:
     """'x' means the collective x observable; 'x@2' means spin 2 only."""
     axis, spin = _observable_spec(spec, n_spins)
     if spin is None:
-        return f"collective {axis}", collective_observable(n_spins, axis)
-    return f"spin-{spin} {axis}", single_spin_observable(n_spins, axis, spin)
+        return f"collective {axis}", PauliSum.collective(n_spins, axis)
+    return f"spin-{spin} {axis}", PauliSum(n_spins, axis, (spin,))
 
 
 def _observable_spec(spec: str, n_spins: int) -> tuple[str, int | None]:
@@ -325,7 +328,7 @@ def run_simulate(config: RunConfig, output_path: str | None = None) -> dict:
 
     rho_initial = equilibrium_density_matrix(ensemble)
     rho_evolved = (propagator * ensemble.probabilities) @ propagator.conj().T
-    del propagator, observable  # the PPT stage below sets a run's peak memory
+    del propagator  # the PPT stage below sets a run's peak memory
     if part is not None:
         initial_rep = ppt_report(rho_initial, part, config.ball_radius)
         evolved_rep = ppt_report(rho_evolved, part, config.ball_radius)
@@ -364,7 +367,7 @@ def run_sweep(config: RunConfig, n_circuits: int, output_path: str | None = None
         raise ConfigError(f"circuit count must be nonnegative, got {n_circuits}")
 
     ensemble = build_ensemble(config)
-    observables = [collective_observable(config.n_spins, axis) for axis in SWEEP_AXES]
+    observables = [PauliSum.collective(config.n_spins, axis) for axis in SWEEP_AXES]
     tolerance = PATHWAY_TOL * ensemble.molecule_count
     rng = np.random.default_rng(config.seed)
 

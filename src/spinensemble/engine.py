@@ -11,11 +11,21 @@ composing the propagator shows up as a disagreement instead of cancelling
 out.  Their agreement is the package's central consistency check, so a
 result where they disagree hands both numbers back instead of hiding one.
 
+An observable is a PauliSum (spin_system), such as the collective
+magnetisation, or a dense Hermitian matrix.  A PauliSum is read term by
+term and never built as a matrix: the sum pathway takes O(N K^2) row-pair
+reductions of the propagator, the trace pathway reads each spin's reduced
+2x2 block of rho' in O(N K).  A dense matrix takes the reference route,
+obs @ U and tr(rho' obs).  Every reduction runs in numpy's own loops, not
+in BLAS, so its bits do not depend on the BLAS thread count.
+
 Per-state expectation values depend only on the initial eigenstate index,
 never on which physical molecule carries it; no molecule index exists
 anywhere in this module.  Expectations of Hermitian observables are real
-up to rounding; both pathways check their imaginary residuals against a
-1e-10 budget and refuse to return silently contaminated numbers.
+up to rounding.  The trace pathway, and the sum pathway for a dense
+matrix, check their imaginary residuals against a 1e-10 budget and refuse
+to return silently contaminated numbers; a PauliSum's per-state values
+are the real or imaginary part of one product, real by construction.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ import numpy as np
 
 from .circuit import Circuit, _apply_gate, _gate_matrix, _spin_axes
 from .qlinalg import ValidationError, _inner, hermitian, unitary
-from .spin_system import ThermalEnsemble, equilibrium_density_matrix
+from .spin_system import _PAULI_BY_AXIS, PauliSum, ThermalEnsemble, equilibrium_density_matrix
 
 IMAG_TOL = 1e-10
 PATHWAY_TOL = 1e-10  # |sum - trace| <= PATHWAY_TOL * molecule_count
@@ -66,54 +76,81 @@ def evolve_eigenstate(propagator: np.ndarray, k: int) -> np.ndarray:
     return u[:, k].copy()
 
 
-def per_state_expectations(propagator: np.ndarray, observable: np.ndarray) -> np.ndarray:
+def per_state_expectations(propagator: np.ndarray, observable) -> np.ndarray:
     """<k|U' obs U|k> for every computational eigenstate k, as real floats.
 
-    Computed column by column: the evolved state of eigenstate k is the
-    k-th column of the propagator, so each value is a vector quadratic
-    form, never a density matrix.
+    The evolved state of eigenstate k is the k-th column of the
+    propagator, so each value is a quadratic form in one column, never a
+    density matrix.  ``observable`` is a PauliSum or a Hermitian matrix.
     """
     u = unitary(propagator)
-    obs = hermitian(observable)
-    if obs.shape != u.shape:
+    return _per_state_values(u, _checked_against(u, observable))
+
+
+def _checked(observable):
+    """A PauliSum as it is (it checked itself when built), anything else
+    as a checked Hermitian matrix."""
+    return observable if isinstance(observable, PauliSum) else hermitian(observable)
+
+
+def _checked_against(u: np.ndarray, observable):
+    obs = _checked(observable)
+    if _shape(obs) != u.shape:
         raise ValidationError(
-            f"observable shape {obs.shape} does not match propagator shape {u.shape}"
+            f"observable shape {_shape(obs)} does not match propagator shape {u.shape}"
         )
-    return _per_state_values(u, obs)
+    return obs
 
 
-def _per_state_values(u: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    w = obs @ u
-    values = np.empty(u.shape[0], dtype=float)
-    for k in range(u.shape[0]):
-        raw = np.vdot(u[:, k], w[:, k])
-        if abs(raw.imag) > IMAG_TOL:
-            raise ValidationError(
-                f"expectation for eigenstate {k} has imaginary residual {raw.imag:.3e}"
-            )
-        values[k] = raw.real
+def _shape(obs) -> tuple[int, ...]:
+    return (obs.dim, obs.dim) if isinstance(obs, PauliSum) else obs.shape
+
+
+def _per_state_values(u: np.ndarray, obs, first: int = 0) -> np.ndarray:
+    """Expectation per column of u; ``first`` is the eigenstate index of
+    column 0, for error messages."""
+    if isinstance(obs, PauliSum):
+        return _pauli_per_state_values(u, obs)
+    raw = np.einsum("ik,ik->k", u.conj(), obs @ u)
+    bad = np.flatnonzero(np.abs(raw.imag) > IMAG_TOL)
+    if bad.size:
+        raise ValidationError(
+            f"expectation for eigenstate {first + bad[0]} has imaginary residual "
+            f"{raw[bad[0]].imag:.3e}"
+        )
+    return np.ascontiguousarray(raw.real)
+
+
+def _pauli_per_state_values(u: np.ndarray, obs: PauliSum) -> np.ndarray:
+    """Per-column expectations of a Pauli sum from the rows of u, O(N K^2).
+
+    Read u's rows as (2,)*N axes.  For spin j, the sum over the other row
+    axes of conj(u[bit j = 0]) * u[bit j = 1] has real part <sigma_x>/2
+    and imaginary part <sigma_y>/2, so those values are real by
+    construction.  <sigma_z>/2 weights |u|^2 by each row's magnetisation.
+    """
+    if obs.axis == "z":
+        index = np.arange(u.shape[0])
+        weights = sum(0.5 - ((index >> (obs.n_spins - spin)) & 1) for spin in obs.spins)
+        return np.einsum("i,ik->k", weights, u.real**2 + u.imag**2)
+    values = np.zeros(u.shape[1])
+    for spin in obs.spins:
+        rows = u.reshape(2 ** (spin - 1), 2, -1, u.shape[1])
+        pair = np.einsum("ijk,ijk->k", rows[:, 0].conj(), rows[:, 1])
+        values += pair.real if obs.axis == "x" else pair.imag
     return values
 
 
-def expectation_per_initial_state(propagator: np.ndarray, k: int, observable: np.ndarray) -> float:
+def expectation_per_initial_state(propagator: np.ndarray, k: int, observable) -> float:
     """Single-molecule expectation for one initial eigenstate."""
     u = unitary(propagator)
-    obs = hermitian(observable)
-    if obs.shape != u.shape:
-        raise ValidationError(
-            f"observable shape {obs.shape} does not match propagator shape {u.shape}"
-        )
+    obs = _checked_against(u, observable)
     evolved = evolve_eigenstate(u, k)
-    raw = np.vdot(evolved, obs @ evolved)
-    if abs(raw.imag) > IMAG_TOL:
-        raise ValidationError(
-            f"expectation for eigenstate {k} has imaginary residual {raw.imag:.3e}"
-        )
-    return float(raw.real)
+    return float(_per_state_values(evolved[:, None], obs, first=k)[0])
 
 
 def ensemble_expectation_sum(
-    propagator: np.ndarray, ensemble: ThermalEnsemble, observable: np.ndarray
+    propagator: np.ndarray, ensemble: ThermalEnsemble, observable
 ) -> float:
     """Pathway A: population-weighted sum of per-eigenstate expectations.
 
@@ -136,10 +173,10 @@ def _weighted_sum(ensemble: ThermalEnsemble, per_state: np.ndarray) -> float:
 
 
 def ensemble_expectation_trace(
-    circuit: Circuit, ensemble: ThermalEnsemble, observable: np.ndarray
+    circuit: Circuit, ensemble: ThermalEnsemble, observable
 ) -> float:
     """Pathway B: M * tr(rho' * obs), rho' the equilibrium mixture evolved gate by gate."""
-    obs = hermitian(observable)
+    obs = _checked(observable)
     _require_dims(circuit, ensemble, [obs])
     rho = _evolved_density_matrix(circuit, ensemble)
     return _trace_value(rho, obs, ensemble.molecule_count)
@@ -156,21 +193,39 @@ def _evolved_density_matrix(circuit: Circuit, ensemble: ThermalEnsemble) -> np.n
     return rho
 
 
-def _trace_value(rho: np.ndarray, obs: np.ndarray, molecule_count: float) -> float:
-    # tr(rho obs) = sum_ij rho_ij obs_ji = sum_ij conj(obs_ij) rho_ij for Hermitian obs
-    raw = _inner(obs, rho)
+def _trace_value(rho: np.ndarray, obs, molecule_count: float) -> float:
+    if isinstance(obs, PauliSum):
+        raw = _pauli_trace(rho, obs)
+    else:
+        # tr(rho obs) = sum_ij rho_ij obs_ji = sum_ij conj(obs_ij) rho_ij for Hermitian obs
+        raw = _inner(obs, rho)
     if abs(raw.imag) > IMAG_TOL:
         raise ValidationError(f"trace expectation has imaginary residual {raw.imag:.3e}")
     return float(molecule_count * raw.real)
 
 
-def _require_dims(circuit: Circuit, ensemble: ThermalEnsemble, matrices) -> None:
+def _pauli_trace(rho: np.ndarray, obs: PauliSum) -> complex:
+    """tr(rho obs) from each listed spin's reduced 2x2 block of rho, O(N K).
+
+    The block of spin j sums rho over equal row and column indices of
+    every other spin; tr(block sigma) / 2 is that spin's term.
+    """
+    pauli = _PAULI_BY_AXIS[obs.axis]
+    raw = 0j
+    for spin in obs.spins:
+        outer, inner = 2 ** (spin - 1), 2 ** (obs.n_spins - spin)
+        block = np.einsum("asbatb->st", rho.reshape(outer, 2, inner, outer, 2, inner))
+        raw += np.einsum("st,ts->", block, pauli) / 2
+    return complex(raw)
+
+
+def _require_dims(circuit: Circuit, ensemble: ThermalEnsemble, operators) -> None:
     dim = ensemble.system.dim
     if circuit.dim != dim:
         raise ValidationError(f"circuit dim {circuit.dim} does not match system dim {dim}")
-    for m in matrices:
-        if m.shape != (dim, dim):
-            raise ValidationError(f"matrix shape {m.shape} does not match system dim {dim}")
+    for op in operators:
+        if _shape(op) != (dim, dim):
+            raise ValidationError(f"matrix shape {_shape(op)} does not match system dim {dim}")
 
 
 def compare_pathways(
@@ -187,11 +242,12 @@ def compare_pathways(
     density matrix from the circuit's gate list and never reads the
     propagator, so a propagator that is not the circuit's, unitary or
     not, shows up as a disagreement rather than as an error.  Each
-    observable is checked to be Hermitian; the evolved density matrix is
-    built once and read for every observable.
+    observable is a PauliSum or a matrix, which is checked to be
+    Hermitian; the evolved density matrix is built once and read for
+    every observable.
     """
     u = np.asarray(propagator, dtype=complex)
-    checked = [hermitian(obs) for obs in observables]
+    checked = [_checked(obs) for obs in observables]
     _require_dims(circuit, ensemble, [u, *checked])
     rho = _evolved_density_matrix(circuit, ensemble)
     results = []

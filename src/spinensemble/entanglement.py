@@ -24,11 +24,11 @@ from .qlinalg import (
     BipartitionSpec,
     ValidationError,
     _inner,
+    _partial_transpose,
+    _spectrum,
     density_matrix,
     frobenius_distance,
-    hermitian_eigenvalues,
     maximally_mixed,
-    partial_transpose,
     state_vector,
 )
 
@@ -156,7 +156,9 @@ def ppt_report(
         raise ValidationError(
             f"density matrix dim {rho.shape[0]} does not match bipartition over {n_spins} spins"
         )
-    eigs = hermitian_eigenvalues(partial_transpose(rho, part))
+    # density_matrix checked rho; a partial transpose only permutes its
+    # entries, so it is exactly as Hermitian and needs no second check
+    eigs = _spectrum(_partial_transpose(rho, part))
     # sum |eig| >= |trace| = 1, so a negative value here is rounding noise
     negativity = max(float((np.abs(eigs).sum() - 1.0) / 2.0), 0.0)
     min_eig = float(eigs[0])

@@ -283,7 +283,10 @@ def partial_trace(rho, part: BipartitionSpec, keep: str) -> np.ndarray:
 
 def partial_transpose(rho, part: BipartitionSpec) -> np.ndarray:
     """Transpose the right-side spin indices of a 2**N-dimensional operator."""
-    rho = as_matrix(rho)
+    return _partial_transpose(as_matrix(rho), part)
+
+
+def _partial_transpose(rho: np.ndarray, part: BipartitionSpec) -> np.ndarray:
     _, right_axes = _axes(part, rho.shape[0])
     n = part.n_spins
     t = rho.reshape([2] * (2 * n))

@@ -1,4 +1,5 @@
-"""The N-spin molecule, its energy levels, and the thermal ensemble.
+"""The N-spin molecule, its energy levels, the thermal ensemble, and the
+spin observables read from it.
 
 Units: k_B = 1 and hbar = 1, so level energies and temperature share one
 unit and only their ratio matters.  The ensemble makes no attempt to keep
@@ -180,22 +181,60 @@ def epsilon_report(ensemble: ThermalEnsemble) -> EpsilonReport:
     )
 
 
+@dataclass(frozen=True)
+class PauliSum:
+    """The observable sum_j sigma_axis(spin j) / 2 over the listed spins.
+
+    All spins make the collective magnetisation along the axis; one spin
+    makes that spin's component.  The pathway engine reads a PauliSum
+    term by term and never forms its 2**N x 2**N matrix; ``dense`` builds
+    that matrix on request.
+    """
+
+    n_spins: int
+    axis: str
+    spins: tuple[int, ...]
+
+    def __post_init__(self):
+        _require_axis(self.axis)
+        if self.n_spins < 1:
+            raise ValidationError("n_spins must be >= 1")
+        spins = tuple(int(s) for s in self.spins)
+        object.__setattr__(self, "spins", spins)
+        if not spins:
+            raise ValidationError("a Pauli sum needs at least one spin")
+        if len(set(spins)) != len(spins):
+            raise ValidationError(f"spins must be distinct, got {spins}")
+        for spin in spins:
+            if not 1 <= spin <= self.n_spins:
+                raise ValidationError(f"spin index {spin} out of range for {self.n_spins} spins")
+
+    @classmethod
+    def collective(cls, n_spins: int, axis: str) -> "PauliSum":
+        """Total spin component along an axis, over every spin."""
+        return cls(n_spins, axis, tuple(range(1, n_spins + 1)))
+
+    @property
+    def dim(self) -> int:
+        return 2**self.n_spins
+
+    def dense(self) -> np.ndarray:
+        """The observable as a 2**N x 2**N matrix."""
+        pauli = _PAULI_BY_AXIS[self.axis] / 2.0
+        total = np.zeros((self.dim, self.dim), dtype=complex)
+        for spin in self.spins:
+            total += embed_single_spin(pauli, spin, self.n_spins)
+        return total
+
+
 def collective_observable(n_spins: int, axis: str) -> np.ndarray:
     """Total spin component along an axis: sum_j sigma_axis(spin j) / 2."""
-    pauli = _require_axis(axis)
-    if n_spins < 1:
-        raise ValidationError("n_spins must be >= 1")
-    k = 2**n_spins
-    total = np.zeros((k, k), dtype=complex)
-    for spin in range(1, n_spins + 1):
-        total += embed_single_spin(pauli / 2.0, spin, n_spins)
-    return total
+    return PauliSum.collective(n_spins, axis).dense()
 
 
 def single_spin_observable(n_spins: int, axis: str, spin: int) -> np.ndarray:
     """Spin component of one spin only: sigma_axis(spin) / 2 embedded in N spins."""
-    pauli = _require_axis(axis)
-    return embed_single_spin(pauli / 2.0, spin, n_spins)
+    return PauliSum(n_spins, axis, (spin,)).dense()
 
 
 def _require_axis(axis: str) -> np.ndarray:

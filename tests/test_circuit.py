@@ -317,6 +317,34 @@ class TestLocalGateApplication:
                     got.reshape(-1), expected @ state.reshape(-1), rtol=0, atol=1e-14
                 )
 
+    @pytest.mark.parametrize("kind", ["CNOT", "CZ", "SWAP"])
+    def test_every_axis_pair_of_an_operator_tensor(self, kind):
+        """Two-spin gates on every ordered pair of the 10 axes of a 32 x 32
+        operator: row pairs, column pairs and mixed pairs."""
+        rng = np.random.default_rng(80)
+        state = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+        locals_by_targets = {}
+        for first in range(10):
+            for second in range(10):
+                if first == second:
+                    continue
+                low, high = sorted((first, second))
+                span = high - low + 1
+                targets = (1, span) if first < second else (span, 1)
+                # kron(I, local, I) applied to the flattened operator
+                if targets not in locals_by_targets:
+                    locals_by_targets[targets] = dense_gate(Gate(kind, targets), span)
+                local = locals_by_targets[targets]
+                expected = local @ state.reshape(2**low, 2**span, 2 ** (9 - high))
+                got = _apply_gate(state, _gate_matrix(Gate(kind, (1, 2))), (first, second))
+                np.testing.assert_array_equal(got.reshape(-1), expected.reshape(-1))
+
+    def test_rejects_a_two_spin_matrix_that_is_not_a_signed_permutation(self):
+        state = np.eye(4, dtype=complex)
+        for matrix in (np.eye(4) * 1j, np.ones((4, 4)), np.eye(4)[[0, 0, 1, 2]]):
+            with pytest.raises(ValidationError, match="permute"):
+                _apply_gate(state, matrix.astype(complex), (0, 1))
+
     def test_input_is_not_modified(self):
         state = np.arange(16, dtype=complex).reshape(4, 4)
         before = state.copy()

@@ -22,7 +22,7 @@ from spinensemble.cli import (
     summary_lines,
 )
 from spinensemble.qlinalg import ValidationError
-from spinensemble.spin_system import collective_observable, single_spin_observable
+from spinensemble.spin_system import PauliSum, collective_observable, single_spin_observable
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 BELL_TEXT = "H 1\nCNOT 1 2\n"
@@ -146,8 +146,8 @@ class TestLoadConfig:
         def refuse(*args):
             raise AssertionError("load_config built an observable matrix")
 
-        monkeypatch.setattr("spinensemble.cli.collective_observable", refuse)
-        monkeypatch.setattr("spinensemble.cli.single_spin_observable", refuse)
+        monkeypatch.setattr(PauliSum, "dense", refuse)
+        monkeypatch.setattr("spinensemble.spin_system.embed_single_spin", refuse)
         assert load_config(write_config(tmp_path)).observable == "x"
         spin_text = BASE_CONFIG.replace("observable = x", "observable = z@2")
         assert load_config(write_config(tmp_path, spin_text)).observable == "z@2"
@@ -163,14 +163,14 @@ class TestLoadConfig:
 
 class TestParseObservable:
     def test_collective(self):
-        label, matrix = parse_observable("x", 2)
+        label, observable = parse_observable("x", 2)
         assert label == "collective x"
-        np.testing.assert_array_equal(matrix, collective_observable(2, "x"))
+        np.testing.assert_array_equal(observable.dense(), collective_observable(2, "x"))
 
     def test_single_spin(self):
-        label, matrix = parse_observable("z@2", 2)
+        label, observable = parse_observable("z@2", 2)
         assert label == "spin-2 z"
-        np.testing.assert_array_equal(matrix, single_spin_observable(2, "z", 2))
+        np.testing.assert_array_equal(observable.dense(), single_spin_observable(2, "z", 2))
 
     def test_bad_axis(self):
         with pytest.raises(ConfigError, match="axis"):
@@ -329,6 +329,29 @@ class TestRunSimulate:
         monkeypatch.setattr("spinensemble.cli.parse_observable", counting)
         assert main(["simulate", "--config", write_config(tmp_path)]) == 0
         assert calls == ["x"]
+
+    @pytest.mark.parametrize(
+        "command,observable", [("simulate", "x"), ("simulate", "y@2"), ("sweep", None)]
+    )
+    def test_no_dense_observable_is_built(self, tmp_path, monkeypatch, command, observable):
+        """The pathways read a PauliSum term by term: no 2**N x 2**N
+        observable is built or Hermitian-checked."""
+
+        def refuse(*args):
+            raise AssertionError("a dense observable was built or checked")
+
+        monkeypatch.setattr(PauliSum, "dense", refuse)
+        monkeypatch.setattr("spinensemble.spin_system.embed_single_spin", refuse)
+        monkeypatch.setattr("spinensemble.engine.hermitian", refuse)
+        if command == "simulate":
+            text = BASE_CONFIG.replace("observable = x", f"observable = {observable}")
+            argv = ["simulate", "--config", write_config(tmp_path, text)]
+        else:
+            config = write_config(tmp_path, BASE_CONFIG + "seed = 3\n")
+            argv = ["sweep", "--config", config, "--n", "4"]
+        assert main(argv) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert (report["pathways"] or report["sweep"])["within_tolerance"] is True
 
     def test_reports_are_byte_deterministic(self, tmp_path):
         config = load_config(write_config(tmp_path))
@@ -584,7 +607,6 @@ RX 6 0.9
 CZ 1 10
 """
 
-
 class TestThreadCountIndependence:
     """Report bytes do not depend on the BLAS thread count, apart from the
     two fields read off the eigendecomposition of the evolved partial
@@ -648,3 +670,150 @@ class TestReportReplacement:
         assert link.is_symlink()
         assert json.loads(real.read_text())["pathways"]["within_tolerance"] is True
         assert sorted(os.listdir(real.parent)) == ["real.json"]
+
+
+OUTPUT = "temperature = 3.0e5\nmolecule_count = 1.0e6\noutput_path = report.json\n"
+
+# (command, config text, circuit text for simulate or circuit count for sweep)
+VERDICT_CASES = {
+    "bell": ("simulate", BASE_CONFIG + "ball_radius = 0.05\n", BELL_TEXT),
+    "one-spin": ("simulate", ONE_SPIN_CONFIG, "H 1\n"),
+    "ten-spin": (
+        "simulate",
+        "n_spins = 10\nlarmor = 2.9, 2.6, 2.3, 2.1, 1.8, 1.5, 1.3, 1.1, 0.8, 0.6\n"
+        "circuit_path = bell.qc\nobservable = x\nbipartition = 1,2,3,4,5|6,7,8,9,10\n" + OUTPUT,
+        TEN_SPIN_CIRCUIT,
+    ),
+    "sweep-two": ("sweep", "n_spins = 2\nlarmor = 2.0, 1.0\nseed = 7\n" + OUTPUT, 6),
+    "three-spin": (
+        "simulate",
+        "n_spins = 3\nlarmor = 2.7, 1.6, 0.9\ncircuit_path = bell.qc\nobservable = y@2\n"
+        "bipartition = 1|2,3\nball_radius = 1e-9\n" + OUTPUT,
+        "RX 1 0.5\nRY 2 0.5\nCNOT 3 2\nRY 2 0.5\nCZ 1 2\n",
+    ),
+    "six-spin": (
+        "simulate",
+        "n_spins = 6\nlarmor = 2.9, 2.4, 1.9, 1.5, 1.1, 0.7\ncircuit_path = bell.qc\n"
+        "observable = z\nbipartition = 1,2,3|4,5,6\nball_radius = 1e-5\n" + OUTPUT,
+        "H 2\nRX 5 5.8196943314269065\nSWAP 4 5\nH 5\nCNOT 2 6\nSWAP 6 5\nCZ 1 5\n"
+        "RY 2 3.0292060382260737\nZ 1\nRY 6 2.9493651109832024\nRZ 3 3.5173023363995277\nS 5\n"
+        "SWAP 6 5\nRY 4 2.721039153009213\nS 3\nH 1\nY 6\n",
+    ),
+    "sweep-five": (
+        "sweep", "n_spins = 5\nlarmor = 2.5, 2.0, 1.5, 1.0, 0.5\nseed = 55\n" + OUTPUT, 8
+    ),
+    "sweep-seven": (
+        "sweep", "n_spins = 7\nlarmor = 2.8, 2.5, 2.1, 1.7, 1.3, 0.9, 0.6\nseed = 77\n" + OUTPUT, 5
+    ),
+}
+
+# Taken from the release before the Pauli-sum kernels.
+PINNED_VERDICTS = {
+    "bell": {
+        "within_tolerance": True,
+        "initial.ppt_holds": True,
+        "initial.ppt_conclusive": True,
+        "initial.within_ball": True,
+        "evolved.ppt_holds": True,
+        "evolved.ppt_conclusive": True,
+        "evolved.within_ball": True,
+        "schmidt_rank": [[2, 4]],
+        "is_product": [[False, 4]],
+    },
+    "one-spin": {
+        "within_tolerance": True,
+        "initial.ppt_holds": None,
+        "initial.ppt_conclusive": None,
+        "initial.within_ball": None,
+        "evolved.ppt_holds": None,
+        "evolved.ppt_conclusive": None,
+        "evolved.within_ball": None,
+    },
+    "six-spin": {
+        "within_tolerance": True,
+        "initial.ppt_holds": True,
+        "initial.ppt_conclusive": False,
+        "initial.within_ball": True,
+        "evolved.ppt_holds": True,
+        "evolved.ppt_conclusive": False,
+        "evolved.within_ball": True,
+        "schmidt_rank": [[2, 64]],
+        "is_product": [[False, 64]],
+    },
+    "sweep-five": {
+        "within_tolerance": True,
+    },
+    "sweep-seven": {
+        "within_tolerance": True,
+    },
+    "sweep-two": {
+        "within_tolerance": True,
+    },
+    "ten-spin": {
+        "within_tolerance": True,
+        "initial.ppt_holds": True,
+        "initial.ppt_conclusive": False,
+        "initial.within_ball": None,
+        "evolved.ppt_holds": True,
+        "evolved.ppt_conclusive": False,
+        "evolved.within_ball": None,
+        "schmidt_rank": [[16, 1024]],
+        "is_product": [[False, 1024]],
+    },
+    "three-spin": {
+        "within_tolerance": True,
+        "initial.ppt_holds": True,
+        "initial.ppt_conclusive": False,
+        "initial.within_ball": False,
+        "evolved.ppt_holds": True,
+        "evolved.ppt_conclusive": False,
+        "evolved.within_ball": False,
+        "schmidt_rank": [[2, 1], [1, 1], [2, 1], [1, 1]] * 2,
+        "is_product": [[False, 1], [True, 1], [False, 1], [True, 1]] * 2,
+    },
+}
+
+
+def runs(values: list) -> list:
+    """Run-length form of a per-state list: [[value, count], ...]."""
+    encoded = []
+    for value in values:
+        if encoded and encoded[-1][0] == value:
+            encoded[-1][1] += 1
+        else:
+            encoded.append([value, 1])
+    return encoded
+
+
+def report_verdicts(report: dict) -> dict:
+    """Every verdict field of a report, keyed by where it sits."""
+    verdicts = {}
+    if report["pathways"] is not None:
+        verdicts["within_tolerance"] = report["pathways"]["within_tolerance"]
+    if report["sweep"] is not None:
+        verdicts["within_tolerance"] = report["sweep"]["within_tolerance"]
+    if report["separability"] is not None:
+        for stage, section in report["separability"].items():
+            for field in ("ppt_holds", "ppt_conclusive", "within_ball"):
+                verdicts[f"{stage}.{field}"] = section[field]
+    if report["entanglement"] is not None:
+        per_state = report["entanglement"]["per_state"]
+        verdicts["schmidt_rank"] = runs([entry["schmidt_rank"] for entry in per_state])
+        verdicts["is_product"] = runs([entry["is_product"] for entry in per_state])
+    return verdicts
+
+
+class TestPinnedVerdicts:
+    """Changes to the numerics may move last digits of a report but must
+    never flip a verdict; the pinned values come from an earlier release."""
+
+    @pytest.mark.parametrize("name", sorted(VERDICT_CASES))
+    def test_verdicts_are_unchanged(self, tmp_path, name):
+        command, text, circuit = VERDICT_CASES[name]
+        if command == "simulate":
+            argv = ["simulate", "--config", write_config(tmp_path, text, circuit)]
+        else:
+            argv = ["sweep", "--config", write_config(tmp_path, text), "--n", str(circuit)]
+        assert main(argv) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report_verdicts(report) == PINNED_VERDICTS[name]

@@ -12,6 +12,7 @@ import pytest
 from helpers import random_hermitian, random_unitary
 from spinensemble.circuit import Circuit, compose_propagator, parse_circuit, random_circuit
 from spinensemble.engine import (
+    IMAG_TOL,
     PATHWAY_TOL,
     PathwayResult,
     compare_pathways,
@@ -21,8 +22,13 @@ from spinensemble.engine import (
     expectation_per_initial_state,
     per_state_expectations,
 )
-from spinensemble.qlinalg import ValidationError
-from spinensemble.spin_system import SpinSystem, ThermalEnsemble, collective_observable
+from spinensemble.qlinalg import HERMITIAN_TOL, ValidationError
+from spinensemble.spin_system import (
+    PauliSum,
+    SpinSystem,
+    ThermalEnsemble,
+    collective_observable,
+)
 
 H2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -92,6 +98,85 @@ class TestPerStateExpectations:
         bad = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(ValidationError, match="[Hh]ermitian"):
             per_state_expectations(np.eye(2, dtype=complex), bad)
+
+
+    def test_imaginary_residual_names_the_first_bad_eigenstate(self):
+        """Hermitian within HERMITIAN_TOL, yet columns 3 and 6 of H^(x)10 read
+        imaginary parts over IMAG_TOL: the error names eigenstate 3."""
+        u = compose_propagator(parse_circuit("\n".join(f"H {s}" for s in range(1, 11)), 10))
+        skew = sum(np.outer(u[:, k], u[:, k].conj()) for k in (6, 3))
+        # The anti-Hermitian part i * 2e-13 * K * skew has entries of at most
+        # 4e-13, inside HERMITIAN_TOL; columns 3 and 6 read 2e-13 * K = 2e-10.
+        obs = collective_observable(10, "z") + 0.2e-12j * 1024 * skew
+        assert np.max(np.abs(obs - obs.conj().T)) <= HERMITIAN_TOL
+        assert 0.2e-12 * 1024 > 2 * IMAG_TOL
+        with pytest.raises(ValidationError, match="eigenstate 3 "):
+            per_state_expectations(u, obs)
+        with pytest.raises(ValidationError, match="eigenstate 6 "):
+            expectation_per_initial_state(u, 6, obs)
+        assert abs(expectation_per_initial_state(u, 2, obs)) < 1e-12
+
+
+class TestPauliSum:
+    """The term-by-term kernels against the dense observable they stand for."""
+
+    def test_matches_dense_observable_on_random_circuits(self):
+        rng = np.random.default_rng(51)
+        for n_spins in range(1, 8):
+            ens = zeeman_ensemble(n_spins)
+            circuit = random_circuit(n_spins, rng, min_depth=20, max_depth=20)
+            u = compose_propagator(circuit)
+            for axis in "xyz":
+                observables = [PauliSum.collective(n_spins, axis), PauliSum(n_spins, axis, (1,))]
+                observables.append(PauliSum(n_spins, axis, (n_spins,)))
+                for pauli in observables:
+                    dense = pauli.dense()
+                    np.testing.assert_allclose(
+                        per_state_expectations(u, pauli),
+                        per_state_expectations(u, dense),
+                        rtol=0,
+                        atol=1e-12,
+                    )
+                    local = ensemble_expectation_trace(circuit, ens, pauli)
+                    reference = ensemble_expectation_trace(circuit, ens, dense)
+                    assert abs(local - reference) <= PATHWAY_TOL * ens.molecule_count
+
+    def test_compare_pathways_and_single_state_accept_pauli_sums(self):
+        rng = np.random.default_rng(52)
+        ens = zeeman_ensemble(4)
+        circuit = random_circuit(4, rng, min_depth=20, max_depth=20)
+        u = compose_propagator(circuit)
+        paulis = [PauliSum(4, axis, (2, 4)) for axis in "xyz"]
+        results = compare_pathways(circuit, u, ens, paulis)
+        dense_results = compare_pathways(circuit, u, ens, [p.dense() for p in paulis])
+        for pauli, result, dense in zip(paulis, results, dense_results):
+            assert result.abs_difference <= PATHWAY_TOL * ens.molecule_count
+            assert abs(result.expectation_sum - dense.expectation_sum) <= 1e-12 * ens.molecule_count
+            for k in (0, 9, 15):
+                single = expectation_per_initial_state(u, k, pauli)
+                assert single == result.per_state_values[k]
+
+    def test_dimension_mismatch_rejected(self):
+        ens = zeeman_ensemble(2)
+        with pytest.raises(ValidationError, match="match"):
+            run_compare(Circuit(2), ens, PauliSum.collective(3, "x"))
+        with pytest.raises(ValidationError, match="match"):
+            per_state_expectations(np.eye(4, dtype=complex), PauliSum.collective(1, "z"))
+
+    @pytest.mark.parametrize(
+        "args,fragment",
+        [
+            ((2, "q", (1,)), "axis"),
+            ((2, "x", (3,)), "out of range"),
+            ((2, "x", (0,)), "out of range"),
+            ((2, "y", ()), "at least one"),
+            ((2, "z", (1, 1)), "distinct"),
+            ((0, "z", (1,)), "n_spins"),
+        ],
+    )
+    def test_bad_axis_or_spin_rejected(self, args, fragment):
+        with pytest.raises(ValidationError, match=fragment):
+            PauliSum(*args)
 
 
 class TestEnsembleSum:
