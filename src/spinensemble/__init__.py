@@ -23,7 +23,6 @@ from .engine import (
     ensemble_expectation_sum,
     ensemble_expectation_trace,
     evolve_eigenstate,
-    expectation_per_initial_state,
     per_state_expectations,
 )
 from .entanglement import (
@@ -31,7 +30,6 @@ from .entanglement import (
     SeparabilityReport,
     entanglement_entropy,
     entanglement_report,
-    is_fully_product,
     mixedness_report,
     ppt_report,
     schmidt_coefficients,
@@ -45,10 +43,8 @@ from .qlinalg import (
     hermitian,
     hermitian_eigenvalues,
     maximally_mixed,
-    partial_trace,
     partial_transpose,
     state_vector,
-    tensor_product,
     unitary,
 )
 from .spin_system import (
@@ -91,16 +87,13 @@ __all__ = [
     "epsilon_report",
     "equilibrium_density_matrix",
     "evolve_eigenstate",
-    "expectation_per_initial_state",
     "format_circuit",
     "frobenius_distance",
     "hermitian",
     "hermitian_eigenvalues",
-    "is_fully_product",
     "maximally_mixed",
     "mixedness_report",
     "parse_circuit",
-    "partial_trace",
     "partial_transpose",
     "per_state_expectations",
     "ppt_report",
@@ -108,6 +101,5 @@ __all__ = [
     "schmidt_coefficients",
     "single_spin_observable",
     "state_vector",
-    "tensor_product",
     "unitary",
 ]

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qlinalg import PAULI_X, PAULI_Y, PAULI_Z, ValidationError, unitary
+from .qlinalg import PAULI_X, PAULI_Y, PAULI_Z, ValidationError, _require_spin_count, unitary
 
 SINGLE_SPIN_KINDS = ("H", "X", "Y", "Z", "S", "T")
 ROTATION_KINDS = ("RX", "RY", "RZ")
@@ -103,8 +103,7 @@ class Circuit:
     gates: tuple[Gate, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.n_spins < 1 or self.n_spins > 12:
-            raise ValidationError(f"n_spins must be in 1..12, got {self.n_spins}")
+        _require_spin_count(self.n_spins)
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if max(g.targets) > self.n_spins:
@@ -129,25 +128,30 @@ def parse_circuit(text: str, n_spins: int) -> Circuit:
         if name not in GATE_KINDS:
             raise CircuitParseError(line_number, f"unknown gate name {name!r}")
         args = tokens[1:]
+        angle = None
         if name in ROTATION_KINDS:
             if len(args) != 2:
                 raise CircuitParseError(line_number, f"{name} takes one spin and one angle")
-            target = _parse_spin(line_number, args[0], n_spins)
+            targets = (_parse_spin(line_number, args[0], n_spins),)
             angle = _parse_angle(line_number, args[1])
-            gates.append(Gate(name, (target,), angle))
         elif name in TWO_SPIN_KINDS:
             if len(args) != 2:
                 raise CircuitParseError(line_number, f"{name} takes two spin indices")
-            a = _parse_spin(line_number, args[0], n_spins)
-            b = _parse_spin(line_number, args[1], n_spins)
-            if a == b:
-                raise CircuitParseError(line_number, f"{name} targets must be distinct")
-            gates.append(Gate(name, (a, b)))
+            targets = tuple(_parse_spin(line_number, arg, n_spins) for arg in args)
         else:
             if len(args) != 1:
                 raise CircuitParseError(line_number, f"{name} takes one spin index")
-            gates.append(Gate(name, (_parse_spin(line_number, args[0], n_spins),)))
+            targets = (_parse_spin(line_number, args[0], n_spins),)
+        gates.append(_gate(line_number, name, targets, angle))
     return Circuit(n_spins, tuple(gates))
+
+
+def _gate(line_number: int, kind: str, targets: tuple[int, ...], angle: float | None) -> Gate:
+    """A Gate, its own checks reported against the line it came from."""
+    try:
+        return Gate(kind, targets, angle)
+    except ValidationError as exc:
+        raise CircuitParseError(line_number, str(exc)) from None
 
 
 def _parse_spin(line_number: int, token: str, n_spins: int) -> int:
@@ -163,12 +167,9 @@ def _parse_spin(line_number: int, token: str, n_spins: int) -> int:
 
 def _parse_angle(line_number: int, token: str) -> float:
     try:
-        angle = float(token)
+        return float(token)
     except ValueError:
         raise CircuitParseError(line_number, f"malformed angle {token!r}") from None
-    if not math.isfinite(angle):
-        raise CircuitParseError(line_number, f"angle must be finite, got {token!r}")
-    return angle
 
 
 def format_circuit(circuit: Circuit) -> str:

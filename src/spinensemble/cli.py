@@ -44,6 +44,7 @@ from .circuit import (
 from .engine import PATHWAY_TOL, compare_pathways, evolve_eigenstate
 from .entanglement import (
     SeparabilityReport,
+    _require_ball_radius,
     entanglement_report,
     mixedness_report,
     ppt_report,
@@ -69,6 +70,15 @@ class UsageError(ValueError):
     """Bad command line; maps to exit code 1."""
 
 
+@contextlib.contextmanager
+def _config_values():
+    """Report a library type's rejection of a config value as a ConfigError."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one run needs, as loaded from a config file.
@@ -87,6 +97,12 @@ class RunConfig:
     seed: int | None = None
     output_path: str | None = None
     base_dir: str = "."
+
+    def __post_init__(self):
+        # The one check on a ball radius, from the config file or --ball-radius.
+        if self.ball_radius is not None:
+            with _config_values():
+                _require_ball_radius(self.ball_radius)
 
     def resolve(self, path: str) -> str:
         return path if os.path.isabs(path) else os.path.join(self.base_dir, path)
@@ -156,31 +172,18 @@ def load_config(path: str) -> RunConfig:
         if key not in entries:
             raise ConfigError(f"{path}: missing required key {key!r}")
 
-    n_spins = _config_int(entries, "n_spins")
-    if not 1 <= n_spins <= 12:
-        raise ConfigError(f"n_spins must be in 1..12, got {n_spins}")
     larmor_tokens = entries["larmor"].replace(",", " ").split()
     try:
         larmor = tuple(float(tok) for tok in larmor_tokens)
     except ValueError:
         raise ConfigError(f"larmor must be a list of numbers, got {entries['larmor']!r}") from None
-    if len(larmor) != n_spins:
-        raise ConfigError(f"larmor needs {n_spins} entries, got {len(larmor)}")
-    if not all(math.isfinite(w) for w in larmor):
-        raise ConfigError("larmor entries must be finite")
-    temperature = _config_float(entries, "temperature")
-    if temperature <= 0:
-        raise ConfigError(f"temperature must be positive, got {temperature}")
-    molecule_count = _config_float(entries, "molecule_count")
-    if molecule_count <= 0:
-        raise ConfigError(f"molecule_count must be positive, got {molecule_count}")
 
     base_dir = os.path.dirname(os.path.abspath(path))
     config = RunConfig(
-        n_spins=n_spins,
+        n_spins=_config_int(entries, "n_spins"),
         larmor=larmor,
-        temperature=temperature,
-        molecule_count=molecule_count,
+        temperature=_config_float(entries, "temperature"),
+        molecule_count=_config_float(entries, "molecule_count"),
         circuit_path=entries.get("circuit_path"),
         observable=entries.get("observable"),
         bipartition=entries.get("bipartition"),
@@ -194,50 +197,36 @@ def load_config(path: str) -> RunConfig:
         resolved = config.resolve(config.circuit_path)
         if not os.path.isfile(resolved):
             raise ConfigError(f"circuit file not found: {resolved}")
-    if config.observable is not None:
-        _observable_spec(config.observable, n_spins)
-    if config.bipartition is not None:
-        if n_spins < 2:
-            raise ConfigError("bipartition requires at least 2 spins")
-        try:
-            BipartitionSpec.parse(config.bipartition, n_spins)
-        except ValidationError as exc:
-            raise ConfigError(f"bipartition: {exc}") from None
-    if config.ball_radius is not None and config.ball_radius <= 0:
-        raise ConfigError(f"ball_radius must be positive, got {config.ball_radius}")
     if config.seed is not None and config.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {config.seed}")
+    # Other values are checked by the library types built from them.
+    with _config_values():
+        build_ensemble(config)
+        if config.observable is not None:
+            _observable(config.observable, config.n_spins)
+        if config.bipartition is not None:
+            if config.n_spins < 2:
+                raise ConfigError("bipartition requires at least 2 spins")
+            BipartitionSpec.parse(config.bipartition, config.n_spins)
     return config
 
 
 def parse_observable(spec: str, n_spins: int) -> tuple[str, PauliSum]:
     """'x' means the collective x observable; 'x@2' means spin 2 only."""
-    axis, spin = _observable_spec(spec, n_spins)
-    if spin is None:
+    with _config_values():
+        return _observable(spec, n_spins)
+
+
+def _observable(spec: str, n_spins: int) -> tuple[str, PauliSum]:
+    axis, at, spin_text = spec.strip().partition("@")
+    axis = axis.strip()
+    if not at:
         return f"collective {axis}", PauliSum.collective(n_spins, axis)
-    return f"spin-{spin} {axis}", PauliSum(n_spins, axis, (spin,))
-
-
-def _observable_spec(spec: str, n_spins: int) -> tuple[str, int | None]:
-    """Check an observable spec without building it: (axis, spin or None)."""
-    text = spec.strip()
-    if "@" not in text:
-        _require_config_axis(text)
-        return text, None
-    axis, _, spin_text = text.partition("@")
-    axis, spin_text = axis.strip(), spin_text.strip()
-    _require_config_axis(axis)
+    spin_text = spin_text.strip()
     if not spin_text.isdigit():
         raise ConfigError(f"observable spin must be an integer, got {spin_text!r}")
     spin = int(spin_text)
-    if not 1 <= spin <= n_spins:
-        raise ConfigError(f"observable spin {spin} out of range for {n_spins} spins")
-    return axis, spin
-
-
-def _require_config_axis(axis: str):
-    if axis not in ("x", "y", "z"):
-        raise ConfigError(f"observable axis must be x, y, or z, got {axis!r}")
+    return f"spin-{spin} {axis}", PauliSum(n_spins, axis, (spin,))
 
 
 def build_ensemble(config: RunConfig) -> ThermalEnsemble:
@@ -572,8 +561,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         config = load_config(args.config)
         if args.ball_radius is not None:
-            if args.ball_radius <= 0:
-                raise UsageError(f"--ball-radius must be positive, got {args.ball_radius}")
             config = dataclasses.replace(config, ball_radius=args.ball_radius)
         if args.command == "simulate":
             report = run_simulate(config, output_path=args.output)

@@ -84,7 +84,9 @@ def per_state_expectations(propagator: np.ndarray, observable) -> np.ndarray:
     density matrix.  ``observable`` is a PauliSum or a Hermitian matrix.
     """
     u = unitary(propagator)
-    return _per_state_values(u, _checked_against(u, observable))
+    obs = _checked(observable)
+    _require_dim(u.shape[0], obs)
+    return _per_state_values(u, obs)
 
 
 def _checked(observable):
@@ -93,29 +95,26 @@ def _checked(observable):
     return observable if isinstance(observable, PauliSum) else hermitian(observable)
 
 
-def _checked_against(u: np.ndarray, observable):
-    obs = _checked(observable)
-    if _shape(obs) != u.shape:
-        raise ValidationError(
-            f"observable shape {_shape(obs)} does not match propagator shape {u.shape}"
-        )
-    return obs
+def _require_dim(dim: int, *operands) -> None:
+    """Each operand, a matrix, a PauliSum or a Circuit, must act on dim levels."""
+    for op in operands:
+        if isinstance(op, np.ndarray):
+            kind, shape = "matrix", op.shape
+        else:
+            kind, shape = type(op).__name__, (op.dim, op.dim)
+        if shape != (dim, dim):
+            raise ValidationError(f"{kind} shape {shape} does not match dimension {dim}")
 
 
-def _shape(obs) -> tuple[int, ...]:
-    return (obs.dim, obs.dim) if isinstance(obs, PauliSum) else obs.shape
-
-
-def _per_state_values(u: np.ndarray, obs, first: int = 0) -> np.ndarray:
-    """Expectation per column of u; ``first`` is the eigenstate index of
-    column 0, for error messages."""
+def _per_state_values(u: np.ndarray, obs) -> np.ndarray:
+    """Expectation per column of u."""
     if isinstance(obs, PauliSum):
         return _pauli_per_state_values(u, obs)
     raw = np.einsum("ik,ik->k", u.conj(), obs @ u)
     bad = np.flatnonzero(np.abs(raw.imag) > IMAG_TOL)
     if bad.size:
         raise ValidationError(
-            f"expectation for eigenstate {first + bad[0]} has imaginary residual "
+            f"expectation for eigenstate {bad[0]} has imaginary residual "
             f"{raw[bad[0]].imag:.3e}"
         )
     return np.ascontiguousarray(raw.real)
@@ -141,14 +140,6 @@ def _pauli_per_state_values(u: np.ndarray, obs: PauliSum) -> np.ndarray:
     return values
 
 
-def expectation_per_initial_state(propagator: np.ndarray, k: int, observable) -> float:
-    """Single-molecule expectation for one initial eigenstate."""
-    u = unitary(propagator)
-    obs = _checked_against(u, observable)
-    evolved = evolve_eigenstate(u, k)
-    return float(_per_state_values(evolved[:, None], obs, first=k)[0])
-
-
 def ensemble_expectation_sum(
     propagator: np.ndarray, ensemble: ThermalEnsemble, observable
 ) -> float:
@@ -157,15 +148,13 @@ def ensemble_expectation_sum(
     The accumulation runs in fixed ascending k order so the result is
     bit-reproducible no matter how the per-state values were produced.
     """
-    per_state = per_state_expectations(propagator, observable)
-    return _weighted_sum(ensemble, per_state)
+    u = unitary(propagator)
+    obs = _checked(observable)
+    _require_dim(ensemble.system.dim, u, obs)
+    return _weighted_sum(ensemble, _per_state_values(u, obs))
 
 
 def _weighted_sum(ensemble: ThermalEnsemble, per_state: np.ndarray) -> float:
-    if per_state.shape[0] != ensemble.system.dim:
-        raise ValidationError(
-            f"propagator dim {per_state.shape[0]} does not match system dim {ensemble.system.dim}"
-        )
     total = 0.0
     for k in range(per_state.shape[0]):
         total += float(ensemble.populations[k]) * float(per_state[k])
@@ -177,7 +166,7 @@ def ensemble_expectation_trace(
 ) -> float:
     """Pathway B: M * tr(rho' * obs), rho' the equilibrium mixture evolved gate by gate."""
     obs = _checked(observable)
-    _require_dims(circuit, ensemble, [obs])
+    _require_dim(ensemble.system.dim, circuit, obs)
     rho = _evolved_density_matrix(circuit, ensemble)
     return _trace_value(rho, obs, ensemble.molecule_count)
 
@@ -219,15 +208,6 @@ def _pauli_trace(rho: np.ndarray, obs: PauliSum) -> complex:
     return complex(raw)
 
 
-def _require_dims(circuit: Circuit, ensemble: ThermalEnsemble, operators) -> None:
-    dim = ensemble.system.dim
-    if circuit.dim != dim:
-        raise ValidationError(f"circuit dim {circuit.dim} does not match system dim {dim}")
-    for op in operators:
-        if _shape(op) != (dim, dim):
-            raise ValidationError(f"matrix shape {_shape(op)} does not match system dim {dim}")
-
-
 def compare_pathways(
     circuit: Circuit,
     propagator: np.ndarray,
@@ -248,7 +228,7 @@ def compare_pathways(
     """
     u = np.asarray(propagator, dtype=complex)
     checked = [_checked(obs) for obs in observables]
-    _require_dims(circuit, ensemble, [u, *checked])
+    _require_dim(ensemble.system.dim, circuit, u, *checked)
     rho = _evolved_density_matrix(circuit, ensemble)
     results = []
     for obs in checked:

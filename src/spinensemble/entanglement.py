@@ -15,6 +15,7 @@ evaluated only against a caller-supplied radius.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,17 +122,6 @@ def entanglement_report(state: np.ndarray, part: BipartitionSpec) -> Entanglemen
     )
 
 
-def is_fully_product(state: np.ndarray, n_spins: int) -> bool:
-    """True when the state is product across every single-spin bipartition."""
-    if n_spins < 2:
-        return True
-    for spin in range(1, n_spins + 1):
-        rest = tuple(s for s in range(1, n_spins + 1) if s != spin)
-        if not entanglement_report(state, BipartitionSpec((spin,), rest)).is_product:
-            return False
-    return True
-
-
 def _distance_fields(rho: np.ndarray) -> tuple[float, float]:
     purity = _inner(rho, rho).real  # tr(rho^2) = sum |rho_ij|^2 for Hermitian rho
     dist = frobenius_distance(rho, maximally_mixed(rho.shape[0]))
@@ -141,9 +131,13 @@ def _distance_fields(rho: np.ndarray) -> tuple[float, float]:
 def _ball_fields(dist: float, ball_radius: float | None) -> tuple[float | None, bool | None]:
     if ball_radius is None:
         return None, None
-    if not ball_radius > 0:
-        raise ValidationError(f"ball radius must be positive, got {ball_radius}")
+    _require_ball_radius(ball_radius)
     return float(ball_radius), dist <= ball_radius
+
+
+def _require_ball_radius(ball_radius: float) -> None:
+    if not 0 < ball_radius < math.inf:
+        raise ValidationError(f"ball_radius must be positive and finite, got {ball_radius}")
 
 
 def ppt_report(
@@ -151,11 +145,6 @@ def ppt_report(
 ) -> SeparabilityReport:
     """Peres test across one bipartition, plus the mixedness diagnostics."""
     rho = density_matrix(rho)
-    n_spins = part.n_spins
-    if rho.shape[0] != 2**n_spins:
-        raise ValidationError(
-            f"density matrix dim {rho.shape[0]} does not match bipartition over {n_spins} spins"
-        )
     # density_matrix checked rho; a partial transpose only permutes its
     # entries, so it is exactly as Hermitian and needs no second check
     eigs = _spectrum(_partial_transpose(rho, part))
@@ -168,7 +157,7 @@ def ppt_report(
         min_pt_eigenvalue=min_eig,
         negativity=negativity,
         ppt_holds=min_eig >= -PSD_TOL,
-        ppt_conclusive=n_spins == 2,
+        ppt_conclusive=part.n_spins == 2,
         frobenius_to_mixed=dist,
         purity=purity,
         ball_radius_used=radius_used,

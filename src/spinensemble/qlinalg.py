@@ -4,15 +4,16 @@ Everything in this package works on plain ``numpy`` arrays of dtype
 complex128.  The functions here validate the roles a matrix or vector is
 supposed to play (Hermitian, unitary, normalized state, density operator)
 and provide the handful of primitives the rest of the package is built on:
-tensor products, Hermitian spectra, partial trace, partial transpose and
-Frobenius distances.
+single-spin embedding, Hermitian spectra, partial transpose and Frobenius
+distances.
 
 Conventions, fixed once for the whole package:
 
 * Spins are numbered 1..N and spin 1 is the MOST significant bit of a
   basis index (big-endian).  Basis index 2 of a two-spin space is |10>.
-* Dimensions are capped at 4096 (= 2**12): this is a dense, desk-scale
-  library, not a tensor-network one.
+* At most MAX_SPINS spins, so dimensions are capped at DIM_CAP =
+  2**MAX_SPINS: this is a dense, desk-scale library, not a tensor-network
+  one.
 * All operations are pure functions; nothing mutates its inputs.
 """
 
@@ -31,7 +32,8 @@ NORM_TOL = 1e-10        # |sum |a_k|^2 - 1| allowed for state vectors
 PSD_TOL = 1e-10         # eigenvalue floor for density operators
 EQ_TOL = 1e-12          # entrywise equality assertions
 SPECTRAL_TOL = 1e-9     # residuals of spectral identities
-DIM_CAP = 4096          # 2**12
+MAX_SPINS = 12
+DIM_CAP = 2**MAX_SPINS
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -43,6 +45,14 @@ for _m in (PAULI_X, PAULI_Y, PAULI_Z, IDENTITY_2):
 
 class ValidationError(ValueError):
     """A numeric contract was violated (non-Hermitian, non-unitary, ...)."""
+
+
+def _require_spin_count(n_spins: int) -> None:
+    if not 1 <= n_spins <= MAX_SPINS:
+        raise ValidationError(
+            f"n_spins must be in 1..{MAX_SPINS} (the dense cap is 2**{MAX_SPINS} levels), "
+            f"got {n_spins}"
+        )
 
 
 def as_matrix(entries) -> np.ndarray:
@@ -199,17 +209,6 @@ class BipartitionSpec:
         return ",".join(map(str, self.left)) + "|" + ",".join(map(str, self.right))
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product; entry ((i*dimB+k),(j*dimB+l)) = A[i,j] * B[k,l]."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[0] * b.shape[0] > DIM_CAP:
-        raise ValidationError(
-            f"tensor product dimension {a.shape[0] * b.shape[0]} exceeds cap {DIM_CAP}"
-        )
-    return np.kron(a, b)
-
-
 def embed_single_spin(op2, spin: int, n_spins: int) -> np.ndarray:
     """Embed a 2x2 operator on one spin of an N-spin space (big-endian)."""
     op2 = as_matrix(op2)
@@ -244,54 +243,21 @@ def _is_diagonal(a: np.ndarray) -> bool:
     return np.count_nonzero(a) == np.count_nonzero(np.diagonal(a))
 
 
-def _axes(part: BipartitionSpec, dim: int) -> tuple[list[int], list[int]]:
-    """0-based tensor axes for the two sides of a cut over a 2**N space."""
-    n = part.n_spins
-    if dim != 2**n:
-        raise ValidationError(f"bipartition over {n} spins does not match dimension {dim}")
-    return [s - 1 for s in part.left], [s - 1 for s in part.right]
-
-
-def partial_trace(rho, part: BipartitionSpec, keep: str) -> np.ndarray:
-    """Trace out one side of a bipartition of a 2**N-dimensional operator.
-
-    ``keep`` selects the side that survives ("left" or "right"); the result
-    is indexed by the kept spins in ascending spin order.
-    """
-    rho = as_matrix(rho)
-    left_axes, right_axes = _axes(part, rho.shape[0])
-    if keep == "left":
-        kept, traced = left_axes, right_axes
-    elif keep == "right":
-        kept, traced = right_axes, left_axes
-    else:
-        raise ValidationError(f"keep must be 'left' or 'right', got {keep!r}")
-    n = part.n_spins
-    t = rho.reshape([2] * (2 * n))
-    # einsum subscripts: row axis i and column axis N+i share a letter for
-    # traced spins (summed), keep distinct letters for kept spins.
-    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    row = [letters[i] for i in range(n)]
-    col = [letters[n + i] for i in range(n)]
-    for ax in traced:
-        col[ax] = row[ax]
-    out = "".join(row[ax] for ax in kept) + "".join(letters[n + ax] for ax in kept)
-    reduced = np.einsum("".join(row) + "".join(col) + "->" + out, t)
-    d = 2 ** len(kept)
-    return reduced.reshape(d, d)
-
-
 def partial_transpose(rho, part: BipartitionSpec) -> np.ndarray:
     """Transpose the right-side spin indices of a 2**N-dimensional operator."""
     return _partial_transpose(as_matrix(rho), part)
 
 
 def _partial_transpose(rho: np.ndarray, part: BipartitionSpec) -> np.ndarray:
-    _, right_axes = _axes(part, rho.shape[0])
     n = part.n_spins
+    if rho.shape[0] != 2**n:
+        raise ValidationError(
+            f"bipartition over {n} spins does not match dimension {rho.shape[0]}"
+        )
     t = rho.reshape([2] * (2 * n))
     perm = list(range(2 * n))
-    for ax in right_axes:
+    for spin in part.right:
+        ax = spin - 1
         perm[ax], perm[n + ax] = perm[n + ax], perm[ax]
     return t.transpose(perm).reshape(rho.shape)
 

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qlinalg import (
-    DIM_CAP,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     ValidationError,
+    _require_spin_count,
     embed_single_spin,
 )
 
@@ -37,11 +37,8 @@ class SpinSystem:
     level_energies: tuple[float, ...]
 
     def __post_init__(self):
-        if self.n_spins < 1:
-            raise ValidationError("n_spins must be >= 1")
+        _require_spin_count(self.n_spins)
         k = 2**self.n_spins
-        if k > DIM_CAP:
-            raise ValidationError(f"2**{self.n_spins} levels exceed the dense cap {DIM_CAP}")
         energies = tuple(float(e) for e in self.level_energies)
         object.__setattr__(self, "level_energies", energies)
         if len(energies) != k:
@@ -72,11 +69,12 @@ def default_energies(n_spins: int, larmor) -> list[float]:
     the most significant bit) and -1 otherwise, so |0...0> is the ground
     level for positive frequencies.
     """
-    if n_spins < 1:
-        raise ValidationError("n_spins must be >= 1")
+    _require_spin_count(n_spins)
     larmor = [float(w) for w in larmor]
     if len(larmor) != n_spins:
-        raise ValidationError(f"expected {n_spins} larmor frequencies, got {len(larmor)}")
+        raise ValidationError(
+            f"larmor needs {n_spins} entries, one per spin: expected {n_spins}, got {len(larmor)}"
+        )
     if not all(np.isfinite(larmor)):
         raise ValidationError("larmor frequencies must be finite")
     energies = []
@@ -196,9 +194,9 @@ class PauliSum:
     spins: tuple[int, ...]
 
     def __post_init__(self):
-        _require_axis(self.axis)
-        if self.n_spins < 1:
-            raise ValidationError("n_spins must be >= 1")
+        if self.axis not in _PAULI_BY_AXIS:
+            raise ValidationError(f"observable axis must be x, y, or z, got {self.axis!r}")
+        _require_spin_count(self.n_spins)
         spins = tuple(int(s) for s in self.spins)
         object.__setattr__(self, "spins", spins)
         if not spins:
@@ -207,7 +205,9 @@ class PauliSum:
             raise ValidationError(f"spins must be distinct, got {spins}")
         for spin in spins:
             if not 1 <= spin <= self.n_spins:
-                raise ValidationError(f"spin index {spin} out of range for {self.n_spins} spins")
+                raise ValidationError(
+                    f"observable spin {spin} out of range for {self.n_spins} spins"
+                )
 
     @classmethod
     def collective(cls, n_spins: int, axis: str) -> "PauliSum":
@@ -235,10 +235,3 @@ def collective_observable(n_spins: int, axis: str) -> np.ndarray:
 def single_spin_observable(n_spins: int, axis: str, spin: int) -> np.ndarray:
     """Spin component of one spin only: sigma_axis(spin) / 2 embedded in N spins."""
     return PauliSum(n_spins, axis, (spin,)).dense()
-
-
-def _require_axis(axis: str) -> np.ndarray:
-    try:
-        return _PAULI_BY_AXIS[axis]
-    except KeyError:
-        raise ValidationError(f"axis must be one of 'x', 'y', 'z', got {axis!r}") from None

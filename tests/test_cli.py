@@ -497,6 +497,25 @@ class TestMainExitCodes:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("radius", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_ball_radius_exits_1_and_keeps_report(self, tmp_path, capsys, source, radius):
+        """One rule, finite and positive, for the config key and the flag."""
+        path = write_config(tmp_path)
+        assert main(["simulate", "--config", path]) == 0
+        report = tmp_path / "report.json"
+        before = report.read_bytes()
+        capsys.readouterr()
+        if source == "flag":
+            argv = ["simulate", "--config", path, "--ball-radius", radius]
+        else:
+            text = BASE_CONFIG + f"ball_radius = {radius}\n"
+            argv = ["simulate", "--config", write_config(tmp_path, text)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert report.read_bytes() == before
+
     def test_missing_config_exits_1(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "none.cfg")]) == 1
         assert "cannot read config" in capsys.readouterr().err

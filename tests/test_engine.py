@@ -19,7 +19,6 @@ from spinensemble.engine import (
     ensemble_expectation_sum,
     ensemble_expectation_trace,
     evolve_eigenstate,
-    expectation_per_initial_state,
     per_state_expectations,
 )
 from spinensemble.qlinalg import HERMITIAN_TOL, ValidationError
@@ -74,17 +73,17 @@ class TestEvolveEigenstate:
 class TestPerStateExpectations:
     def test_identity_propagator_sx_is_zero(self):
         obs = collective_observable(1, "x")
-        assert expectation_per_initial_state(np.eye(2, dtype=complex), 0, obs) == 0.0
+        assert per_state_expectations(np.eye(2, dtype=complex), obs)[0] == 0.0
 
     def test_hadamard_rotates_ground_to_plus(self):
         obs = collective_observable(1, "x")
-        value = expectation_per_initial_state(H2, 0, obs)
+        value = per_state_expectations(H2, obs)[0]
         assert abs(value - 0.5) < 1e-12
 
     def test_bell_state_collective_x_vanishes(self):
         u = compose_propagator(parse_circuit("H 1\nCNOT 1 2", 2))
         obs = collective_observable(2, "x")
-        assert abs(expectation_per_initial_state(u, 0, obs)) < 1e-12
+        assert abs(per_state_expectations(u, obs)[0]) < 1e-12
 
     def test_vectorized_matches_per_index(self):
         rng = np.random.default_rng(41)
@@ -92,7 +91,8 @@ class TestPerStateExpectations:
         obs = random_hermitian(rng, 8)
         values = per_state_expectations(u, obs)
         for k in range(8):
-            assert abs(values[k] - expectation_per_initial_state(u, k, obs)) < 1e-12
+            column = evolve_eigenstate(u, k)
+            assert abs(values[k] - np.vdot(column, obs @ column).real) < 1e-12
 
     def test_rejects_non_hermitian_observable(self):
         bad = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -112,9 +112,6 @@ class TestPerStateExpectations:
         assert 0.2e-12 * 1024 > 2 * IMAG_TOL
         with pytest.raises(ValidationError, match="eigenstate 3 "):
             per_state_expectations(u, obs)
-        with pytest.raises(ValidationError, match="eigenstate 6 "):
-            expectation_per_initial_state(u, 6, obs)
-        assert abs(expectation_per_initial_state(u, 2, obs)) < 1e-12
 
 
 class TestPauliSum:
@@ -152,9 +149,9 @@ class TestPauliSum:
         for pauli, result, dense in zip(paulis, results, dense_results):
             assert result.abs_difference <= PATHWAY_TOL * ens.molecule_count
             assert abs(result.expectation_sum - dense.expectation_sum) <= 1e-12 * ens.molecule_count
+            single = per_state_expectations(u, pauli)
             for k in (0, 9, 15):
-                single = expectation_per_initial_state(u, k, pauli)
-                assert single == result.per_state_values[k]
+                assert single[k] == result.per_state_values[k]
 
     def test_dimension_mismatch_rejected(self):
         ens = zeeman_ensemble(2)

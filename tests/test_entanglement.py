@@ -11,12 +11,11 @@ from spinensemble.entanglement import (
     SeparabilityReport,
     entanglement_entropy,
     entanglement_report,
-    is_fully_product,
     mixedness_report,
     ppt_report,
     schmidt_coefficients,
 )
-from spinensemble.qlinalg import BipartitionSpec, ValidationError, maximally_mixed, tensor_product
+from spinensemble.qlinalg import BipartitionSpec, ValidationError, maximally_mixed
 from spinensemble.spin_system import SpinSystem, ThermalEnsemble, equilibrium_density_matrix
 
 CUT_12 = BipartitionSpec((1,), (2,))
@@ -132,7 +131,7 @@ class TestEntanglementReport:
         part = BipartitionSpec((1,), (2, 3))
         for _ in range(25):
             psi = random_state(rng, 8)
-            u = tensor_product(random_unitary(rng, 2), random_unitary(rng, 4))
+            u = np.kron(random_unitary(rng, 2), random_unitary(rng, 4))
             before = entanglement_report(psi, part).entropy_bits
             after = entanglement_report(u @ psi, part).entropy_bits
             assert abs(before - after) < 1e-10
@@ -141,20 +140,6 @@ class TestEntanglementReport:
         report = entanglement_report(bell_state(), CUT_12)
         with pytest.raises(ValueError):
             report.schmidt_coefficients[0] = 0.0
-
-
-class TestIsFullyProduct:
-    def test_basis_state(self):
-        psi = np.zeros(8, dtype=complex)
-        psi[5] = 1.0
-        assert is_fully_product(psi, 3)
-
-    def test_bell_with_spectator(self):
-        psi = np.kron(bell_state(), np.array([1, 0], dtype=complex))
-        assert not is_fully_product(psi, 3)
-
-    def test_single_spin_is_trivially_product(self):
-        assert is_fully_product(np.array([0, 1], dtype=complex), 1)
 
 
 class TestPptReport:

@@ -20,7 +20,6 @@ from spinensemble.qlinalg import (
     ValidationError,
     hermitian,
     state_vector,
-    tensor_product,
     unitary,
 )
 
@@ -78,8 +77,8 @@ class TestTensorInvariants:
             a, b, c = (
                 rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in dims
             )
-            left = tensor_product(tensor_product(a, b), c)
-            right = tensor_product(a, tensor_product(b, c))
+            left = np.kron(np.kron(a, b), c)
+            right = np.kron(a, np.kron(b, c))
             np.testing.assert_allclose(left, right, atol=1e-12)
 
     def test_mixed_product_trace_factorizes(self):
@@ -87,7 +86,7 @@ class TestTensorInvariants:
         for _ in range(CASES):
             a = random_density(rng, 2)
             b = random_density(rng, 2)
-            joint = tensor_product(a, b)
+            joint = np.kron(a, b)
             assert abs(np.trace(joint) - np.trace(a) * np.trace(b)) < 1e-12
 
 
@@ -96,7 +95,7 @@ class TestEntropyInvariants:
         rng = np.random.default_rng(115)
         for _ in range(CASES):
             psi = random_state(rng, 4)
-            u = tensor_product(random_unitary(rng, 2), random_unitary(rng, 2))
+            u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
             before = entanglement_entropy(schmidt_coefficients(psi, CUT_12))
             after = entanglement_entropy(schmidt_coefficients(u @ psi, CUT_12))
             assert abs(before - after) < 1e-10
@@ -127,7 +126,7 @@ class TestPptInvariants:
     def test_product_states_always_pass(self):
         rng = np.random.default_rng(118)
         for _ in range(CASES):
-            rho = tensor_product(random_density(rng, 2), random_density(rng, 2))
+            rho = np.kron(random_density(rng, 2), random_density(rng, 2))
             report = ppt_report(rho, CUT_12)
             assert report.ppt_holds is True
             assert report.negativity <= 1e-10

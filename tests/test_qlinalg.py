@@ -16,10 +16,8 @@ from spinensemble.qlinalg import (
     hermitian,
     hermitian_eigenvalues,
     maximally_mixed,
-    partial_trace,
     partial_transpose,
     state_vector,
-    tensor_product,
     unitary,
 )
 
@@ -73,8 +71,6 @@ class TestValidators:
             maximally_mixed(DIM_CAP + 1)
         with pytest.raises(ValidationError, match="cap"):
             state_vector(np.zeros(DIM_CAP + 1))
-        with pytest.raises(ValidationError, match="cap"):
-            tensor_product(np.eye(64), np.eye(128))
 
     def test_maximally_mixed_is_a_density_matrix(self):
         for dim in (1, 2, 4, 8):
@@ -124,42 +120,6 @@ class TestBipartitionSpec:
     def test_parse_rejects_malformed(self, text, n):
         with pytest.raises(ValidationError):
             BipartitionSpec.parse(text, n)
-
-
-class TestTensorProduct:
-    def test_identity_times_identity(self):
-        np.testing.assert_array_equal(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_projector_placement(self):
-        """|0><0| (x) |1><1| lands on basis index 1 = |01>."""
-        p0 = np.diag([1.0, 0.0])
-        p1 = np.diag([0.0, 1.0])
-        np.testing.assert_array_equal(tensor_product(p0, p1), np.diag([0.0, 1.0, 0.0, 0.0]))
-
-    def test_index_formula_entry(self):
-        # entry ((0*2+0),(1*2+0)) = X[0,1] * Z[0,0] = 1
-        assert tensor_product(PAULI_X, PAULI_Z)[0, 2] == 1.0
-
-    def test_index_formula_random(self):
-        rng = np.random.default_rng(11)
-        a = random_hermitian(rng, 3)
-        b = random_hermitian(rng, 2)
-        t = tensor_product(a, b)
-        for i in range(3):
-            for j in range(3):
-                for k in range(2):
-                    for l in range(2):
-                        np.testing.assert_allclose(
-                            t[i * 2 + k, j * 2 + l], a[i, j] * b[k, l], rtol=1e-14
-                        )
-
-    def test_associativity(self):
-        rng = np.random.default_rng(12)
-        for _ in range(25):
-            a, b, c = (random_hermitian(rng, int(rng.integers(2, 4))) for _ in range(3))
-            lhs = tensor_product(tensor_product(a, b), c)
-            rhs = tensor_product(a, tensor_product(b, c))
-            np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 class TestEmbedSingleSpin:
@@ -250,67 +210,13 @@ class TestSpectrumShortcuts:
             assert (lo < -PSD_TOL) == (floor < -1.0)
 
 
-class TestPartialTrace:
-    def test_product_state_factorization(self):
-        rng = np.random.default_rng(31)
-        rho_a = random_density(rng, 2)
-        rho_b = random_density(rng, 2)
-        joint = tensor_product(rho_a, rho_b)
-        np.testing.assert_allclose(partial_trace(joint, CUT_12, "left"), rho_a, atol=1e-12)
-        np.testing.assert_allclose(partial_trace(joint, CUT_12, "right"), rho_b, atol=1e-12)
-
-    def test_bell_reduces_to_maximally_mixed(self):
-        rho = np.outer(bell_state(), bell_state().conj())
-        np.testing.assert_allclose(partial_trace(rho, CUT_12, "left"), np.eye(2) / 2, atol=1e-12)
-
-    def test_diagonal_big_endian_sums(self):
-        """Tracing out spin 2 adds adjacent pairs of the diagonal."""
-        rho = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
-        np.testing.assert_allclose(
-            partial_trace(rho, CUT_12, "left"), np.diag([0.3, 0.7]), atol=1e-14
-        )
-
-    def test_three_spin_middle_cut(self):
-        rng = np.random.default_rng(32)
-        rho_a = random_density(rng, 2)
-        rho_b = random_density(rng, 4)
-        part = BipartitionSpec((2,), (1, 3))
-        # rho_b lives on spins 1 and 3 jointly: build rho on (1,2,3) by
-        # embedding rho_b's two factors is not possible for entangled rho_b,
-        # so check with a separable rho_b = sigma (x) tau instead.
-        sigma = random_density(rng, 2)
-        tau = random_density(rng, 2)
-        joint = tensor_product(tensor_product(sigma, rho_a), tau)
-        np.testing.assert_allclose(partial_trace(joint, part, "left"), rho_a, atol=1e-12)
-        np.testing.assert_allclose(
-            partial_trace(joint, part, "right"), tensor_product(sigma, tau), atol=1e-12
-        )
-
-    def test_trace_and_hermiticity_preserved(self):
-        rng = np.random.default_rng(33)
-        for _ in range(10):
-            rho = random_density(rng, 8)
-            part = BipartitionSpec((1, 3), (2,))
-            reduced = partial_trace(rho, part, "left")
-            np.testing.assert_allclose(np.trace(reduced), 1.0, atol=1e-10)
-            np.testing.assert_allclose(reduced, reduced.conj().T, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError, match="does not match dimension"):
-            partial_trace(np.eye(8) / 8, CUT_12, "left")
-
-    def test_bad_keep_side(self):
-        with pytest.raises(ValidationError, match="keep"):
-            partial_trace(np.eye(4) / 4, CUT_12, "middle")
-
-
 class TestPartialTranspose:
     def test_product_case(self):
         rng = np.random.default_rng(41)
         rho_a = random_density(rng, 2)
         rho_b = random_density(rng, 2)
-        joint = tensor_product(rho_a, rho_b)
-        expected = tensor_product(rho_a, rho_b.T)
+        joint = np.kron(rho_a, rho_b)
+        expected = np.kron(rho_a, rho_b.T)
         np.testing.assert_allclose(partial_transpose(joint, CUT_12), expected, atol=1e-14)
         np.testing.assert_allclose(
             hermitian_eigenvalues(partial_transpose(joint, CUT_12)),
