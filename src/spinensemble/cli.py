@@ -1,10 +1,10 @@
 """Command-line driver: configs in, deterministic reports out.
 
 Configs are flat key = value text ('#' comments).  Keys: n_spins, larmor,
-temperature, molecule_count, circuit_path, observable, bipartition,
-ball_radius, seed, output_path.  Relative paths inside a config resolve
-against the config file's directory; a path given on the command line
-resolves against the working directory.
+temperature, molecule_count, circuit_path, observable, bipartition, seed,
+output_path.  Relative paths inside a config resolve against the config
+file's directory; a path given on the command line resolves against the
+working directory.
 
 Reports are JSON with a fixed section layout (config_echo, ensemble,
 pathways, entanglement, separability, sweep; unused sections are null)
@@ -41,14 +41,8 @@ from .circuit import (
     parse_circuit,
     random_circuit,
 )
-from .engine import PATHWAY_TOL, compare_pathways, evolve_eigenstate
-from .entanglement import (
-    SeparabilityReport,
-    _require_ball_radius,
-    entanglement_report,
-    mixedness_report,
-    ppt_report,
-)
+from .engine import PATHWAY_TOL, _compare_pathways, compare_pathways, evolve_eigenstate
+from .entanglement import _ensemble_reports, entanglement_report
 from .qlinalg import BipartitionSpec, ValidationError
 from .spin_system import (
     PauliSum,
@@ -56,7 +50,6 @@ from .spin_system import (
     ThermalEnsemble,
     default_energies,
     epsilon_report,
-    equilibrium_density_matrix,
 )
 
 SWEEP_AXES = ("x", "y", "z")
@@ -93,16 +86,9 @@ class RunConfig:
     circuit_path: str | None = None
     observable: str | None = None
     bipartition: str | None = None
-    ball_radius: float | None = None
     seed: int | None = None
     output_path: str | None = None
     base_dir: str = "."
-
-    def __post_init__(self):
-        # The one check on a ball radius, from the config file or --ball-radius.
-        if self.ball_radius is not None:
-            with _config_values():
-                _require_ball_radius(self.ball_radius)
 
     def resolve(self, path: str) -> str:
         return path if os.path.isabs(path) else os.path.join(self.base_dir, path)
@@ -116,7 +102,6 @@ _KEY_ORDER = (
     "circuit_path",
     "observable",
     "bipartition",
-    "ball_radius",
     "seed",
     "output_path",
 )
@@ -187,7 +172,6 @@ def load_config(path: str) -> RunConfig:
         circuit_path=entries.get("circuit_path"),
         observable=entries.get("observable"),
         bipartition=entries.get("bipartition"),
-        ball_radius=_config_float(entries, "ball_radius") if "ball_radius" in entries else None,
         seed=_config_int(entries, "seed") if "seed" in entries else None,
         output_path=entries.get("output_path"),
         base_dir=base_dir,
@@ -245,7 +229,6 @@ def _config_echo(config: RunConfig) -> dict:
         "circuit_path": config.circuit_path,
         "observable": config.observable,
         "bipartition": config.bipartition,
-        "ball_radius": config.ball_radius,
         "seed": config.seed,
     }
 
@@ -261,19 +244,6 @@ def _ensemble_section(ensemble: ThermalEnsemble) -> dict:
             "max_population_spread": eps.max_population_spread,
         },
         "populations": ensemble.populations.tolist(),
-    }
-
-
-def _separability_dict(report: SeparabilityReport) -> dict:
-    return {
-        "min_pt_eigenvalue": report.min_pt_eigenvalue,
-        "negativity": report.negativity,
-        "ppt_holds": report.ppt_holds,
-        "ppt_conclusive": report.ppt_conclusive,
-        "frobenius_to_mixed": report.frobenius_to_mixed,
-        "purity": report.purity,
-        "ball_radius_used": report.ball_radius_used,
-        "within_ball": report.within_ball,
     }
 
 
@@ -293,7 +263,7 @@ def run_simulate(config: RunConfig, output_path: str | None = None) -> dict:
     ensemble = build_ensemble(config)
     _, observable = parse_observable(config.observable, config.n_spins)
 
-    (result,) = compare_pathways(circuit, propagator, ensemble, [observable])
+    (result,), rho_evolved = _compare_pathways(circuit, propagator, ensemble, [observable])
     tolerance = PATHWAY_TOL * ensemble.molecule_count
 
     part = None
@@ -315,15 +285,8 @@ def run_simulate(config: RunConfig, output_path: str | None = None) -> dict:
     else:
         entanglement_section = None
 
-    rho_initial = equilibrium_density_matrix(ensemble)
-    rho_evolved = (propagator * ensemble.probabilities) @ propagator.conj().T
-    del propagator  # the PPT stage below sets a run's peak memory
-    if part is not None:
-        initial_rep = ppt_report(rho_initial, part, config.ball_radius)
-        evolved_rep = ppt_report(rho_evolved, part, config.ball_radius)
-    else:
-        initial_rep = mixedness_report(rho_initial, config.ball_radius)
-        evolved_rep = mixedness_report(rho_evolved, config.ball_radius)
+    del propagator  # the exact PPT stage, where it runs, sets a run's peak memory
+    initial_rep, evolved_rep = _ensemble_reports(ensemble.probabilities, rho_evolved, part)
 
     report = {
         "config_echo": _config_echo(config),
@@ -339,8 +302,8 @@ def run_simulate(config: RunConfig, output_path: str | None = None) -> dict:
         },
         "entanglement": entanglement_section,
         "separability": {
-            "initial": _separability_dict(initial_rep),
-            "evolved": _separability_dict(evolved_rep),
+            "initial": dataclasses.asdict(initial_rep),
+            "evolved": dataclasses.asdict(evolved_rep),
         },
         "sweep": None,
     }
@@ -497,21 +460,17 @@ def summary_lines(report: dict) -> list[str]:
     if separability is not None:
         evolved = separability["evolved"]
         if evolved["ppt_holds"] is not None:
-            claim = "separable" if evolved["ppt_conclusive"] else "PPT (necessary condition only)"
-            verdict = "yes" if evolved["ppt_holds"] else "NO"
-            lines.append(
-                f"evolved ensemble state PPT-separable: {verdict} "
-                f"(negativity {evolved['negativity']:.3e}, {claim})"
-            )
+            if evolved["certified_separable"]:
+                verdict = "separable (certified, every cut)"
+            elif evolved["ppt_holds"]:
+                verdict = "PPT, so separable (2 spins)" if evolved["ppt_conclusive"] else "PPT only"
+            else:
+                verdict = "NPT"
+            lines.append(f"evolved ensemble state: {verdict}, negativity {evolved['negativity']:.3e}")
         lines.append(
             f"distance to maximally mixed: {separability['initial']['frobenius_to_mixed']:.3e} "
             f"initial, {evolved['frobenius_to_mixed']:.3e} evolved"
         )
-        if evolved["within_ball"] is not None:
-            lines.append(
-                f"within user ball (radius {evolved['ball_radius_used']:g}): "
-                f"{'yes' if evolved['within_ball'] else 'no'}"
-            )
     sweep = report["sweep"]
     if sweep is not None:
         lines.append(
@@ -549,7 +508,6 @@ def _build_parser() -> _Parser:
     for sub in (simulate, sweep):
         sub.add_argument("--config", required=True, help="path to a key = value config file")
         sub.add_argument("--output", help="report file path (overrides output_path)")
-        sub.add_argument("--ball-radius", type=float, help="overrides ball_radius")
         sub.add_argument("--summary", action="store_true", help="print a short verdict")
     sweep.add_argument("--n", type=int, required=True, help="number of random circuits")
     return parser
@@ -560,8 +518,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         config = load_config(args.config)
-        if args.ball_radius is not None:
-            config = dataclasses.replace(config, ball_radius=args.ball_radius)
         if args.command == "simulate":
             report = run_simulate(config, output_path=args.output)
         else:

@@ -106,10 +106,10 @@ def _require_dim(dim: int, *operands) -> None:
             raise ValidationError(f"{kind} shape {shape} does not match dimension {dim}")
 
 
-def _per_state_values(u: np.ndarray, obs) -> np.ndarray:
-    """Expectation per column of u."""
+def _per_state_values(u: np.ndarray, obs, pairs: dict | None = None) -> np.ndarray:
+    """Expectation per column of u; pairs keeps row-pair products by spin."""
     if isinstance(obs, PauliSum):
-        return _pauli_per_state_values(u, obs)
+        return _pauli_per_state_values(u, obs, {} if pairs is None else pairs)
     raw = np.einsum("ik,ik->k", u.conj(), obs @ u)
     bad = np.flatnonzero(np.abs(raw.imag) > IMAG_TOL)
     if bad.size:
@@ -120,13 +120,15 @@ def _per_state_values(u: np.ndarray, obs) -> np.ndarray:
     return np.ascontiguousarray(raw.real)
 
 
-def _pauli_per_state_values(u: np.ndarray, obs: PauliSum) -> np.ndarray:
+def _pauli_per_state_values(u: np.ndarray, obs: PauliSum, pairs: dict) -> np.ndarray:
     """Per-column expectations of a Pauli sum from the rows of u, O(N K^2).
 
     Read u's rows as (2,)*N axes.  For spin j, the sum over the other row
     axes of conj(u[bit j = 0]) * u[bit j = 1] has real part <sigma_x>/2
     and imaginary part <sigma_y>/2, so those values are real by
-    construction.  <sigma_z>/2 weights |u|^2 by each row's magnetisation.
+    construction; each spin's product is made once and kept in pairs, so
+    x and y of one u share it.  <sigma_z>/2 weights |u|^2 by each row's
+    magnetisation.
     """
     if obs.axis == "z":
         index = np.arange(u.shape[0])
@@ -134,9 +136,10 @@ def _pauli_per_state_values(u: np.ndarray, obs: PauliSum) -> np.ndarray:
         return np.einsum("i,ik->k", weights, u.real**2 + u.imag**2)
     values = np.zeros(u.shape[1])
     for spin in obs.spins:
-        rows = u.reshape(2 ** (spin - 1), 2, -1, u.shape[1])
-        pair = np.einsum("ijk,ijk->k", rows[:, 0].conj(), rows[:, 1])
-        values += pair.real if obs.axis == "x" else pair.imag
+        if spin not in pairs:
+            rows = u.reshape(2 ** (spin - 1), 2, -1, u.shape[1])
+            pairs[spin] = np.einsum("ijk,ijk->k", rows[:, 0].conj(), rows[:, 1])
+        values += pairs[spin].real if obs.axis == "x" else pairs[spin].imag
     return values
 
 
@@ -226,13 +229,22 @@ def compare_pathways(
     Hermitian; the evolved density matrix is built once and read for
     every observable.
     """
+    return _compare_pathways(circuit, propagator, ensemble, observables)[0]
+
+
+def _compare_pathways(
+    circuit: Circuit, propagator: np.ndarray, ensemble: ThermalEnsemble, observables
+) -> tuple[tuple[PathwayResult, ...], np.ndarray]:
+    """compare_pathways, and the evolved density matrix it read, for the
+    caller to keep."""
     u = np.asarray(propagator, dtype=complex)
     checked = [_checked(obs) for obs in observables]
     _require_dim(ensemble.system.dim, circuit, u, *checked)
     rho = _evolved_density_matrix(circuit, ensemble)
+    pairs = {}
     results = []
     for obs in checked:
-        per_state = _per_state_values(u, obs)
+        per_state = _per_state_values(u, obs, pairs)
         total = _weighted_sum(ensemble, per_state)
         trace_value = _trace_value(rho, obs, ensemble.molecule_count)
         results.append(
@@ -243,4 +255,4 @@ def compare_pathways(
                 per_state_values=per_state,
             )
         )
-    return tuple(results)
+    return tuple(results), rho

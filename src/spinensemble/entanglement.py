@@ -7,10 +7,13 @@ test, negativity, purity, and distance from the maximally mixed state.
 PPT is conclusive for a 2-spin system and a necessary condition only for
 larger ones; reports carry that flag so callers never over-claim.
 
-No separability ball radius is built in.  Proximity results guarantee a
-ball of separable states around I/K exists but a trustworthy numeric
-radius depends on bounds this package does not derive, so within_ball is
-evaluated only against a caller-supplied radius.
+Separability is certified, across every cut at once, by the ball of
+Gurvits and Barnum (PRA 66, 062311, 2002): every K-level state within
+Frobenius distance 1/sqrt(K(K-1)) of I/K is separable across every
+bipartition.  Unitary evolution keeps the spectrum, and with it that
+distance, so an evolved thermal state is certified from its populations
+alone, for every circuit, with no eigendecomposition.  Full N-party
+separability is not certified.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from .qlinalg import (
     _partial_transpose,
     _spectrum,
     density_matrix,
-    frobenius_distance,
-    maximally_mixed,
     state_vector,
 )
 
@@ -58,19 +59,19 @@ class SeparabilityReport:
     """Separability evidence for a density matrix.
 
     The partial-transpose group (min_pt_eigenvalue, negativity, ppt_holds,
-    ppt_conclusive) is None when no bipartition was analyzed, e.g. for a
-    single spin.  ball_radius_used and within_ball are None unless the
-    caller supplied a radius to test against.
+    ppt_conclusive) and certified_separable are None when no bipartition
+    was analyzed, e.g. for a single spin.  certified_separable is True when
+    the state is proven separable across every cut; min_pt_eigenvalue is
+    then None if no eigendecomposition was needed to say so.
     """
 
     min_pt_eigenvalue: float | None
     negativity: float | None
     ppt_holds: bool | None
     ppt_conclusive: bool | None
+    certified_separable: bool | None
     frobenius_to_mixed: float
     purity: float
-    ball_radius_used: float | None = None
-    within_ball: bool | None = None
 
 
 def schmidt_coefficients(state: np.ndarray, part: BipartitionSpec) -> np.ndarray:
@@ -123,26 +124,18 @@ def entanglement_report(state: np.ndarray, part: BipartitionSpec) -> Entanglemen
 
 
 def _distance_fields(rho: np.ndarray) -> tuple[float, float]:
+    """Distance to I/K and purity of a density matrix the caller owns; its
+    diagonal is shifted by -1/K in place instead of copying rho."""
     purity = _inner(rho, rho).real  # tr(rho^2) = sum |rho_ij|^2 for Hermitian rho
-    dist = frobenius_distance(rho, maximally_mixed(rho.shape[0]))
-    return dist, purity
+    rho.flat[:: rho.shape[0] + 1] -= 1.0 / rho.shape[0]
+    return math.sqrt(_inner(rho, rho).real), purity
 
 
-def _ball_fields(dist: float, ball_radius: float | None) -> tuple[float | None, bool | None]:
-    if ball_radius is None:
-        return None, None
-    _require_ball_radius(ball_radius)
-    return float(ball_radius), dist <= ball_radius
+def _in_separable_ball(distance: float, dim: int) -> bool:
+    return distance <= 1.0 / math.sqrt(dim * (dim - 1))
 
 
-def _require_ball_radius(ball_radius: float) -> None:
-    if not 0 < ball_radius < math.inf:
-        raise ValidationError(f"ball_radius must be positive and finite, got {ball_radius}")
-
-
-def ppt_report(
-    rho: np.ndarray, part: BipartitionSpec, ball_radius: float | None = None
-) -> SeparabilityReport:
+def ppt_report(rho: np.ndarray, part: BipartitionSpec) -> SeparabilityReport:
     """Peres test across one bipartition, plus the mixedness diagnostics."""
     rho = density_matrix(rho)
     # density_matrix checked rho; a partial transpose only permutes its
@@ -152,31 +145,46 @@ def ppt_report(
     negativity = max(float((np.abs(eigs).sum() - 1.0) / 2.0), 0.0)
     min_eig = float(eigs[0])
     dist, purity = _distance_fields(rho)
-    radius_used, within = _ball_fields(dist, ball_radius)
     return SeparabilityReport(
         min_pt_eigenvalue=min_eig,
         negativity=negativity,
         ppt_holds=min_eig >= -PSD_TOL,
         ppt_conclusive=part.n_spins == 2,
+        certified_separable=_in_separable_ball(dist, rho.shape[0]),
         frobenius_to_mixed=dist,
         purity=purity,
-        ball_radius_used=radius_used,
-        within_ball=within,
     )
 
 
-def mixedness_report(rho: np.ndarray, ball_radius: float | None = None) -> SeparabilityReport:
+def mixedness_report(rho: np.ndarray) -> SeparabilityReport:
     """Distance diagnostics only: purity and Frobenius distance to I/K."""
-    rho = density_matrix(rho)
-    dist, purity = _distance_fields(rho)
-    radius_used, within = _ball_fields(dist, ball_radius)
-    return SeparabilityReport(
-        min_pt_eigenvalue=None,
-        negativity=None,
-        ppt_holds=None,
-        ppt_conclusive=None,
-        frobenius_to_mixed=dist,
-        purity=purity,
-        ball_radius_used=radius_used,
-        within_ball=within,
+    return SeparabilityReport(None, None, None, None, None, *_distance_fields(density_matrix(rho)))
+
+
+def _ensemble_reports(
+    probabilities: np.ndarray, rho: np.ndarray, part: BipartitionSpec | None
+) -> tuple[SeparabilityReport, SeparabilityReport]:
+    """Reports on diag(p) and on rho = U diag(p) U^dagger, U unitary.
+
+    diag(p) and its partial transpose are diagonal in the product basis,
+    so diag(p) is separable and its report is read off p in O(K).  rho has
+    spectrum p too, so it lies at the same distance d from I/K.  Inside the
+    separable ball rho is separable across every cut: PPT holds and the
+    negativity is 0 with no eigendecomposition, and purity and distance
+    are read off rho in O(K^2) (which overwrites it), independently of p.
+    Outside the ball the checked exact ppt_report runs on rho.  Without a
+    cut both reports carry the distances only.
+    """
+    shifted = probabilities - 1.0 / probabilities.shape[0]
+    dist = math.sqrt(np.einsum("i,i->", shifted, shifted))
+    purity = float(np.einsum("i,i->", probabilities, probabilities))
+    if part is None:
+        initial = SeparabilityReport(None, None, None, None, None, dist, purity)
+        return initial, SeparabilityReport(None, None, None, None, None, *_distance_fields(rho))
+    conclusive = part.n_spins == 2
+    initial = SeparabilityReport(
+        float(probabilities.min()), 0.0, True, conclusive, True, dist, purity
     )
+    if not _in_separable_ball(dist, probabilities.shape[0]):
+        return initial, ppt_report(rho, part)
+    return initial, SeparabilityReport(None, 0.0, True, conclusive, True, *_distance_fields(rho))

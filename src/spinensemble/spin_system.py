@@ -77,14 +77,11 @@ def default_energies(n_spins: int, larmor) -> list[float]:
         )
     if not all(np.isfinite(larmor)):
         raise ValidationError("larmor frequencies must be finite")
-    energies = []
-    for k in range(2**n_spins):
-        e = 0.0
-        for j in range(n_spins):
-            bit = (k >> (n_spins - 1 - j)) & 1
-            e += (larmor[j] / 2.0) if bit else (-larmor[j] / 2.0)
-        energies.append(e)
-    return energies
+    index = np.arange(2**n_spins)
+    energies = np.zeros(2**n_spins)
+    for j, w in enumerate(larmor):  # in spin order, as a per-level sum would add them
+        energies += np.where((index >> (n_spins - 1 - j)) & 1, w / 2.0, -w / 2.0)
+    return energies.tolist()
 
 
 def boltzmann_populations(energies, temperature: float, molecule_count: float) -> np.ndarray:
@@ -98,12 +95,17 @@ def boltzmann_populations(energies, temperature: float, molecule_count: float) -
         raise ValidationError(f"temperature must be positive, got {temperature}")
     if molecule_count <= 0:
         raise ValidationError(f"molecule_count must be positive, got {molecule_count}")
+    return _boltzmann_populations(energies, temperature, molecule_count)
+
+
+def _boltzmann_populations(energies, temperature: float, molecule_count: float) -> np.ndarray:
     e = np.asarray(energies, dtype=float)
     # At extreme E/T the exponent overflows to -inf, whose weight 0 is the
-    # correct limit; no warning is due.
-    with np.errstate(over="ignore"):
+    # correct limit; no warning is due.  A temperature that is not positive
+    # gives nan or inf here, quietly: the caller rejects it.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         weights = np.exp(-(e - e.min()) / temperature)
-    return molecule_count * weights / weights.sum()
+        return molecule_count * weights / weights.sum()
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,10 +136,11 @@ class ThermalEnsemble:
             )
         if np.any(pops < 0) or not np.all(np.isfinite(pops)):
             raise ValidationError("populations must be finite and nonnegative")
-        dev = abs(float(pops.sum()) - self.molecule_count)
-        if dev > POPULATION_SUM_TOL * self.molecule_count:
+        total = float(pops.sum())
+        if abs(total - self.molecule_count) > POPULATION_SUM_TOL * self.molecule_count:
             raise ValidationError(
-                f"populations sum to {pops.sum()!r}, expected molecule_count {self.molecule_count!r}"
+                f"populations sum to {total!r}, "
+                f"expected molecule_count {float(self.molecule_count)!r}"
             )
         self.populations.setflags(write=False)
 
@@ -145,7 +148,8 @@ class ThermalEnsemble:
     def boltzmann(
         cls, system: SpinSystem, temperature: float, molecule_count: float
     ) -> "ThermalEnsemble":
-        pops = boltzmann_populations(system.level_energies, temperature, molecule_count)
+        """The equilibrium distribution; __post_init__ checks T and M."""
+        pops = _boltzmann_populations(system.level_energies, temperature, molecule_count)
         return cls(system, temperature, molecule_count, pops)
 
     @property

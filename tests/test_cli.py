@@ -38,6 +38,10 @@ bipartition = 1|2
 output_path = report.json
 """
 
+# At T = 0.5 the Bell circuit's ensemble average is entangled: outside the
+# separable ball, so the exact partial-transpose path runs.
+LOW_T_CONFIG = BASE_CONFIG.replace("temperature = 3.0e5", "temperature = 0.5")
+
 ONE_SPIN_CONFIG = """\
 n_spins = 1
 larmor = 2.0
@@ -75,7 +79,7 @@ class TestLoadConfig:
         path.write_text("n_spins = 1\nlarmor = 2.0\ntemperature = 1e5\nmolecule_count = 100\n")
         config = load_config(str(path))
         assert config.circuit_path is None and config.seed is None
-        assert config.ball_radius is None and config.output_path is None
+        assert config.output_path is None
 
     def test_space_separated_larmor(self, tmp_path):
         path = tmp_path / "sp.cfg"
@@ -90,8 +94,6 @@ class TestLoadConfig:
             ("just some words", "expected key = value"),
             ("seed =", "empty value"),
             ("seed = -3", "seed must be nonnegative"),
-            ("ball_radius = 0", "ball_radius must be positive"),
-            ("ball_radius = fat", "ball_radius must be a number"),
         ],
     )
     def test_bad_extra_line(self, tmp_path, mutation, fragment):
@@ -240,7 +242,8 @@ class TestRunSimulate:
 
         evolved = report["separability"]["evolved"]
         assert evolved["ppt_holds"] is True and evolved["ppt_conclusive"] is True
-        assert evolved["negativity"] <= 1e-12
+        assert evolved["certified_separable"] is True and evolved["min_pt_eigenvalue"] is None
+        assert evolved["negativity"] == 0.0
         assert evolved["frobenius_to_mixed"] <= 2e-5
         assert report["sweep"] is None
 
@@ -254,7 +257,7 @@ class TestRunSimulate:
         assert "output_path" not in echo and "base_dir" not in echo
         assert set(echo) == {
             "n_spins", "larmor", "temperature", "molecule_count",
-            "circuit_path", "observable", "bipartition", "ball_radius", "seed",
+            "circuit_path", "observable", "bipartition", "seed",
         }
 
     def test_empty_circuit(self, tmp_path):
@@ -362,23 +365,45 @@ class TestRunSimulate:
 
     @pytest.mark.parametrize(
         "text,circuit,expected",
-        [(BASE_CONFIG, BELL_TEXT, 1), (ONE_SPIN_CONFIG, "H 1\n", 0)],
-        ids=["two-spins", "one-spin"],
+        [(BASE_CONFIG, BELL_TEXT, 0), (ONE_SPIN_CONFIG, "H 1\n", 0), (LOW_T_CONFIG, BELL_TEXT, 1)],
+        ids=["two-spins", "one-spin", "low-temperature"],
     )
     def test_one_eigendecomposition_per_simulate(self, tmp_path, monkeypatch, text, circuit, expected):
-        """Only the evolved partial transpose needs LAPACK: the initial state
-        and its partial transpose are diagonal, and the evolved state's PSD
-        check is a Cholesky factorization."""
-        shapes = []
-        original = np.linalg.eigvalsh
+        """A certified simulate needs no LAPACK factorization at all: the
+        initial report is read off the populations and the evolved one off
+        the separable ball.  Outside the ball, the evolved state's PSD check
+        is one Cholesky factorization and its partial transpose one
+        eigendecomposition."""
+        calls = {"eigvalsh": 0, "cholesky": 0}
 
-        def counting(a, *args, **kwargs):
-            shapes.append(a.shape)
-            return original(a, *args, **kwargs)
+        def counting(name):
+            original = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name))
         assert main(["simulate", "--config", write_config(tmp_path, text, circuit)]) == 0
-        assert len(shapes) == expected
+        assert calls == {"eigvalsh": expected, "cholesky": expected}
+
+    def test_low_temperature_bell_average_is_npt(self, tmp_path):
+        """H 1; CNOT 1 2 maps the eigenstates onto the Bell states, so the
+        evolved state is Bell-diagonal with weights p_k; its partial
+        transpose has smallest eigenvalue 1/2 - max p_k."""
+        report = run_simulate(load_config(write_config(tmp_path, LOW_T_CONFIG)))
+        probabilities = np.array(report["ensemble"]["populations"]) / 1.0e6
+        initial = report["separability"]["initial"]
+        evolved = report["separability"]["evolved"]
+        assert initial["certified_separable"] is True
+        assert initial["min_pt_eigenvalue"] == probabilities.min()
+        assert evolved["certified_separable"] is False and evolved["ppt_holds"] is False
+        assert abs(evolved["min_pt_eigenvalue"] - (0.5 - probabilities.max())) < 1e-14
+        assert evolved["negativity"] > 0.3
+        assert "evolved ensemble state: NPT" in "\n".join(summary_lines(report))
 
 
 class TestRunSweep:
@@ -437,7 +462,7 @@ class TestSummaryLines:
         text = "\n".join(lines)
         assert "pathway agreement" in text
         assert "entangled: yes" in text
-        assert "PPT-separable: yes" in text
+        assert "evolved ensemble state: separable (certified, every cut)" in text
 
     def test_sweep_summary(self, tmp_path):
         path = tmp_path / "sweep.cfg"
@@ -463,13 +488,6 @@ class TestMainExitCodes:
         assert main(["simulate", "--config", path, "--summary"]) == 0
         out = capsys.readouterr().out
         assert "pathway agreement" in out
-
-    def test_ball_radius_flag_threads_through(self, tmp_path):
-        path = write_config(tmp_path)
-        assert main(["simulate", "--config", path, "--ball-radius", "0.01"]) == 0
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert report["separability"]["evolved"]["ball_radius_used"] == 0.01
-        assert report["separability"]["evolved"]["within_ball"] is True
 
     def test_output_flag(self, tmp_path):
         path = write_config(tmp_path)
@@ -500,7 +518,9 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("radius", ["nan", "inf", "0", "-1"])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_bad_ball_radius_exits_1_and_keeps_report(self, tmp_path, capsys, source, radius):
-        """One rule, finite and positive, for the config key and the flag."""
+        """The ball_radius key and the --ball-radius flag are gone: the
+        separable ball's radius is built in.  Either one is now an unknown
+        key or argument."""
         path = write_config(tmp_path)
         assert main(["simulate", "--config", path]) == 0
         report = tmp_path / "report.json"
@@ -514,6 +534,8 @@ class TestMainExitCodes:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error:")
+        expected = "unrecognized arguments" if source == "flag" else "unknown key 'ball_radius'"
+        assert expected in err
         assert report.read_bytes() == before
 
     def test_missing_config_exits_1(self, tmp_path, capsys):
@@ -557,7 +579,7 @@ class TestMainExitCodes:
     def test_linear_algebra_failure_exits_2_and_keeps_report(
         self, tmp_path, capsys, monkeypatch, error
     ):
-        path = write_config(tmp_path)
+        path = write_config(tmp_path, LOW_T_CONFIG)
         assert main(["simulate", "--config", path]) == 0
         report = tmp_path / "report.json"
         before = report.read_bytes()
@@ -627,9 +649,9 @@ CZ 1 10
 """
 
 class TestThreadCountIndependence:
-    """Report bytes do not depend on the BLAS thread count, apart from the
-    two fields read off the eigendecomposition of the evolved partial
-    transpose."""
+    """Report bytes do not depend on the BLAS thread count.  The certified
+    report runs no eigendecomposition, whose last digits would; every
+    other reduction runs in numpy's own loops."""
 
     def test_ten_spin_report_at_one_and_two_threads(self, tmp_path):
         (tmp_path / "ten.qc").write_text(TEN_SPIN_CIRCUIT)
@@ -654,16 +676,9 @@ class TestThreadCountIndependence:
         for proc, _ in runs.values():
             assert proc.wait(timeout=300) == 0
         one, two = (output.read_text().splitlines() for _, output in runs.values())
+        assert '      "certified_separable": true,' in one[one.index('    "evolved": {'):]
+        assert [i for i, (a, b) in enumerate(zip(one, two)) if a != b] == []
         assert len(one) == len(two)
-        evolved = one.index('    "evolved": {')
-        solver_fields = {
-            i
-            for i in range(evolved, len(one))
-            if one[i].lstrip().startswith(('"min_pt_eigenvalue"', '"negativity"'))
-        }
-        assert len(solver_fields) == 2
-        differing = {i for i, (a, b) in enumerate(zip(one, two)) if a != b}
-        assert differing <= solver_fields
 
 
 class TestReportReplacement:
@@ -695,7 +710,7 @@ OUTPUT = "temperature = 3.0e5\nmolecule_count = 1.0e6\noutput_path = report.json
 
 # (command, config text, circuit text for simulate or circuit count for sweep)
 VERDICT_CASES = {
-    "bell": ("simulate", BASE_CONFIG + "ball_radius = 0.05\n", BELL_TEXT),
+    "bell": ("simulate", BASE_CONFIG, BELL_TEXT),
     "one-spin": ("simulate", ONE_SPIN_CONFIG, "H 1\n"),
     "ten-spin": (
         "simulate",
@@ -707,13 +722,13 @@ VERDICT_CASES = {
     "three-spin": (
         "simulate",
         "n_spins = 3\nlarmor = 2.7, 1.6, 0.9\ncircuit_path = bell.qc\nobservable = y@2\n"
-        "bipartition = 1|2,3\nball_radius = 1e-9\n" + OUTPUT,
+        "bipartition = 1|2,3\n" + OUTPUT,
         "RX 1 0.5\nRY 2 0.5\nCNOT 3 2\nRY 2 0.5\nCZ 1 2\n",
     ),
     "six-spin": (
         "simulate",
         "n_spins = 6\nlarmor = 2.9, 2.4, 1.9, 1.5, 1.1, 0.7\ncircuit_path = bell.qc\n"
-        "observable = z\nbipartition = 1,2,3|4,5,6\nball_radius = 1e-5\n" + OUTPUT,
+        "observable = z\nbipartition = 1,2,3|4,5,6\n" + OUTPUT,
         "H 2\nRX 5 5.8196943314269065\nSWAP 4 5\nH 5\nCNOT 2 6\nSWAP 6 5\nCZ 1 5\n"
         "RY 2 3.0292060382260737\nZ 1\nRY 6 2.9493651109832024\nRZ 3 3.5173023363995277\nS 5\n"
         "SWAP 6 5\nRY 4 2.721039153009213\nS 3\nH 1\nY 6\n",
@@ -726,16 +741,18 @@ VERDICT_CASES = {
     ),
 }
 
-# Taken from the release before the Pauli-sum kernels.
+# Taken from the release before the Pauli-sum kernels; certified_separable,
+# added with the separable ball, replaced the verdicts against a caller's
+# ball radius.
 PINNED_VERDICTS = {
     "bell": {
         "within_tolerance": True,
         "initial.ppt_holds": True,
         "initial.ppt_conclusive": True,
-        "initial.within_ball": True,
+        "initial.certified_separable": True,
         "evolved.ppt_holds": True,
         "evolved.ppt_conclusive": True,
-        "evolved.within_ball": True,
+        "evolved.certified_separable": True,
         "schmidt_rank": [[2, 4]],
         "is_product": [[False, 4]],
     },
@@ -743,19 +760,19 @@ PINNED_VERDICTS = {
         "within_tolerance": True,
         "initial.ppt_holds": None,
         "initial.ppt_conclusive": None,
-        "initial.within_ball": None,
+        "initial.certified_separable": None,
         "evolved.ppt_holds": None,
         "evolved.ppt_conclusive": None,
-        "evolved.within_ball": None,
+        "evolved.certified_separable": None,
     },
     "six-spin": {
         "within_tolerance": True,
         "initial.ppt_holds": True,
         "initial.ppt_conclusive": False,
-        "initial.within_ball": True,
+        "initial.certified_separable": True,
         "evolved.ppt_holds": True,
         "evolved.ppt_conclusive": False,
-        "evolved.within_ball": True,
+        "evolved.certified_separable": True,
         "schmidt_rank": [[2, 64]],
         "is_product": [[False, 64]],
     },
@@ -772,10 +789,10 @@ PINNED_VERDICTS = {
         "within_tolerance": True,
         "initial.ppt_holds": True,
         "initial.ppt_conclusive": False,
-        "initial.within_ball": None,
+        "initial.certified_separable": True,
         "evolved.ppt_holds": True,
         "evolved.ppt_conclusive": False,
-        "evolved.within_ball": None,
+        "evolved.certified_separable": True,
         "schmidt_rank": [[16, 1024]],
         "is_product": [[False, 1024]],
     },
@@ -783,10 +800,10 @@ PINNED_VERDICTS = {
         "within_tolerance": True,
         "initial.ppt_holds": True,
         "initial.ppt_conclusive": False,
-        "initial.within_ball": False,
+        "initial.certified_separable": True,
         "evolved.ppt_holds": True,
         "evolved.ppt_conclusive": False,
-        "evolved.within_ball": False,
+        "evolved.certified_separable": True,
         "schmidt_rank": [[2, 1], [1, 1], [2, 1], [1, 1]] * 2,
         "is_product": [[False, 1], [True, 1], [False, 1], [True, 1]] * 2,
     },
@@ -813,7 +830,7 @@ def report_verdicts(report: dict) -> dict:
         verdicts["within_tolerance"] = report["sweep"]["within_tolerance"]
     if report["separability"] is not None:
         for stage, section in report["separability"].items():
-            for field in ("ppt_holds", "ppt_conclusive", "within_ball"):
+            for field in ("ppt_holds", "ppt_conclusive", "certified_separable"):
                 verdicts[f"{stage}.{field}"] = section[field]
     if report["entanglement"] is not None:
         per_state = report["entanglement"]["per_state"]

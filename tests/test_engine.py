@@ -150,8 +150,22 @@ class TestPauliSum:
             assert result.abs_difference <= PATHWAY_TOL * ens.molecule_count
             assert abs(result.expectation_sum - dense.expectation_sum) <= 1e-12 * ens.molecule_count
             single = per_state_expectations(u, pauli)
-            for k in (0, 9, 15):
-                assert single[k] == result.per_state_values[k]
+            assert single.tobytes() == result.per_state_values.tobytes()
+
+    def test_x_and_y_share_one_row_pair_product_per_spin(self, monkeypatch):
+        circuit = random_circuit(4, np.random.default_rng(53), min_depth=20, max_depth=20)
+        u = compose_propagator(circuit)
+        observables = [PauliSum.collective(4, axis) for axis in "xyz"]
+        subscripts = []
+        original = np.einsum
+
+        def counting(spec, *operands, **kwargs):
+            subscripts.append(spec)
+            return original(spec, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting)
+        compare_pathways(circuit, u, zeeman_ensemble(4), observables)
+        assert subscripts.count("ijk,ijk->k") == 4
 
     def test_dimension_mismatch_rejected(self):
         ens = zeeman_ensemble(2)

@@ -9,6 +9,7 @@ from spinensemble.engine import evolve_eigenstate
 from spinensemble.entanglement import (
     EntanglementReport,
     SeparabilityReport,
+    _ensemble_reports,
     entanglement_entropy,
     entanglement_report,
     mixedness_report,
@@ -242,21 +243,74 @@ class TestMixednessReport:
         report = mixedness_report(equilibrium_density_matrix(ens))
         assert report.frobenius_to_mixed <= epsilon
 
-    def test_ball_fields_set_only_with_radius(self):
-        rho = maximally_mixed(4)
-        bare = mixedness_report(rho)
-        assert bare.ball_radius_used is None and bare.within_ball is None
-        with_ball = mixedness_report(rho, ball_radius=0.1)
-        assert with_ball.ball_radius_used == 0.1
-        assert with_ball.within_ball is True
-        rho_pure = np.outer(bell_state(), bell_state().conj())
-        assert mixedness_report(rho_pure, ball_radius=0.1).within_ball is False
 
-    def test_nonpositive_radius_rejected(self):
-        with pytest.raises(ValidationError, match="positive"):
-            mixedness_report(maximally_mixed(4), ball_radius=0.0)
-        with pytest.raises(ValidationError, match="positive"):
-            ppt_report(maximally_mixed(4), CUT_12, ball_radius=-1.0)
+
+def bell_orbit(probabilities):
+    """U diag(p) U^dagger for the circuit H 1; CNOT 1 2, which maps the
+    computational basis onto the Bell basis, |00> onto Phi+."""
+    u = compose_propagator(parse_circuit("H 1\nCNOT 1 2", 2))
+    return (u * probabilities) @ u.conj().T
+
+
+def werner_spectrum(weight):
+    """Spectrum of weight |Phi+><Phi+| + (1 - weight) I/4."""
+    return np.array([weight + (1.0 - weight) / 4.0] + [(1.0 - weight) / 4.0] * 3)
+
+
+def cuts(n_spins):
+    """Every bipartition, once: the left side holds spin 1."""
+    others = range(2, n_spins + 1)
+    for mask in range(2 ** (n_spins - 1) - 1):
+        left = (1, *(s for i, s in enumerate(others) if mask >> i & 1))
+        yield BipartitionSpec(left, tuple(s for s in others if s not in left))
+
+
+class TestSeparableBall:
+    """A state within 1/sqrt(K(K-1)) of I/K is separable across every cut."""
+
+    def test_werner_state_at_one_third_sits_on_the_ball(self):
+        """The Werner state at weight 1/3 is at d = 1/sqrt(12), the K = 4
+        radius, and is the last PPT one: the ball is tight there."""
+        probs = werner_spectrum(1.0 / 3.0)
+        initial, evolved = _ensemble_reports(probs, bell_orbit(probs), CUT_12)
+        assert math.isclose(initial.frobenius_to_mixed, 1.0 / math.sqrt(12.0), rel_tol=1e-15)
+        assert initial.certified_separable is True and initial.min_pt_eigenvalue == probs.min()
+        assert evolved.certified_separable is True and evolved.ppt_holds is True
+        assert evolved.negativity == 0.0 and evolved.min_pt_eigenvalue is None
+        assert abs(ppt_report(bell_orbit(probs), CUT_12).min_pt_eigenvalue) < 1e-15
+
+    def test_werner_state_just_outside_is_npt(self):
+        weight = 1.0 / 3.0 + 1e-9
+        probs = werner_spectrum(weight)
+        _, evolved = _ensemble_reports(probs, bell_orbit(probs), CUT_12)
+        assert evolved.certified_separable is False
+        assert evolved.ppt_holds is False
+        assert abs(evolved.min_pt_eigenvalue - (1.0 - 3.0 * weight) / 4.0) < 1e-15
+
+    @pytest.mark.parametrize("n_spins", [2, 3, 4])
+    def test_sampled_orbits_inside_the_ball_are_ppt_on_every_cut(self, n_spins):
+        """For rho inside the ball the exact partial-transpose spectrum
+        stays above max(1/K - d, 0): 1/K - d because a partial transpose
+        keeps the Frobenius norm of rho - I/K, 0 because rho is separable."""
+        dim = 2**n_spins
+        radius = 1.0 / math.sqrt(dim * (dim - 1))
+        rng = np.random.default_rng(60 + n_spins)
+        for trial in range(12):
+            direction = rng.normal(size=dim)
+            direction -= direction.mean()
+            direction /= np.linalg.norm(direction)
+            # a unit zero-sum vector has entries below sqrt((K-1)/K), so p >= 0
+            scale = radius * (1.0 - 1e-9 if trial == 0 else rng.uniform())
+            probs = 1.0 / dim + scale * direction
+            u = random_unitary(rng, dim)
+            rho = (u * probs) @ u.conj().T
+            initial, evolved = _ensemble_reports(probs, rho.copy(), next(cuts(n_spins)))
+            assert evolved.certified_separable is True
+            bound = max(1.0 / dim - initial.frobenius_to_mixed, 0.0)
+            for cut in cuts(n_spins):
+                report = ppt_report(rho, cut)
+                assert report.certified_separable is True
+                assert report.min_pt_eigenvalue >= bound - 1e-13
 
 
 class TestHeadlineContrast:

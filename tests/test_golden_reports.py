@@ -6,9 +6,9 @@ alone must leave every hash below alone.  A change that moves report bytes
 on purpose updates the hashes here and says in CHANGES.md which fields
 moved and why.
 
-The runs use one BLAS thread in a fresh interpreter, as
-TestThreadCountIndependence does: the evolved partial transpose's
-eigenvalues differ in their last digits between thread counts.  The hashes
+The runs use one BLAS thread in a fresh interpreter.  Every report here is
+certified separable and needs no eigendecomposition, but one that did
+would round its last digits by the thread count.  The hashes
 were taken with numpy 2.4.6 on OpenBLAS 0.3.31; another build may round
 differently.
 """
@@ -24,18 +24,18 @@ SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 ENSEMBLE = "temperature = 3.0e5\nmolecule_count = 1.0e6\n"
 
-# n_spins -> (larmor, bipartition and ball radius lines, circuit text)
+# n_spins -> (larmor, bipartition line, circuit text)
 SIMULATE_SYSTEMS = {
     1: ("2.0", "", "H 1\nRX 1 0.7\nT 1\nRY 1 2.3\nS 1\n"),
     2: ("2.0, 1.0", "bipartition = 1|2\n", "H 1\nCNOT 1 2\nRY 2 0.9\nCZ 2 1\nRZ 1 1.7\nSWAP 1 2\n"),
     3: (
         "2.7, 1.6, 0.9",
-        "bipartition = 1|2,3\nball_radius = 1e-5\n",
+        "bipartition = 1|2,3\n",
         "H 1\nCNOT 1 3\nRX 2 0.4\nCZ 3 2\nT 3\nSWAP 1 2\nRY 3 2.2\n",
     ),
     5: (
         "2.5, 2.0, 1.5, 1.0, 0.5",
-        "bipartition = 1,2|3,4,5\nball_radius = 1e-5\n",
+        "bipartition = 1,2|3,4,5\n",
         "H 1\nCNOT 1 5\nRY 2 0.9\nCNOT 2 4\nH 3\nCZ 3 5\nRX 4 1.3\nSWAP 1 4\nT 5\n"
         "RZ 2 0.4\nCNOT 5 3\n",
     ),
@@ -45,22 +45,22 @@ OBSERVABLES = ("x", "y@1", "z")
 # name -> (larmor, seed, circuit count)
 SWEEPS = {"sweep-n2": ("2.0, 1.0", 7, 6), "sweep-n4": ("2.4, 1.8, 1.2, 0.6", 44, 5)}
 
-# Taken from the release before input checks moved into the library types.
+# Taken when the separability section moved to the separable-ball certificate.
 PINNED_SHA256 = {
-    "simulate-n1-x": "f14d47edb7a29c43ac7aba1aaed1ab726b50d8c79132453105ba4686f9323a6f",
-    "simulate-n1-y@1": "1e1165eea1bb2e0e9c1d1ede99ae954a317e19fd3da93211dda5b350e4dba712",
-    "simulate-n1-z": "227615e6f34e93f518e0141dee308276bff7228b5cf3ae91b282737718df39aa",
-    "simulate-n2-x": "afe465964d2cdcb977562eb82871bec78b7675933c4d20c2bba38ce26ae8926f",
-    "simulate-n2-y@1": "9fa5b373ac8bc224487531d9cccc2dcab642c620ed9eeda402c7b630c1feab95",
-    "simulate-n2-z": "0e799e40bce967631d245eb5093679bc6a462c21d0598fd10515747fc8f19255",
-    "simulate-n3-x": "50455c98aa404efba1706f6bb1da17da84825f7230d96f59f1c5d3d9df3a233f",
-    "simulate-n3-y@1": "39621b2e19ccb562327b20a1bcdb9c73ad0b879ef94bfd42c8428deaeb41c0ef",
-    "simulate-n3-z": "2d38714fcb2113facd37652db901f02f7f4938b70680502d4241bd5e714cd4da",
-    "simulate-n5-x": "4aed3c9e998351ce38aa4307e9d414a6a8228a69e8336e29dadf9d6106b5cf63",
-    "simulate-n5-y@1": "090b3f93043304ec6141ec8b12aef9e098baa400b8f9633c5297dacdc061ed6a",
-    "simulate-n5-z": "08ae1377c20c780b79eeefb970a2474dcfe4a09e8050e840d40e32b752396cf3",
-    "sweep-n2": "154d8d60e5089a498c331f753b3c4b6db6c5d193452ccfd5f73a13e9864f5b79",
-    "sweep-n4": "09b27af5067f02f37a5a0af2ce8fa3c9679676355fff5cfb139f932391895f50",
+    "simulate-n1-x": "443414707237db8addfea40b04881c21024afcc39c089b2372cf0e1a1f8344a4",
+    "simulate-n1-y@1": "089f8373d7d83099bfd81b10a7255ac8a3494be6c0d0f9db5df0bb8630ecf977",
+    "simulate-n1-z": "108978ad98d092cd35e7281e99f7732fc67cccdd2407d113dd0576f11dfce1bc",
+    "simulate-n2-x": "0dc58a93fd9cd68459e87ccfd86cf457fe861086d97765158fa3159e2019a2ea",
+    "simulate-n2-y@1": "e921fd5993e857fc2c770f98578b6689957104d40437d99c0e11dd8997261628",
+    "simulate-n2-z": "f5284928db2c7495c8e9d66773e40e53690278ceb3cc1fd7d6c77219eaacc7fc",
+    "simulate-n3-x": "9ddefca2fc6dd98e9ce2b879db2050e66ca55a0bf5a54a67271542d73561eb92",
+    "simulate-n3-y@1": "ba35d4bc8fa31f975640910344772fcf86b06921295378c7d1c7b196df2d0406",
+    "simulate-n3-z": "b399e419ae7eef01a2a4bed749508b0a4665141a351b56cffbe5b837ab3d9099",
+    "simulate-n5-x": "2b94a1a15ab904efff85d9d1d7b3e6a8b07e9e958c76b16a98402f138df7c79c",
+    "simulate-n5-y@1": "3d0dda9c50c28c7877368714d8cbbba8428b03e1374e018985045cf1b34c9386",
+    "simulate-n5-z": "1b895f79a78a92ced01145975b4d3e7321182613c660b2e9db9939003a60306d",
+    "sweep-n2": "bf05871f8352a6ee7581d21d506e2d0783d86d64f472534be5d93e6c7ca00618",
+    "sweep-n4": "863f2efce672d4a1606ebea5ceb5faaa95253d63e9ab0cd46c1ba3b4b8dc8afb",
 }
 
 RUNNER = """\

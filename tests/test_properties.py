@@ -34,11 +34,13 @@ VALUES = {
     "circuit_path": ["c.qc", "missing.qc"],
     "observable": ["x", "y", "z@1", "z@2", "y@3", "q", "x@0", "x@two", "@1"],
     "bipartition": ["1|2", "1|2,3", "1,2|3", "2|1", "1|1", "12", "a|b", "1|3"],
-    "ball_radius": ["0.05", "1e-9", "0", "-1", "nan", "inf", "fat"],
     "seed": ["7", "0", "-1", "x"],
     "output_path": ["out.json"],
 }
-EXTRA_LINES = ["frobnicate = 1", "just words", "seed =", "n_spins = 2", "# comment"]
+# ball_radius was a key once; it is now as unknown as frobnicate.
+EXTRA_LINES = [
+    "frobnicate = 1", "ball_radius = 0.05", "just words", "seed =", "n_spins = 2", "# comment"
+]
 SPIN_TOKENS = ["1", "2", "3", "0", "4", "1.5", "+1", "0.7", "inf", "nan", "-2.5", "abc"]
 
 

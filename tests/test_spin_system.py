@@ -41,6 +41,18 @@ class TestDefaultEnergies:
         with pytest.raises(ValidationError, match="expected 2"):
             default_energies(2, [1.0])
 
+    @pytest.mark.parametrize("n_spins", range(1, 13))
+    def test_matches_the_per_level_sum_bit_for_bit(self, n_spins):
+        larmor = np.random.default_rng(n_spins).uniform(0.1, 3.0, n_spins).tolist()
+        looped = []
+        for k in range(2**n_spins):
+            e = 0.0
+            for j in range(n_spins):
+                bit = (k >> (n_spins - 1 - j)) & 1
+                e += (larmor[j] / 2.0) if bit else (-larmor[j] / 2.0)
+            looped.append(e)
+        np.testing.assert_array_equal(default_energies(n_spins, larmor), looped)
+
 
 class TestBoltzmannPopulations:
     def test_degenerate_levels_split_evenly(self):
@@ -121,6 +133,19 @@ class TestThermalEnsemble:
         system = SpinSystem.zeeman([1.0])
         with pytest.raises(ValidationError, match="sum"):
             ThermalEnsemble(system, 1.0, 10.0, np.array([5.0, 6.0]))
+
+    def test_population_sum_error_prints_plain_floats(self):
+        system = SpinSystem.zeeman([2.0, 1.0])
+        with pytest.raises(ValidationError) as caught:
+            ThermalEnsemble.boltzmann(system, 3.0e5, 5e-324)
+        assert str(caught.value) == "populations sum to 0.0, expected molecule_count 5e-324"
+
+    @pytest.mark.parametrize("temperature", [0.0, -1.0])
+    def test_boltzmann_rejects_temperature_once_without_warning(self, temperature):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="temperature must be positive"):
+                ThermalEnsemble.boltzmann(SpinSystem.zeeman([2.0, 1.0]), temperature, 10.0)
 
     def test_rejects_negative_population(self):
         system = SpinSystem.zeeman([1.0])
