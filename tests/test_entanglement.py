@@ -209,6 +209,14 @@ class TestPptReport:
         with pytest.raises(ValidationError, match="does not match"):
             ppt_report(maximally_mixed(8), CUT_12)
 
+    def test_input_is_left_as_it_was(self):
+        """The distance is taken on a private copy shifted by -I/K in place."""
+        rho = random_density(np.random.default_rng(58), 4)
+        before = rho.copy()
+        ppt_report(rho, CUT_12)
+        mixedness_report(rho)
+        assert rho.tobytes() == before.tobytes()
+
 
 class TestMixednessReport:
     def test_maximally_mixed(self):
