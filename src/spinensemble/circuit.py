@@ -19,7 +19,9 @@ locally to one or two axes of the array read as a (2,)*n tensor: a
 one-spin gate's 2x2 matrix multiplies its axis, and a two-spin gate,
 whose 4x4 matrix has one entry of +-1 per row, copies or negates slices.
 Either costs O(K**2) per gate on a K x K operand instead of the O(K**3)
-of a dense product.
+of a dense product.  The gate matrices are checked unitary, once per
+circuit, before any is applied, so a composed propagator is unitary by
+construction and is never checked as a K x K matrix.
 """
 
 from __future__ import annotations
@@ -30,7 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qlinalg import PAULI_X, PAULI_Y, PAULI_Z, ValidationError, _require_spin_count, unitary
+from .qlinalg import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    UNITARY_TOL,
+    ValidationError,
+    _require_spin_count,
+)
 
 SINGLE_SPIN_KINDS = ("H", "X", "Y", "Z", "S", "T")
 ROTATION_KINDS = ("RX", "RY", "RZ")
@@ -201,40 +210,20 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
     return _FIXED_1Q[gate.kind]
 
 
-# A one-spin gate views the tensor as a batch of (2, width) slices and
-# multiplies each slice by the 2x2 matrix.  A batch of more than _NARROW
-# slices narrower than _NARROW is multiplied instead as one product with a
-# dense 2w x 2w block.  Of K x K operands, only a density matrix's column
-# axes are that narrow; there the per-slice calls cost more than the block
-# (without it, simulate-n10 took 1.15x and sweep-n8 1.29x as long per
-# command; BENCH_local_gates.json, narrow_slice_branch).  Row axes always
-# take the per-slice form, which rounds like the dense Kronecker-embedded
-# product it replaces.
-_NARROW = 32
-
-
 def _apply_gate(state: np.ndarray, matrix: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """Left-multiply a gate matrix onto 0-based axes of a (2,)*n tensor.
 
     ``state`` holds 2**n entries in big-endian axis order, in any shape: a
     K x K operator is a (2,)*2N tensor whose first N axes index its rows.
-    For a 4x4 matrix, which must be a signed permutation, ``axes`` lists
-    the axes of its first and second basis factor, in either order.
-    Returns a new array of state's shape.
+    A 2x2 matrix multiplies each (2, width) slice of its axis, which
+    rounds like the dense Kronecker-embedded product it replaces.  For a
+    4x4 matrix, which must be a signed permutation, ``axes`` lists the
+    axes of its first and second basis factor, in either order.  Returns a
+    new array of state's shape.
     """
     if len(axes) == 1:
         (a,) = axes
-        view = state.reshape(2**a, 2, -1)
-        batch, width = view.shape[0], view.shape[2]
-        if batch > _NARROW and width < _NARROW:
-            # kron(matrix.T, I_width) applied to each flattened slice
-            block = np.zeros((2, width, 2, width), dtype=complex)
-            diagonal = np.arange(width)
-            block[:, diagonal, :, diagonal] = matrix.T
-            out = view.reshape(batch, 2 * width) @ block.reshape(2 * width, 2 * width)
-        else:
-            out = matrix @ view
-        return out.reshape(state.shape)
+        return (matrix @ state.reshape(2**a, 2, -1)).reshape(state.shape)
     return _permute_pair(state, matrix, *axes)
 
 
@@ -246,8 +235,7 @@ def _permute_pair(state: np.ndarray, matrix: np.ndarray, a: int, b: int) -> np.n
     width): one ``take`` along the merged middle axis copies whole
     contiguous runs of ``width`` entries in memory order.  Copying the four
     quadrants one by one instead re-reads every cache line once per
-    quadrant when width is small, as it is on a density matrix's column
-    axes.
+    quadrant when width is small.
     """
     m = matrix.reshape(2, 2, 2, 2)
     if a > b:
@@ -272,22 +260,42 @@ def _permute_pair(state: np.ndarray, matrix: np.ndarray, a: int, b: int) -> np.n
     return out.reshape(state.shape)
 
 
-def _spin_axes(gate: Gate, offset: int = 0) -> tuple[int, ...]:
-    """Tensor axes of the gate's targets, shifted by offset (N for columns)."""
-    return tuple(offset + t - 1 for t in gate.targets)
+def _checked_gates(circuit: Circuit) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """Each gate's matrix and the 0-based axes of its targets, in order.
+
+    The matrices are checked unitary once per circuit, one vectorised test
+    per matrix size, so what the gates compose is unitary by construction
+    and no K x K product is checked.  The 4x4s are also checked as signed
+    permutations when they are applied.
+    """
+    gates = [(_gate_matrix(gate), tuple(t - 1 for t in gate.targets)) for gate in circuit.gates]
+    for size in (2, 4):
+        stack = [matrix for matrix, _ in gates if matrix.shape[0] == size]
+        if stack:
+            stack = np.stack(stack)
+            products = np.swapaxes(stack, 1, 2).conj() @ stack
+            dev = np.max(np.abs(products - np.eye(size)))
+            if not dev <= UNITARY_TOL:  # also rejects NaN
+                raise ValidationError(f"matrix is not unitary: max |U^dagger U - I| = {dev:.3e}")
+    return gates
+
+
+def _apply_gates(state: np.ndarray, gates) -> np.ndarray:
+    """Apply checked gates in order to the row axes of a K x K operand."""
+    for matrix, axes in gates:
+        state = _apply_gate(state, matrix, axes)
+    return state
 
 
 def compose_propagator(circuit: Circuit) -> np.ndarray:
     """Product of the gate unitaries, first listed gate applied first.
 
     The gates act in order on the rows of the identity.  Returns the
-    identity for an empty circuit; the result is validated to be unitary
-    before being handed back.
+    identity for an empty circuit.  Each gate matrix is checked unitary
+    before any is applied, so the product is unitary up to rounding and is
+    not checked again.
     """
-    u = np.eye(circuit.dim, dtype=complex)
-    for gate in circuit.gates:
-        u = _apply_gate(u, _gate_matrix(gate), _spin_axes(gate))
-    return unitary(u)
+    return _apply_gates(np.eye(circuit.dim, dtype=complex), _checked_gates(circuit))
 
 
 def random_circuit(n_spins: int, rng: np.random.Generator, min_depth: int = 1, max_depth: int = 20) -> Circuit:

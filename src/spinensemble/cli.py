@@ -17,7 +17,7 @@ magnetisation, which the pathways read term by term: neither command
 builds a 2**N x 2**N observable matrix.
 
 Exit codes: 0 success, 1 usage or config or parse trouble, 2 numeric
-validation failure such as a non-unitary propagator, or a linear-algebra
+validation failure such as a non-unitary gate matrix, or a linear-algebra
 routine that fails or runs out of memory.
 """
 
@@ -41,8 +41,8 @@ from .circuit import (
     parse_circuit,
     random_circuit,
 )
-from .engine import PATHWAY_TOL, _compare_pathways, compare_pathways, evolve_eigenstate
-from .entanglement import _ensemble_reports, entanglement_report
+from .engine import PATHWAY_TOL, _compare_pathways, compare_pathways
+from .entanglement import _ensemble_reports, _schmidt_table
 from .qlinalg import BipartitionSpec, ValidationError
 from .spin_system import (
     PauliSum,
@@ -269,18 +269,19 @@ def run_simulate(config: RunConfig, output_path: str | None = None) -> dict:
     part = None
     if config.n_spins >= 2:
         part = BipartitionSpec.parse(config.bipartition, config.n_spins)
-        per_state = []
-        for k in range(ensemble.system.dim):
-            rep = entanglement_report(evolve_eigenstate(propagator, k), part)
-            per_state.append(
-                {
-                    "initial_eigenstate": k,
-                    "schmidt_coefficients": rep.schmidt_coefficients.tolist(),
-                    "entropy_bits": rep.entropy_bits,
-                    "schmidt_rank": rep.schmidt_rank,
-                    "is_product": rep.is_product,
-                }
+        coefficients, entropies, ranks = _schmidt_table(propagator, part)
+        per_state = [
+            {
+                "initial_eigenstate": k,
+                "schmidt_coefficients": row,
+                "entropy_bits": entropy,
+                "schmidt_rank": rank,
+                "is_product": rank == 1,
+            }
+            for k, (row, entropy, rank) in enumerate(
+                zip(coefficients.tolist(), entropies.tolist(), ranks.tolist())
             )
+        ]
         entanglement_section = {"bipartition": str(part), "per_state": per_state}
     else:
         entanglement_section = None
@@ -413,6 +414,13 @@ def _render_value(value, level: int) -> str:
         if not value:
             return "[]"
         pad, inner = "  " * level, "  " * (level + 1)
+        if isinstance(value, list) and set(map(type, value)) == {float}:
+            # the bulk of a report: one join instead of a call per value
+            if not all(map(math.isfinite, value)):
+                bad = next(item for item in value if not math.isfinite(item))
+                raise ValidationError(f"non-finite value {bad!r} in report")
+            items = (",\n" + inner).join([format(item, ".17g") for item in value])
+            return "[\n" + inner + items + "\n" + pad + "]"
         items = ",\n".join(inner + _render_value(item, level + 1) for item in value)
         return "[\n" + items + "\n" + pad + "]"
     if isinstance(value, dict):

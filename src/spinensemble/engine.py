@@ -4,12 +4,13 @@ Pathway A ("sum") mirrors the physical picture of C_k molecules starting
 in eigenstate k: evolve each computational eigenstate separately under
 the propagator, take its expectation value of the observable, and form
 the population-weighted sum over initial states.  Pathway B ("trace")
-builds the equilibrium density matrix once, conjugates it gate by gate as
-G rho G^dagger, and reads M * tr(rho' * obs).  The trace pathway never
-reads the propagator: the two share only the gate list, so a defect in
-composing the propagator shows up as a disagreement instead of cancelling
-out.  Their agreement is the package's central consistency check, so a
-result where they disagree hands both numbers back instead of hiding one.
+builds the equilibrium density matrix once, evolves it as
+rho' = U (U rho)^dagger in two passes of the gate list over its rows, and
+reads M * tr(rho' * obs).  The trace pathway never reads the propagator:
+the two share only the gate list, so a defect in composing the
+propagator shows up as a disagreement instead of cancelling out.  Their
+agreement is the package's central consistency check, so a result where
+they disagree hands both numbers back instead of hiding one.
 
 An observable is a PauliSum (spin_system), such as the collective
 magnetisation, or a dense Hermitian matrix.  A PauliSum is read term by
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, _apply_gate, _gate_matrix, _spin_axes
+from .circuit import Circuit, _apply_gates, _checked_gates
 from .qlinalg import ValidationError, _inner, hermitian, unitary
 from .spin_system import _PAULI_BY_AXIS, PauliSum, ThermalEnsemble, equilibrium_density_matrix
 
@@ -167,7 +168,7 @@ def _weighted_sum(ensemble: ThermalEnsemble, per_state: np.ndarray) -> float:
 def ensemble_expectation_trace(
     circuit: Circuit, ensemble: ThermalEnsemble, observable
 ) -> float:
-    """Pathway B: M * tr(rho' * obs), rho' the equilibrium mixture evolved gate by gate."""
+    """Pathway B: M * tr(rho' * obs), rho' the equilibrium mixture evolved by the gate list."""
     obs = _checked(observable)
     _require_dim(ensemble.system.dim, circuit, obs)
     rho = _evolved_density_matrix(circuit, ensemble)
@@ -175,14 +176,15 @@ def ensemble_expectation_trace(
 
 
 def _evolved_density_matrix(circuit: Circuit, ensemble: ThermalEnsemble) -> np.ndarray:
-    """G rho G^dagger for each gate in order: G on the row axes of the
-    (2,)*2N tensor of rho, conj(G) on its column axes."""
-    rho = equilibrium_density_matrix(ensemble)
-    for gate in circuit.gates:
-        matrix = _gate_matrix(gate)
-        rho = _apply_gate(rho, matrix, _spin_axes(gate))
-        rho = _apply_gate(rho, matrix.conj(), _spin_axes(gate, circuit.n_spins))
-    return rho
+    """U rho U^dagger from the gate list, without U, in two row passes.
+
+    rho is real and diagonal, so rho U^dagger = (U rho)^dagger: the gates
+    act on the rows of rho, the result is conjugate-transposed once, and
+    the gates act on its rows again.
+    """
+    gates = _checked_gates(circuit)
+    half = _apply_gates(equilibrium_density_matrix(ensemble), gates)
+    return _apply_gates(np.conjugate(half.T, order="C"), gates)
 
 
 def _trace_value(rho: np.ndarray, obs, molecule_count: float) -> float:
@@ -220,13 +222,13 @@ def compare_pathways(
     """Run both pathways for each observable and report both numbers.
 
     The sum pathway reads ``propagator``, which should be the circuit's
-    own from ``compose_propagator``; that call checked it is unitary, and
-    this one does not check it again.  The trace pathway evolves the
-    density matrix from the circuit's gate list and never reads the
-    propagator, so a propagator that is not the circuit's, unitary or
-    not, shows up as a disagreement rather than as an error.  Each
-    observable is a PauliSum or a matrix, which is checked to be
-    Hermitian; the evolved density matrix is built once and read for
+    own from ``compose_propagator``: that call built it from gates checked
+    unitary, and this one does not check it.  The trace pathway evolves
+    the density matrix from the circuit's gate list in two row passes and
+    never reads the propagator, so a propagator that is not the
+    circuit's, unitary or not, shows up as a disagreement rather than as
+    an error.  Each observable is a PauliSum or a matrix, which is checked
+    to be Hermitian; the evolved density matrix is built once and read for
     every observable.
     """
     return _compare_pathways(circuit, propagator, ensemble, observables)[0]

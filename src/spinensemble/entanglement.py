@@ -1,8 +1,9 @@
 """Entanglement of pure states, separability evidence for mixed ones.
 
 Pure-state side: Schmidt coefficients across a bipartition via SVD of the
-reshaped amplitude tensor, entropy of entanglement in bits, and a product
-test (Schmidt rank 1).  Mixed-state side: the Peres partial-transpose
+reshaped amplitude tensor (one batched SVD for every evolved eigenstate of
+a propagator), entropy of entanglement in bits, and a product test
+(Schmidt rank 1).  Mixed-state side: the Peres partial-transpose
 test, negativity, purity, and distance from the maximally mixed state.
 PPT is conclusive for a 2-spin system and a necessary condition only for
 larger ones; reports carry that flag so callers never over-claim.
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qlinalg import (
+    NORM_TOL,
     PSD_TOL,
     BipartitionSpec,
     ValidationError,
@@ -93,21 +95,67 @@ def schmidt_coefficients(state: np.ndarray, part: BipartitionSpec) -> np.ndarray
     return np.linalg.svd(matrix, compute_uv=False)
 
 
+def _schmidt_table(
+    propagator: np.ndarray, part: BipartitionSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Schmidt coefficients, entropies and ranks of every column U|k>.
+
+    One batched SVD over the columns, each reshaped and transposed as
+    schmidt_coefficients does, gives the same coefficients bit for bit,
+    and the entropies equal entanglement_entropy's.  Every column must be
+    normalized (NORM_TOL) and every coefficient row's squares must sum to 1.
+    """
+    u = np.ascontiguousarray(propagator, dtype=complex)
+    dim = u.shape[1]
+    parts = u.view(np.float64).reshape(u.shape[0], dim, 2)
+    deviation = np.abs(np.einsum("ikc,ikc->k", parts, parts) - 1.0)
+    bad = np.flatnonzero(~(deviation <= NORM_TOL))
+    if bad.size:
+        raise ValidationError(
+            f"evolved eigenstate {bad[0]} is not normalized: "
+            f"|norm^2 - 1| = {deviation[bad[0]]:.3e}"
+        )
+    axes = [0, *part.left, *part.right]
+    columns = u.T.reshape((dim,) + (2,) * part.n_spins).transpose(axes)
+    coefficients = np.linalg.svd(
+        columns.reshape(dim, 2 ** len(part.left), 2 ** len(part.right)), compute_uv=False
+    )
+    ranks = np.count_nonzero(coefficients > SCHMIDT_RANK_TOL, axis=1)
+    return coefficients, _entropies(coefficients), ranks
+
+
 def entanglement_entropy(coefficients: np.ndarray) -> float:
     """Shannon entropy of squared Schmidt coefficients, base 2, 0*log0 = 0."""
-    probs = np.asarray(coefficients, dtype=float) ** 2
-    if probs.size == 0:
+    coefficients = np.asarray(coefficients, dtype=float)
+    if coefficients.size == 0:
         raise ValidationError("empty coefficient list")
-    total = float(probs.sum())
-    if abs(total - 1.0) > 1e-8:
-        raise ValidationError(f"squared coefficients sum to {total}, expected 1")
-    mask = probs > 0.0
-    entropy = float(-(probs[mask] * np.log2(probs[mask])).sum())
-    if entropy <= 0.0:  # also turns the -0.0 of a product state into 0.0
-        if entropy < -ENTROPY_CLAMP_TOL:
-            raise ValidationError(f"entropy {entropy} below clamp budget")
-        entropy = 0.0
-    return entropy
+    return float(_entropies(coefficients.reshape(1, -1))[0])
+
+
+def _entropies(coefficients: np.ndarray) -> np.ndarray:
+    """entanglement_entropy of each row, with its checks.
+
+    Each row's nonzero squares are summed in their own order as one
+    contiguous run, so a row gets the same bits alone or in a batch; rows
+    with equally many nonzero squares share one reduction.
+    """
+    probs = coefficients**2
+    totals = probs.sum(axis=1)
+    bad = np.flatnonzero(np.abs(totals - 1.0) > 1e-8)
+    if bad.size:
+        raise ValidationError(f"squared coefficients sum to {totals[bad[0]]}, expected 1")
+    nonzero = probs > 0.0
+    counts = np.count_nonzero(nonzero, axis=1)
+    entropies = np.empty(probs.shape[0])
+    for count in set(counts.tolist()):
+        rows = np.flatnonzero(counts == count)
+        head = probs[rows][nonzero[rows]].reshape(rows.size, count)
+        entropies[rows] = -(head * np.log2(head)).sum(axis=1)
+    lowest = entropies.min()
+    if lowest < -ENTROPY_CLAMP_TOL:
+        raise ValidationError(f"entropy {lowest} below clamp budget")
+    entropies[entropies <= 0.0] = 0.0  # also turns the -0.0 of a product state into 0.0
+    return entropies
 
 
 def entanglement_report(state: np.ndarray, part: BipartitionSpec) -> EntanglementReport:

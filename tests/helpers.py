@@ -1,6 +1,8 @@
-"""Seeded random quantum objects shared by the test modules."""
+"""Seeded random quantum objects and reference kernels shared by the test modules."""
 
 import numpy as np
+
+from spinensemble.circuit import _apply_gate, _gate_matrix
 
 
 def random_unitary(rng, dim):
@@ -33,3 +35,14 @@ def bell_state():
     psi = np.zeros(4, dtype=complex)
     psi[0] = psi[3] = 1.0 / np.sqrt(2.0)
     return psi
+
+
+def conjugate_gate_by_gate(circuit, rho):
+    """Reference G rho G^dagger for each gate in order: G on the row axes
+    of the (2,)*2N tensor of rho, conj(G) on its column axes."""
+    n_spins = circuit.n_spins
+    for gate in circuit.gates:
+        matrix = _gate_matrix(gate)
+        rho = _apply_gate(rho, matrix, tuple(t - 1 for t in gate.targets))
+        rho = _apply_gate(rho, matrix.conj(), tuple(n_spins + t - 1 for t in gate.targets))
+    return rho

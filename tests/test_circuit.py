@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import bell_state
+from spinensemble import circuit as circuit_module
 from spinensemble.circuit import (
     Circuit,
     CircuitParseError,
@@ -15,7 +16,7 @@ from spinensemble.circuit import (
     parse_circuit,
     random_circuit,
 )
-from spinensemble.qlinalg import ValidationError
+from spinensemble.qlinalg import ValidationError, unitary
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 EYE = np.eye(2, dtype=complex)
@@ -234,6 +235,40 @@ class TestComposePropagator:
             u = compose_propagator(random_circuit(3, rng))
             dev = np.max(np.abs(u.conj().T @ u - np.eye(8)))
             assert dev <= 1e-10
+
+
+class TestTrustedPropagator:
+    """compose_propagator checks the gate matrices, never its K x K result;
+    the dense check on the result is the oracle here."""
+
+    def test_random_propagators_pass_the_dense_check(self):
+        rng = np.random.default_rng(81)
+        for n_spins in range(1, 9):
+            for _ in range(6):
+                unitary(compose_propagator(random_circuit(n_spins, rng)))
+
+    def test_a_2000_gate_circuit_passes_the_dense_check(self):
+        """Rounding drift over a long product stays inside UNITARY_TOL."""
+        circuit = random_circuit(6, np.random.default_rng(82), min_depth=2000, max_depth=2000)
+        assert len(circuit.gates) == 2000
+        unitary(compose_propagator(circuit))
+
+    @pytest.mark.parametrize(
+        "skewed",
+        [np.array([[1, 0.5], [0, 1]]), np.array([[1, 0], [0, 1 + 1e-9]]), np.full((2, 2), np.nan)],
+        ids=["shear", "just-over-tolerance", "nan"],
+    )
+    def test_a_non_unitary_rotation_is_rejected(self, monkeypatch, skewed):
+        skewed = skewed.astype(complex)
+        monkeypatch.setattr(circuit_module, "_rotation_matrix", lambda kind, angle: skewed)
+        circuit = parse_circuit("H 1\nRY 2 0.3\nCNOT 1 2", 2)
+        with pytest.raises(ValidationError, match="^matrix is not unitary"):
+            compose_propagator(circuit)
+
+    def test_a_non_unitary_two_spin_gate_is_rejected(self, monkeypatch):
+        monkeypatch.setitem(circuit_module._FIXED_2Q, "CZ", 2.0 * np.eye(4, dtype=complex))
+        with pytest.raises(ValidationError, match="^matrix is not unitary"):
+            compose_propagator(parse_circuit("H 1\nCZ 1 2", 2))
 
 
 def dense_gate(gate, n_spins):

@@ -216,6 +216,22 @@ class TestRenderReport:
         with pytest.raises(ValidationError, match="finite"):
             render_report({"bad": math.inf})
 
+    def test_flat_float_lists_render_like_the_recursion(self):
+        """A list of plain floats is joined in one step; a tuple, or a list
+        holding numpy floats, takes the per-value recursion.  Same bytes."""
+        rng = np.random.default_rng(61)
+        values = [float(v) for v in rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)]
+        values += [-0.0, 0.0, 1.0, 5e-324, -1.7976931348623157e308, 0.1]
+        for report in ({"v": values}, {"a": {"b": [values, [0.5]]}}, [values]):
+            recursive = json.loads(json.dumps(report), parse_float=np.float64)
+            assert render_report(report) == render_report(recursive)
+        assert render_report({"v": values}) == render_report({"v": tuple(values)})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_in_a_float_list_rejected(self, bad):
+        with pytest.raises(ValidationError, match=f"^non-finite value {bad!r} in report$"):
+            render_report({"v": [0.5, 1.0, bad, 2.0]})
+
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
             render_report({"bad": {1, 2}})
@@ -389,6 +405,46 @@ class TestRunSimulate:
             monkeypatch.setattr(np.linalg, name, counting(name))
         assert main(["simulate", "--config", write_config(tmp_path, text, circuit)]) == 0
         assert calls == {"eigvalsh": expected, "cholesky": expected}
+
+    @pytest.mark.parametrize(
+        "text,circuit,svd_calls",
+        [
+            (BASE_CONFIG, "H 1\nRY 2 0.4\nCNOT 1 2\nSWAP 2 1\n", 1),
+            (LOW_T_CONFIG, BELL_TEXT, 1),
+            (ONE_SPIN_CONFIG, "H 1\nRX 1 0.3\n", 0),
+            (BASE_CONFIG + "seed = 3\n", None, 0),
+        ],
+        ids=["two-spins", "low-temperature", "one-spin", "sweep"],
+    )
+    def test_one_batched_svd_and_no_dense_unitary_check(
+        self, tmp_path, monkeypatch, text, circuit, svd_calls
+    ):
+        """The Schmidt table of every eigenstate is one batched SVD, and the
+        composed propagator is trusted by construction: no command runs the
+        dense U^dagger U check."""
+        calls = []
+        original = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return original(*args, **kwargs)
+
+        def refuse(*args):
+            raise AssertionError("the dense unitarity check ran")
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("spinensemble"):
+                if hasattr(module, "unitary"):
+                    monkeypatch.setattr(module, "unitary", refuse)
+        if circuit is None:
+            argv = ["sweep", "--config", write_config(tmp_path, text), "--n", "4"]
+        else:
+            argv = ["simulate", "--config", write_config(tmp_path, text, circuit)]
+        assert main(argv) == 0
+        assert len(calls) == svd_calls
+        if svd_calls:
+            assert calls[0][0] == 4  # one matrix per eigenstate
 
     def test_low_temperature_bell_average_is_npt(self, tmp_path):
         """H 1; CNOT 1 2 maps the eigenstates onto the Bell states, so the
@@ -566,6 +622,16 @@ class TestMainExitCodes:
         skewed = np.array([[1, 1], [0, 1]], dtype=complex)
         monkeypatch.setitem(circuit_module._FIXED_1Q, "H", skewed)
         path = write_config(tmp_path)
+        assert main(["simulate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: matrix is not unitary")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "report.json").exists()
+
+    def test_non_unitary_rotation_exits_2(self, tmp_path, capsys, monkeypatch):
+        skewed = np.array([[1, 0.5], [0, 1]], dtype=complex)
+        monkeypatch.setattr(circuit_module, "_rotation_matrix", lambda kind, angle: skewed)
+        path = write_config(tmp_path, circuit="H 1\nRY 2 0.3\nCNOT 1 2\n")
         assert main(["simulate", "--config", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("validation error: matrix is not unitary")

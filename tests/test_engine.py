@@ -9,7 +9,7 @@ evidence, not tautology.
 import numpy as np
 import pytest
 
-from helpers import random_hermitian, random_unitary
+from helpers import conjugate_gate_by_gate, random_hermitian, random_unitary
 from spinensemble.circuit import Circuit, compose_propagator, parse_circuit, random_circuit
 from spinensemble.engine import (
     IMAG_TOL,
@@ -19,14 +19,16 @@ from spinensemble.engine import (
     ensemble_expectation_sum,
     ensemble_expectation_trace,
     evolve_eigenstate,
+    _evolved_density_matrix,
     per_state_expectations,
 )
-from spinensemble.qlinalg import HERMITIAN_TOL, ValidationError
+from spinensemble.qlinalg import HERMITIAN_TOL, ValidationError, hermitian
 from spinensemble.spin_system import (
     PauliSum,
     SpinSystem,
     ThermalEnsemble,
     collective_observable,
+    equilibrium_density_matrix,
 )
 
 H2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -337,6 +339,33 @@ class TestPathwayIndependence:
             run_compare(Circuit(1), zeeman_ensemble(1), bad)
         with pytest.raises(ValidationError, match="[Hh]ermitian"):
             ensemble_expectation_trace(Circuit(1), zeeman_ensemble(1), bad)
+
+
+class TestRowPassDensityMatrix:
+    """rho' = U (U rho)^dagger in two row passes, against gate-by-gate
+    conjugation with G on the rows and conj(G) on the columns."""
+
+    @pytest.mark.parametrize("temperature", [3.0e5, 1.0])
+    def test_matches_gate_by_gate_conjugation(self, temperature):
+        rng = np.random.default_rng(51)
+        for n_spins in range(1, 9):
+            ens = zeeman_ensemble(n_spins, temperature=temperature)
+            for _ in range(3):
+                circuit = random_circuit(n_spins, rng, min_depth=20, max_depth=20)
+                if n_spins >= 2:
+                    tail = f"CZ {n_spins} 1\nSWAP 1 {n_spins}\nCNOT 2 1"
+                    circuit = Circuit(n_spins, circuit.gates + parse_circuit(tail, n_spins).gates)
+                rho = _evolved_density_matrix(circuit, ens)
+                reference = conjugate_gate_by_gate(circuit, equilibrium_density_matrix(ens))
+                assert np.max(np.abs(rho - reference)) <= 1e-15
+                hermitian(rho)
+                assert np.max(np.abs(rho - rho.conj().T)) <= 1e-15
+
+    def test_empty_circuit_leaves_rho_alone(self):
+        ens = zeeman_ensemble(3)
+        np.testing.assert_array_equal(
+            _evolved_density_matrix(Circuit(3), ens), equilibrium_density_matrix(ens)
+        )
 
 
 class TestLinearity:

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from helpers import bell_state, random_density, random_state, random_unitary
-from spinensemble.circuit import compose_propagator, parse_circuit
+from spinensemble.circuit import Circuit, compose_propagator, parse_circuit, random_circuit
 from spinensemble.engine import evolve_eigenstate
 from spinensemble.entanglement import (
     EntanglementReport,
     SeparabilityReport,
     _ensemble_reports,
+    _entropies,
+    _schmidt_table,
     entanglement_entropy,
     entanglement_report,
     mixedness_report,
@@ -64,6 +66,97 @@ class TestSchmidtCoefficients:
         a = schmidt_coefficients(psi, BipartitionSpec((2,), (1, 3)))
         b = schmidt_coefficients(psi, BipartitionSpec((1, 3), (2,)))
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+def sample_cuts(n_spins):
+    """Contiguous halves, odd|even spins, and spin 2 against the rest."""
+    spins = range(1, n_spins + 1)
+    half = n_spins // 2
+    yield BipartitionSpec(tuple(spins[:half]), tuple(spins[half:]))
+    if n_spins >= 3:
+        yield BipartitionSpec(tuple(spins[::2]), tuple(spins[1::2]))
+        yield BipartitionSpec((2,), tuple(s for s in spins if s != 2))
+
+
+class TestSchmidtTable:
+    """One batched SVD over the propagator's columns, against the per-state path."""
+
+    def test_matches_per_state_reports_bit_for_bit(self):
+        rng = np.random.default_rng(56)
+        for n_spins in range(2, 9):
+            for part in sample_cuts(n_spins):
+                circuit = random_circuit(n_spins, rng, min_depth=20, max_depth=20)
+                u = compose_propagator(circuit)
+                coefficients, entropies, ranks = _schmidt_table(u, part)
+                for k in range(u.shape[0]):
+                    report = entanglement_report(evolve_eigenstate(u, k), part)
+                    np.testing.assert_array_equal(coefficients[k], report.schmidt_coefficients)
+                    assert entropies[k] == report.entropy_bits
+                    assert ranks[k] == report.schmidt_rank
+
+    def test_named_non_contiguous_cuts(self):
+        rng = np.random.default_rng(57)
+        for text, n_spins in (("1,3|2,4", 4), ("2|1,3", 3), ("1,4|2,3,5", 5)):
+            part = BipartitionSpec.parse(text, n_spins)
+            u = compose_propagator(random_circuit(n_spins, rng, min_depth=20, max_depth=20))
+            coefficients, _, _ = _schmidt_table(u, part)
+            for k in range(u.shape[0]):
+                expected = schmidt_coefficients(evolve_eigenstate(u, k), part)
+                np.testing.assert_array_equal(coefficients[k], expected)
+
+    def test_exact_zero_coefficients_give_positive_zero_entropy(self):
+        """A permutation circuit maps basis states to basis states, whose
+        coefficients are 1 and exact zeros."""
+        u = compose_propagator(parse_circuit("X 1\nCNOT 1 3\nSWAP 2 3", 3))
+        coefficients, entropies, ranks = _schmidt_table(u, BipartitionSpec((1, 3), (2,)))
+        assert np.all(coefficients[:, 0] == 1.0) and np.all(coefficients[:, 1] == 0.0)
+        assert np.all(ranks == 1)
+        assert all(math.copysign(1.0, e) == 1.0 and e == 0.0 for e in entropies.tolist())
+
+    def test_mixed_zero_patterns_match_per_state_entropies(self):
+        """Rows with different numbers of exact zeros each sum over their
+        own nonzero squares only."""
+        # spin 1 unset: basis states; spin 1 set: Bell states of spins 2 and 3
+        u = np.zeros((8, 8), dtype=complex)
+        u[:4, :4] = np.eye(4)
+        u[4:, 4:] = compose_propagator(parse_circuit("H 1\nCNOT 1 2", 2))
+        coefficients, entropies, _ = _schmidt_table(u, BipartitionSpec((2,), (1, 3)))
+        assert {np.count_nonzero(row) for row in coefficients} == {1, 2}
+        for row, entropy in zip(coefficients, entropies):
+            probs = row[row > 0] ** 2
+            assert entropy == max(float(-(probs * np.log2(probs)).sum()), 0.0)
+
+    @pytest.mark.parametrize("width", [2, 7, 8, 9, 32])
+    def test_entropies_sum_only_nonzero_squares_in_order(self, width):
+        """Alone or in a batch, a row's entropy is the sum over its nonzero
+        squares only, in their order, bit for bit: zeros anywhere in the
+        row, in rows long enough for numpy's pairwise summation."""
+        rng = np.random.default_rng(58)
+        rows = rng.random((200, width))
+        rows[rng.random(rows.shape) < 0.4] = 0.0
+        rows[:100] = -np.sort(-rows[:100], axis=1)  # descending, as an SVD gives
+        rows[:, 0] += 0.1
+        rows /= np.sqrt(np.sum(rows**2, axis=1, keepdims=True))
+        batch = _entropies(rows)
+        for row, entropy in zip(rows, batch):
+            probs = row[row > 0] ** 2
+            expected = max(float(-(probs * np.log2(probs)).sum()), 0.0)
+            assert entropy == expected == entanglement_entropy(row)
+
+    def test_unnormalized_column_rejected(self):
+        u = compose_propagator(parse_circuit("H 1\nCNOT 1 2", 2))
+        u[:, 2] *= 1.0 + 1e-9
+        with pytest.raises(ValidationError, match="eigenstate 2 is not normalized"):
+            _schmidt_table(u, CUT_12)
+        u[:, 2] = np.nan
+        with pytest.raises(ValidationError, match="eigenstate 2 is not normalized"):
+            _schmidt_table(u, CUT_12)
+
+    def test_squared_coefficients_must_sum_to_one(self, monkeypatch):
+        original = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: 1.001 * original(*a, **k))
+        with pytest.raises(ValidationError, match="squared coefficients sum to"):
+            _schmidt_table(compose_propagator(Circuit(2)), CUT_12)
 
 
 class TestEntanglementEntropy:

@@ -45,22 +45,22 @@ OBSERVABLES = ("x", "y@1", "z")
 # name -> (larmor, seed, circuit count)
 SWEEPS = {"sweep-n2": ("2.0, 1.0", 7, 6), "sweep-n4": ("2.4, 1.8, 1.2, 0.6", 44, 5)}
 
-# Taken when the separability section moved to the separable-ball certificate.
+# Taken when the trace pathway moved to two row passes of the gate list.
 PINNED_SHA256 = {
-    "simulate-n1-x": "443414707237db8addfea40b04881c21024afcc39c089b2372cf0e1a1f8344a4",
-    "simulate-n1-y@1": "089f8373d7d83099bfd81b10a7255ac8a3494be6c0d0f9db5df0bb8630ecf977",
-    "simulate-n1-z": "108978ad98d092cd35e7281e99f7732fc67cccdd2407d113dd0576f11dfce1bc",
-    "simulate-n2-x": "0dc58a93fd9cd68459e87ccfd86cf457fe861086d97765158fa3159e2019a2ea",
-    "simulate-n2-y@1": "e921fd5993e857fc2c770f98578b6689957104d40437d99c0e11dd8997261628",
-    "simulate-n2-z": "f5284928db2c7495c8e9d66773e40e53690278ceb3cc1fd7d6c77219eaacc7fc",
-    "simulate-n3-x": "9ddefca2fc6dd98e9ce2b879db2050e66ca55a0bf5a54a67271542d73561eb92",
-    "simulate-n3-y@1": "ba35d4bc8fa31f975640910344772fcf86b06921295378c7d1c7b196df2d0406",
-    "simulate-n3-z": "b399e419ae7eef01a2a4bed749508b0a4665141a351b56cffbe5b837ab3d9099",
-    "simulate-n5-x": "2b94a1a15ab904efff85d9d1d7b3e6a8b07e9e958c76b16a98402f138df7c79c",
-    "simulate-n5-y@1": "3d0dda9c50c28c7877368714d8cbbba8428b03e1374e018985045cf1b34c9386",
-    "simulate-n5-z": "1b895f79a78a92ced01145975b4d3e7321182613c660b2e9db9939003a60306d",
-    "sweep-n2": "bf05871f8352a6ee7581d21d506e2d0783d86d64f472534be5d93e6c7ca00618",
-    "sweep-n4": "863f2efce672d4a1606ebea5ceb5faaa95253d63e9ab0cd46c1ba3b4b8dc8afb",
+    "simulate-n1-x": "a0139fe32bd646f36e12baf78c2e11008acfe48615f2be5447770a8c77522bf0",
+    "simulate-n1-y@1": "6f8cbf3385b1440c3a1679518dd7c558050be423506f3a026989fc94d336ee10",
+    "simulate-n1-z": "f67212adb3346951ee6e72b2bcad8f902ca8ddb4e181b2f0ea438c355f1a8726",
+    "simulate-n2-x": "ec4de6a404af220fd51eaaacfe7c06e8083126cf9c5157d360705b1c877696c7",
+    "simulate-n2-y@1": "1fd822cf2259b106b19daedeffa59e4eedde0e9bf33db642f62716fad45be438",
+    "simulate-n2-z": "90655f543a8632a2f490452da05a66631e54691df1e380060e61b16aa4cb63f1",
+    "simulate-n3-x": "0baf0ff3e07a11b5db21bc0fcc4c284473fa4ab211c2b2645b3033887e856a04",
+    "simulate-n3-y@1": "22ce3c16a37394e9c45f631086eeedbdf66a165900f1201f0a25be100d023da6",
+    "simulate-n3-z": "bd7fd4a010fecdd90f924a7fb48ea632b43490c686ebb6fa4f369f8776b6ec1a",
+    "simulate-n5-x": "4e0093e03bd9507e2d8cca09081534aa647a1066f76414a1c9f0e81782c75c4d",
+    "simulate-n5-y@1": "48a8a7b9560836cb347bd38071e1b25feab0ca0613f06bb97968d1014447ea0a",
+    "simulate-n5-z": "5874d60bca190af5dd3b3df373a05418c65921bd839a9a2b974c8aab3b4a4b8c",
+    "sweep-n2": "7ec4955df2a306031b3b1f71cf0f8e186fea5812f3f6cd4b7429219d73d8ef57",
+    "sweep-n4": "185a1c95cf3018adca4d48f3a682cc8752ba4b50057603ba768dfe0f727dc8ff",
 }
 
 RUNNER = """\
