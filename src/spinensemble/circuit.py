@@ -19,13 +19,22 @@ locally to one or two axes of the array read as a (2,)*n tensor: a
 one-spin gate's 2x2 matrix multiplies its axis, and a two-spin gate,
 whose 4x4 matrix has one entry of +-1 per row, copies or negates slices.
 Either costs O(K**2) per gate on a K x K operand instead of the O(K**3)
-of a dense product.  The gate matrices are checked unitary, once per
-circuit, before any is applied, so a composed propagator is unitary by
-construction and is never checked as a K x K matrix.
+of a dense product.
+
+A circuit is compiled once, on first use, into a plan: per gate, the
+kernel for its kind and the arguments that kernel needs (a one-spin
+gate's axis and 2x2 matrix; a two-spin gate's slice index and the rows
+it negates).  Compiling checks every gate matrix unitary, and every 4x4
+a signed permutation, so a composed propagator is unitary by
+construction and is never checked as a K x K matrix.  The propagator and
+both passes of the trace pathway run the same plan.  A pass writes each
+gate's result alternately to its operand and to one spare array, so it
+allocates one K x K array however many gates it runs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -124,6 +133,11 @@ class Circuit:
     def dim(self) -> int:
         return 2**self.n_spins
 
+    @functools.cached_property
+    def _plan(self) -> tuple:
+        """The gates compiled for _apply_gates, built and checked on first use."""
+        return _compile(self.gates)
+
 
 def parse_circuit(text: str, n_spins: int) -> Circuit:
     """Parse circuit text; raises CircuitParseError citing the offending line."""
@@ -219,23 +233,54 @@ def _apply_gate(state: np.ndarray, matrix: np.ndarray, axes: tuple[int, ...]) ->
     rounds like the dense Kronecker-embedded product it replaces.  For a
     4x4 matrix, which must be a signed permutation, ``axes`` lists the
     axes of its first and second basis factor, in either order.  Returns a
-    new array of state's shape.
+    new complex array of state's shape.  This compiles the one gate and
+    runs it as a circuit's plan would.
     """
+    kernel, arguments = _compile_step(matrix, axes)
+    out = np.empty(np.shape(state), dtype=complex)
+    kernel(np.asarray(state, dtype=complex), out, *arguments)
+    return out
+
+
+def _compile(gates) -> tuple:
+    """Each gate's kernel and arguments, in order, after checking every
+    matrix unitary: one vectorised test per matrix size, so what the gates
+    compose is unitary by construction and no K x K product is checked."""
+    matrices = [_gate_matrix(gate) for gate in gates]
+    for size in (2, 4):
+        stack = [matrix for matrix in matrices if matrix.shape[0] == size]
+        if stack:
+            stack = np.stack(stack)
+            products = np.swapaxes(stack, 1, 2).conj() @ stack
+            dev = np.max(np.abs(products - np.eye(size)))
+            if not dev <= UNITARY_TOL:  # also rejects NaN
+                raise ValidationError(f"matrix is not unitary: max |U^dagger U - I| = {dev:.3e}")
+    return tuple(
+        _compile_step(matrix, tuple(t - 1 for t in gate.targets))
+        for matrix, gate in zip(matrices, gates)
+    )
+
+
+def _compile_step(matrix: np.ndarray, axes: tuple[int, ...]) -> tuple:
+    """The kernel for one gate on 0-based axes, and its arguments."""
     if len(axes) == 1:
-        (a,) = axes
-        return (matrix @ state.reshape(2**a, 2, -1)).reshape(state.shape)
-    return _permute_pair(state, matrix, *axes)
+        return _multiply_axis, (2 ** axes[0], matrix)
+    return _permute_pair, _pair_arguments(matrix, *axes)
 
 
-def _permute_pair(state: np.ndarray, matrix: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Apply a 4x4 signed permutation (CNOT, CZ, SWAP) to axes a and b.
+def _multiply_axis(state: np.ndarray, out: np.ndarray, outer: int, matrix: np.ndarray) -> None:
+    """A 2x2 matrix on the axis with ``outer`` entries before it, written
+    to ``out``, a C-contiguous array of state's shape."""
+    np.matmul(matrix, state.reshape(outer, 2, -1), out=out.reshape(outer, 2, -1))
 
-    Each output slice is one input slice, copied or negated, so the result
-    is exact.  The view (2**a, 2, gap, 2, width) is read as (2**a, 4*gap,
-    width): one ``take`` along the merged middle axis copies whole
-    contiguous runs of ``width`` entries in memory order.  Copying the four
-    quadrants one by one instead re-reads every cache line once per
-    quadrant when width is small.
+
+def _pair_arguments(matrix: np.ndarray, a: int, b: int) -> tuple:
+    """_permute_pair's arguments for a 4x4 signed permutation on axes a, b.
+
+    The view (2**a, 2, gap, 2, width) of an operand is read as (2**a,
+    4*gap, width), and ``index`` lists, per output position of the merged
+    middle axis, the position it copies.  Rows of the gate matrix whose
+    entry is -1 are negated after the copy.
     """
     m = matrix.reshape(2, 2, 2, 2)
     if a > b:
@@ -252,50 +297,55 @@ def _permute_pair(state: np.ndarray, matrix: np.ndarray, a: int, b: int) -> np.n
     # row 2i + j of the gate matrix has its entry in column 2k + l
     source = sources.reshape(2, 1, 2)
     index = (source >> 1) * (2 * gap) + np.arange(gap)[:, None] * 2 + (source & 1)
-    out = np.take(state.reshape(2**a, 4 * gap, -1), index.reshape(-1), axis=1)
-    quadrants = out.reshape(2**a, 2, gap, 2, -1)
-    for row in np.flatnonzero(signs == -1):
-        quadrant = quadrants[:, row >> 1, :, row & 1]
-        np.negative(quadrant, out=quadrant)
-    return out.reshape(state.shape)
+    return 2**a, gap, index.reshape(-1), tuple(np.flatnonzero(signs == -1).tolist())
 
 
-def _checked_gates(circuit: Circuit) -> list[tuple[np.ndarray, tuple[int, ...]]]:
-    """Each gate's matrix and the 0-based axes of its targets, in order.
+def _permute_pair(
+    state: np.ndarray, out: np.ndarray, outer: int, gap: int, index: np.ndarray, negated: tuple
+) -> None:
+    """Apply a two-spin signed permutation (CNOT, CZ, SWAP) compiled by
+    _pair_arguments, written to ``out``, a C-contiguous array of state's
+    shape.
 
-    The matrices are checked unitary once per circuit, one vectorised test
-    per matrix size, so what the gates compose is unitary by construction
-    and no K x K product is checked.  The 4x4s are also checked as signed
-    permutations when they are applied.
+    Each output slice is one input slice, copied or negated, so the result
+    is exact.  One ``take`` along the merged middle axis copies whole
+    contiguous runs of ``width`` entries in memory order.  Copying the four
+    quadrants one by one instead re-reads every cache line once per
+    quadrant when width is small.  The indices are in range, so "clip"
+    changes nothing but lets ``take`` write to ``out`` without a buffer.
     """
-    gates = [(_gate_matrix(gate), tuple(t - 1 for t in gate.targets)) for gate in circuit.gates]
-    for size in (2, 4):
-        stack = [matrix for matrix, _ in gates if matrix.shape[0] == size]
-        if stack:
-            stack = np.stack(stack)
-            products = np.swapaxes(stack, 1, 2).conj() @ stack
-            dev = np.max(np.abs(products - np.eye(size)))
-            if not dev <= UNITARY_TOL:  # also rejects NaN
-                raise ValidationError(f"matrix is not unitary: max |U^dagger U - I| = {dev:.3e}")
-    return gates
+    merged = out.reshape(outer, 4 * gap, -1)
+    state.reshape(outer, 4 * gap, -1).take(index, axis=1, out=merged, mode="clip")
+    if negated:
+        quadrants = merged.reshape(outer, 2, gap, 2, -1)
+        for row in negated:
+            quadrant = quadrants[:, row >> 1, :, row & 1]
+            np.negative(quadrant, out=quadrant)
 
 
-def _apply_gates(state: np.ndarray, gates) -> np.ndarray:
-    """Apply checked gates in order to the row axes of a K x K operand."""
-    for matrix, axes in gates:
-        state = _apply_gate(state, matrix, axes)
+def _apply_gates(state: np.ndarray, plan) -> np.ndarray:
+    """Run a circuit's plan, gate by gate, on the row axes of a K x K operand.
+
+    The gates write alternately to one spare array and to the operand,
+    which is overwritten when it is already a C-contiguous complex array.
+    """
+    state = np.ascontiguousarray(state, dtype=complex)
+    spare = np.empty_like(state)
+    for kernel, arguments in plan:
+        kernel(state, spare, *arguments)
+        state, spare = spare, state
     return state
 
 
 def compose_propagator(circuit: Circuit) -> np.ndarray:
     """Product of the gate unitaries, first listed gate applied first.
 
-    The gates act in order on the rows of the identity.  Returns the
+    The circuit's plan runs on the rows of the identity.  Returns the
     identity for an empty circuit.  Each gate matrix is checked unitary
-    before any is applied, so the product is unitary up to rounding and is
-    not checked again.
+    when the plan is compiled, before any is applied, so the product is
+    unitary up to rounding and is not checked again.
     """
-    return _apply_gates(np.eye(circuit.dim, dtype=complex), _checked_gates(circuit))
+    return _apply_gates(np.eye(circuit.dim, dtype=complex), circuit._plan)
 
 
 def random_circuit(n_spins: int, rng: np.random.Generator, min_depth: int = 1, max_depth: int = 20) -> Circuit:

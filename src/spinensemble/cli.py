@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -92,6 +93,12 @@ class RunConfig:
 
     def resolve(self, path: str) -> str:
         return path if os.path.isabs(path) else os.path.join(self.base_dir, path)
+
+    @functools.cached_property
+    def _ensemble(self) -> ThermalEnsemble:
+        """build_ensemble(self), built once: load_config builds it to check
+        the values, and the commands reuse it."""
+        return build_ensemble(self)
 
 
 _KEY_ORDER = (
@@ -185,7 +192,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"seed must be nonnegative, got {config.seed}")
     # Other values are checked by the library types built from them.
     with _config_values():
-        build_ensemble(config)
+        config._ensemble  # building it checks larmor, temperature and molecule_count
         if config.observable is not None:
             _observable(config.observable, config.n_spins)
         if config.bipartition is not None:
@@ -260,7 +267,7 @@ def run_simulate(config: RunConfig, output_path: str | None = None) -> dict:
         circuit_text = handle.read()
     circuit = parse_circuit(circuit_text, config.n_spins)
     propagator = compose_propagator(circuit)
-    ensemble = build_ensemble(config)
+    ensemble = config._ensemble
     _, observable = parse_observable(config.observable, config.n_spins)
 
     (result,), rho_evolved = _compare_pathways(circuit, propagator, ensemble, [observable])
@@ -319,7 +326,7 @@ def run_sweep(config: RunConfig, n_circuits: int, output_path: str | None = None
     if n_circuits < 0:
         raise ConfigError(f"circuit count must be nonnegative, got {n_circuits}")
 
-    ensemble = build_ensemble(config)
+    ensemble = config._ensemble
     observables = [PauliSum.collective(config.n_spins, axis) for axis in SWEEP_AXES]
     tolerance = PATHWAY_TOL * ensemble.molecule_count
     rng = np.random.default_rng(config.seed)
@@ -428,11 +435,16 @@ def _render_value(value, level: int) -> str:
             return "{}"
         pad, inner = "  " * level, "  " * (level + 1)
         items = ",\n".join(
-            f"{inner}{json.dumps(str(key))}: {_render_value(item, level + 1)}"
+            f"{inner}{_json_key(str(key))}: {_render_value(item, level + 1)}"
             for key, item in value.items()
         )
         return "{\n" + items + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(value).__name__} in report")
+
+
+@functools.lru_cache(maxsize=256)  # a report has a few dozen distinct keys
+def _json_key(key: str) -> str:
+    return json.dumps(key)
 
 
 def summary_lines(report: dict) -> list[str]:
@@ -505,6 +517,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # built on the first main call, then reused
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="spinensemble",

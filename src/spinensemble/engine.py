@@ -7,10 +7,11 @@ the population-weighted sum over initial states.  Pathway B ("trace")
 builds the equilibrium density matrix once, evolves it as
 rho' = U (U rho)^dagger in two passes of the gate list over its rows, and
 reads M * tr(rho' * obs).  The trace pathway never reads the propagator:
-the two share only the gate list, so a defect in composing the
-propagator shows up as a disagreement instead of cancelling out.  Their
-agreement is the package's central consistency check, so a result where
-they disagree hands both numbers back instead of hiding one.
+the two share only the gate list, compiled once per circuit into the
+plan both run, so a defect in composing the propagator shows up as a
+disagreement instead of cancelling out.  Their agreement is the
+package's central consistency check, so a result where they disagree
+hands both numbers back instead of hiding one.
 
 An observable is a PauliSum (spin_system), such as the collective
 magnetisation, or a dense Hermitian matrix.  A PauliSum is read term by
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, _apply_gates, _checked_gates
+from .circuit import Circuit, _apply_gates
 from .qlinalg import ValidationError, _inner, hermitian, unitary
 from .spin_system import _PAULI_BY_AXIS, PauliSum, ThermalEnsemble, equilibrium_density_matrix
 
@@ -155,14 +156,19 @@ def ensemble_expectation_sum(
     u = unitary(propagator)
     obs = _checked(observable)
     _require_dim(ensemble.system.dim, u, obs)
-    return _weighted_sum(ensemble, _per_state_values(u, obs))
+    return _weighted_sum(ensemble.populations, _per_state_values(u, obs))
 
 
-def _weighted_sum(ensemble: ThermalEnsemble, per_state: np.ndarray) -> float:
-    total = 0.0
-    for k in range(per_state.shape[0]):
-        total += float(ensemble.populations[k]) * float(per_state[k])
-    return total
+def _weighted_sum(populations: np.ndarray, per_state: np.ndarray) -> float:
+    """sum_k populations[k] * per_state[k], added in ascending k.
+
+    cumsum adds strictly left to right, so this rounds like a loop that
+    starts from 0.0; adding 0.0 last turns the -0.0 of an all -0.0 sum into
+    the loop's 0.0.
+    """
+    if not per_state.size:
+        return 0.0
+    return float(np.cumsum(populations * per_state)[-1]) + 0.0
 
 
 def ensemble_expectation_trace(
@@ -178,13 +184,15 @@ def ensemble_expectation_trace(
 def _evolved_density_matrix(circuit: Circuit, ensemble: ThermalEnsemble) -> np.ndarray:
     """U rho U^dagger from the gate list, without U, in two row passes.
 
-    rho is real and diagonal, so rho U^dagger = (U rho)^dagger: the gates
-    act on the rows of rho, the result is conjugate-transposed once, and
-    the gates act on its rows again.
+    rho is real and diagonal, so rho U^dagger = (U rho)^dagger: the
+    circuit's plan runs on the rows of rho, the result is
+    conjugate-transposed once, and the plan runs on its rows again.  Each
+    pass overwrites its operand, and the half-evolved operand is released
+    before the second pass, so no more than two K x K arrays are alive here.
     """
-    gates = _checked_gates(circuit)
-    half = _apply_gates(equilibrium_density_matrix(ensemble), gates)
-    return _apply_gates(np.conjugate(half.T, order="C"), gates)
+    rho = _apply_gates(equilibrium_density_matrix(ensemble), circuit._plan)
+    rho = np.conjugate(rho.T, order="C")
+    return _apply_gates(rho, circuit._plan)
 
 
 def _trace_value(rho: np.ndarray, obs, molecule_count: float) -> float:
@@ -247,7 +255,7 @@ def _compare_pathways(
     results = []
     for obs in checked:
         per_state = _per_state_values(u, obs, pairs)
-        total = _weighted_sum(ensemble, per_state)
+        total = _weighted_sum(ensemble.populations, per_state)
         trace_value = _trace_value(rho, obs, ensemble.molecule_count)
         results.append(
             PathwayResult(

@@ -141,7 +141,7 @@ def _entropies(coefficients: np.ndarray) -> np.ndarray:
     """
     probs = coefficients**2
     totals = probs.sum(axis=1)
-    bad = np.flatnonzero(np.abs(totals - 1.0) > 1e-8)
+    bad = np.flatnonzero(~(np.abs(totals - 1.0) <= 1e-8))  # also rejects NaN
     if bad.size:
         raise ValidationError(f"squared coefficients sum to {totals[bad[0]]}, expected 1")
     nonzero = probs > 0.0

@@ -10,6 +10,7 @@ from spinensemble.circuit import (
     CircuitParseError,
     Gate,
     _apply_gate,
+    _apply_gates,
     _gate_matrix,
     compose_propagator,
     format_circuit,
@@ -270,6 +271,15 @@ class TestTrustedPropagator:
         with pytest.raises(ValidationError, match="^matrix is not unitary"):
             compose_propagator(parse_circuit("H 1\nCZ 1 2", 2))
 
+    def test_a_unitary_two_spin_gate_that_is_not_a_signed_permutation_is_rejected(
+        self, monkeypatch
+    ):
+        """kron(H, H) passes the unitarity check but is no slice permutation."""
+        hadamard = _gate_matrix(Gate("H", (1,)))
+        monkeypatch.setitem(circuit_module._FIXED_2Q, "CZ", np.kron(hadamard, hadamard))
+        with pytest.raises(ValidationError, match="permute"):
+            compose_propagator(parse_circuit("H 1\nCZ 1 2", 2))
+
 
 def dense_gate(gate, n_spins):
     """Kronecker-product reference for one gate: a sum of tensor products.
@@ -340,7 +350,7 @@ class TestLocalGateApplication:
             assert u[dst, src] == 1.0 and np.count_nonzero(u[:, src]) == 1
 
     def test_every_axis_of_an_operator_tensor(self):
-        """Both kernel branches: one-spin gates on all 10 axes of a 32 x 32 operator."""
+        """One-spin gates on all 10 axes of a 32 x 32 operator: row axes and column axes."""
         rng = np.random.default_rng(79)
         state = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
         for gate in (Gate("H", (1,)), Gate("RX", (1,), 0.9), Gate("T", (1,))):
@@ -373,6 +383,30 @@ class TestLocalGateApplication:
                 expected = local @ state.reshape(2**low, 2**span, 2 ** (9 - high))
                 got = _apply_gate(state, _gate_matrix(Gate(kind, (1, 2))), (first, second))
                 np.testing.assert_array_equal(got.reshape(-1), expected.reshape(-1))
+
+    def test_compiled_plan_matches_gate_by_gate(self, monkeypatch):
+        """A circuit's plan runs each gate as _apply_gate does, bit for bit,
+        and reads no gate matrix's nonzero pattern while it runs."""
+        rng = np.random.default_rng(83)
+        cases = []
+        for n_spins in range(1, 7):
+            for _ in range(4):
+                circuit = random_circuit(n_spins, rng)
+                shape = (circuit.dim, circuit.dim)
+                state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                expected = state
+                for gate in circuit.gates:
+                    axes = tuple(t - 1 for t in gate.targets)
+                    expected = _apply_gate(expected, _gate_matrix(gate), axes)
+                cases.append((circuit._plan, state, expected))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a compiled plan inspected a gate matrix")
+
+        for name in ("nonzero", "flatnonzero", "sort", "argsort"):
+            monkeypatch.setattr(np, name, refuse)
+        for plan, state, expected in cases:
+            np.testing.assert_array_equal(_apply_gates(state, plan), expected)
 
     def test_rejects_a_two_spin_matrix_that_is_not_a_signed_permutation(self):
         state = np.eye(4, dtype=complex)

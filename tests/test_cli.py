@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from spinensemble import circuit as circuit_module
+from spinensemble import cli as cli_module
 from spinensemble.circuit import CircuitParseError
 from spinensemble.cli import (
     ConfigError,
@@ -372,6 +373,53 @@ class TestRunSimulate:
         report = json.loads((tmp_path / "report.json").read_text())
         assert (report["pathways"] or report["sweep"])["within_tolerance"] is True
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_each_gate_matrix_is_built_once(self, tmp_path, monkeypatch, command):
+        """The propagator and the trace pathway's two passes run one
+        compiled plan per circuit, so each gate's matrix is built and
+        checked once."""
+        built, circuits = [], []
+        build_matrix, build_random = circuit_module._gate_matrix, cli_module.random_circuit
+
+        def counting_matrix(gate):
+            built.append(gate)
+            return build_matrix(gate)
+
+        def recording(*args, **kwargs):
+            circuits.append(build_random(*args, **kwargs))
+            return circuits[-1]
+
+        monkeypatch.setattr(circuit_module, "_gate_matrix", counting_matrix)
+        monkeypatch.setattr(cli_module, "random_circuit", recording)
+        if command == "simulate":
+            text = "H 1\nRY 2 0.4\nCNOT 1 2\nCZ 2 1\nSWAP 1 2\n"
+            assert main(["simulate", "--config", write_config(tmp_path, circuit=text)]) == 0
+            assert len(built) == 5
+        else:
+            config = write_config(tmp_path, BASE_CONFIG + "seed = 3\n")
+            assert main(["sweep", "--config", config, "--n", "4"]) == 0
+            assert len(circuits) == 4
+            assert len(built) == sum(len(circuit.gates) for circuit in circuits) > 0
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_ensemble_is_built_once(self, tmp_path, monkeypatch, command):
+        """load_config builds the ensemble to check the config, and the
+        command reuses it."""
+        calls = []
+        original = cli_module.default_energies
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli_module, "default_energies", counting)
+        if command == "simulate":
+            argv = ["simulate", "--config", write_config(tmp_path)]
+        else:
+            argv = ["sweep", "--config", write_config(tmp_path, BASE_CONFIG + "seed = 3\n"), "--n", "2"]
+        assert main(argv) == 0
+        assert len(calls) == 1
+
     def test_reports_are_byte_deterministic(self, tmp_path):
         config = load_config(write_config(tmp_path))
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -635,6 +683,18 @@ class TestMainExitCodes:
         assert main(["simulate", "--config", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("validation error: matrix is not unitary")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "report.json").exists()
+
+    def test_two_spin_gate_that_is_not_a_signed_permutation_exits_2(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        hadamard = circuit_module._FIXED_1Q["H"]
+        monkeypatch.setitem(circuit_module._FIXED_2Q, "CZ", np.kron(hadamard, hadamard))
+        path = write_config(tmp_path, circuit="H 1\nCZ 1 2\n")
+        assert main(["simulate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: a two-spin gate must permute")
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "report.json").exists()
 

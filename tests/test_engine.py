@@ -6,6 +6,9 @@ gate. They share only the gate list, not the propagator, so agreement is
 evidence, not tautology.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from spinensemble.engine import (
     ensemble_expectation_trace,
     evolve_eigenstate,
     _evolved_density_matrix,
+    _weighted_sum,
     per_state_expectations,
 )
 from spinensemble.qlinalg import HERMITIAN_TOL, ValidationError, hermitian
@@ -192,7 +196,29 @@ class TestPauliSum:
             PauliSum(*args)
 
 
+def weighted_sum_loop(populations, per_state):
+    """Reference: the population-weighted sum as a loop in ascending k."""
+    total = 0.0
+    for k in range(per_state.shape[0]):
+        total += float(populations[k]) * float(per_state[k])
+    return total
+
+
 class TestEnsembleSum:
+    @pytest.mark.parametrize("size", [0, 1, 2, 16, 1024, 4096])
+    def test_weighted_sum_is_the_loop_bit_for_bit(self, size):
+        rng = np.random.default_rng(size)
+        populations = rng.uniform(0.0, 1e6, size)
+        per_state = rng.normal(size=size)
+        got = _weighted_sum(populations, per_state)
+        assert type(got) is float
+        assert got.hex() == weighted_sum_loop(populations, per_state).hex()
+
+    def test_weighted_sum_of_negative_zeros_is_positive_zero(self):
+        populations, per_state = np.ones(4), np.full(4, -0.0)
+        assert math.copysign(1.0, _weighted_sum(populations, per_state)) == 1.0
+        assert math.copysign(1.0, weighted_sum_loop(populations, per_state)) == 1.0
+
     def test_uniform_populations_kill_traceless_observable(self):
         """With all C_k equal the sum is C * tr(U obs U+) = 0 for traceless obs."""
         rng = np.random.default_rng(42)
@@ -360,6 +386,24 @@ class TestRowPassDensityMatrix:
                 assert np.max(np.abs(rho - reference)) <= 1e-15
                 hermitian(rho)
                 assert np.max(np.abs(rho - rho.conj().T)) <= 1e-15
+
+    def test_holds_two_operands_at_a_time(self):
+        """Each pass writes to its operand and one spare array, and the
+        half-evolved operand is gone before the second pass: the peak is
+        two K x K arrays, not one per gate or three."""
+        n_spins = 8
+        operand = 16 * 4**n_spins
+        ens = zeeman_ensemble(n_spins)
+        circuit = random_circuit(n_spins, np.random.default_rng(52), min_depth=20, max_depth=20)
+        circuit._plan  # compiled outside the measurement
+        tracemalloc.start()
+        try:
+            rho = _evolved_density_matrix(circuit, ens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rho.nbytes == operand
+        assert peak < 2.5 * operand
 
     def test_empty_circuit_leaves_rho_alone(self):
         ens = zeeman_ensemble(3)

@@ -187,6 +187,15 @@ class TestEntanglementEntropy:
         with pytest.raises(ValidationError, match="sum"):
             entanglement_entropy(np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize(
+        "coefficients", [[math.nan, 1.0], [math.nan, INV_SQRT2, INV_SQRT2]], ids=["nan-1", "nan-bell"]
+    )
+    def test_nan_coefficients_rejected(self, coefficients):
+        """A NaN square makes the sum NaN, which fails the sum check
+        instead of being dropped as a zero square."""
+        with pytest.raises(ValidationError, match="sum to nan"):
+            entanglement_entropy(np.array(coefficients))
+
 
 class TestEntanglementReport:
     def test_bell_report(self):
