@@ -38,7 +38,6 @@ from .qlinalg import (
     BipartitionSpec,
     ValidationError,
     density_matrix,
-    embed_single_spin,
     frobenius_distance,
     hermitian,
     hermitian_eigenvalues,
@@ -53,11 +52,9 @@ from .spin_system import (
     SpinSystem,
     ThermalEnsemble,
     boltzmann_populations,
-    collective_observable,
     default_energies,
     epsilon_report,
     equilibrium_density_matrix,
-    single_spin_observable,
 )
 
 __all__ = [
@@ -74,12 +71,10 @@ __all__ = [
     "ThermalEnsemble",
     "ValidationError",
     "boltzmann_populations",
-    "collective_observable",
     "compare_pathways",
     "compose_propagator",
     "default_energies",
     "density_matrix",
-    "embed_single_spin",
     "ensemble_expectation_sum",
     "ensemble_expectation_trace",
     "entanglement_entropy",
@@ -99,7 +94,6 @@ __all__ = [
     "ppt_report",
     "random_circuit",
     "schmidt_coefficients",
-    "single_spin_observable",
     "state_vector",
     "unitary",
 ]

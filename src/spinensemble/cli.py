@@ -152,14 +152,19 @@ def _config_float(entries: dict[str, str], key: str) -> float:
     return value
 
 
-def load_config(path: str) -> RunConfig:
-    """Parse and validate a config file; raises ConfigError on any problem."""
+def _read_text(path: str, role: str) -> str:
+    """The file's UTF-8 text; ConfigError names the file when it cannot be
+    read or is not UTF-8."""
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    entries = _parse_entries(text, path)
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {role} {path}: {exc}") from None
+
+
+def load_config(path: str) -> RunConfig:
+    """Parse and validate a config file; raises ConfigError on any problem."""
+    entries = _parse_entries(_read_text(path, "config"), path)
     for key in _REQUIRED_KEYS:
         if key not in entries:
             raise ConfigError(f"{path}: missing required key {key!r}")
@@ -214,7 +219,7 @@ def _observable(spec: str, n_spins: int) -> tuple[str, PauliSum]:
     if not at:
         return f"collective {axis}", PauliSum.collective(n_spins, axis)
     spin_text = spin_text.strip()
-    if not spin_text.isdigit():
+    if not spin_text.isdecimal():
         raise ConfigError(f"observable spin must be an integer, got {spin_text!r}")
     spin = int(spin_text)
     return f"spin-{spin} {axis}", PauliSum(n_spins, axis, (spin,))
@@ -263,8 +268,7 @@ def run_simulate(config: RunConfig, output_path: str | None = None) -> dict:
     if config.n_spins >= 2 and config.bipartition is None:
         raise ConfigError("simulate needs bipartition in the config for 2 or more spins")
 
-    with open(config.resolve(config.circuit_path), encoding="utf-8") as handle:
-        circuit_text = handle.read()
+    circuit_text = _read_text(config.resolve(config.circuit_path), "circuit")
     circuit = parse_circuit(circuit_text, config.n_spins)
     propagator = compose_propagator(circuit)
     ensemble = config._ensemble

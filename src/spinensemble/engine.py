@@ -14,20 +14,18 @@ package's central consistency check, so a result where they disagree
 hands both numbers back instead of hiding one.
 
 An observable is a PauliSum (spin_system), such as the collective
-magnetisation, or a dense Hermitian matrix.  A PauliSum is read term by
+magnetisation, and the engine accepts nothing else.  It is read term by
 term and never built as a matrix: the sum pathway takes O(N K^2) row-pair
 reductions of the propagator, the trace pathway reads each spin's reduced
-2x2 block of rho' in O(N K).  A dense matrix takes the reference route,
-obs @ U and tr(rho' obs).  Every reduction runs in numpy's own loops, not
-in BLAS, so its bits do not depend on the BLAS thread count.
+2x2 block of rho' in O(N K).  Every reduction runs in numpy's own loops,
+not in BLAS, so its bits do not depend on the BLAS thread count.
 
 Per-state expectation values depend only on the initial eigenstate index,
 never on which physical molecule carries it; no molecule index exists
-anywhere in this module.  Expectations of Hermitian observables are real
-up to rounding.  The trace pathway, and the sum pathway for a dense
-matrix, check their imaginary residuals against a 1e-10 budget and refuse
-to return silently contaminated numbers; a PauliSum's per-state values
-are the real or imaginary part of one product, real by construction.
+anywhere in this module.  A PauliSum's per-state values are the real or
+imaginary part of one product, real by construction.  The trace pathway
+checks its imaginary residual against a 1e-10 budget and refuses to
+return a silently contaminated number.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, _apply_gates
-from .qlinalg import ValidationError, _inner, hermitian, unitary
+from .qlinalg import ValidationError, unitary
 from .spin_system import _PAULI_BY_AXIS, PauliSum, ThermalEnsemble, equilibrium_density_matrix
 
 IMAG_TOL = 1e-10
@@ -83,7 +81,7 @@ def per_state_expectations(propagator: np.ndarray, observable) -> np.ndarray:
 
     The evolved state of eigenstate k is the k-th column of the
     propagator, so each value is a quadratic form in one column, never a
-    density matrix.  ``observable`` is a PauliSum or a Hermitian matrix.
+    density matrix.  ``observable`` is a PauliSum, read term by term.
     """
     u = unitary(propagator)
     obs = _checked(observable)
@@ -91,14 +89,16 @@ def per_state_expectations(propagator: np.ndarray, observable) -> np.ndarray:
     return _per_state_values(u, obs)
 
 
-def _checked(observable):
-    """A PauliSum as it is (it checked itself when built), anything else
-    as a checked Hermitian matrix."""
-    return observable if isinstance(observable, PauliSum) else hermitian(observable)
+def _checked(observable) -> PauliSum:
+    """The observable, which must be a PauliSum; a PauliSum checked itself
+    when built."""
+    if not isinstance(observable, PauliSum):
+        raise ValidationError(f"observable must be a PauliSum, got {type(observable).__name__}")
+    return observable
 
 
 def _require_dim(dim: int, *operands) -> None:
-    """Each operand, a matrix, a PauliSum or a Circuit, must act on dim levels."""
+    """Each operand, the propagator, a PauliSum or a Circuit, must act on dim levels."""
     for op in operands:
         if isinstance(op, np.ndarray):
             kind, shape = "matrix", op.shape
@@ -108,21 +108,7 @@ def _require_dim(dim: int, *operands) -> None:
             raise ValidationError(f"{kind} shape {shape} does not match dimension {dim}")
 
 
-def _per_state_values(u: np.ndarray, obs, pairs: dict | None = None) -> np.ndarray:
-    """Expectation per column of u; pairs keeps row-pair products by spin."""
-    if isinstance(obs, PauliSum):
-        return _pauli_per_state_values(u, obs, {} if pairs is None else pairs)
-    raw = np.einsum("ik,ik->k", u.conj(), obs @ u)
-    bad = np.flatnonzero(np.abs(raw.imag) > IMAG_TOL)
-    if bad.size:
-        raise ValidationError(
-            f"expectation for eigenstate {bad[0]} has imaginary residual "
-            f"{raw[bad[0]].imag:.3e}"
-        )
-    return np.ascontiguousarray(raw.real)
-
-
-def _pauli_per_state_values(u: np.ndarray, obs: PauliSum, pairs: dict) -> np.ndarray:
+def _per_state_values(u: np.ndarray, obs: PauliSum, pairs: dict | None = None) -> np.ndarray:
     """Per-column expectations of a Pauli sum from the rows of u, O(N K^2).
 
     Read u's rows as (2,)*N axes.  For spin j, the sum over the other row
@@ -136,6 +122,7 @@ def _pauli_per_state_values(u: np.ndarray, obs: PauliSum, pairs: dict) -> np.nda
         index = np.arange(u.shape[0])
         weights = sum(0.5 - ((index >> (obs.n_spins - spin)) & 1) for spin in obs.spins)
         return np.einsum("i,ik->k", weights, u.real**2 + u.imag**2)
+    pairs = {} if pairs is None else pairs
     values = np.zeros(u.shape[1])
     for spin in obs.spins:
         if spin not in pairs:
@@ -195,19 +182,8 @@ def _evolved_density_matrix(circuit: Circuit, ensemble: ThermalEnsemble) -> np.n
     return _apply_gates(rho, circuit._plan)
 
 
-def _trace_value(rho: np.ndarray, obs, molecule_count: float) -> float:
-    if isinstance(obs, PauliSum):
-        raw = _pauli_trace(rho, obs)
-    else:
-        # tr(rho obs) = sum_ij rho_ij obs_ji = sum_ij conj(obs_ij) rho_ij for Hermitian obs
-        raw = _inner(obs, rho)
-    if abs(raw.imag) > IMAG_TOL:
-        raise ValidationError(f"trace expectation has imaginary residual {raw.imag:.3e}")
-    return float(molecule_count * raw.real)
-
-
-def _pauli_trace(rho: np.ndarray, obs: PauliSum) -> complex:
-    """tr(rho obs) from each listed spin's reduced 2x2 block of rho, O(N K).
+def _trace_value(rho: np.ndarray, obs: PauliSum, molecule_count: float) -> float:
+    """M * tr(rho obs) from each listed spin's reduced 2x2 block of rho, O(N K).
 
     The block of spin j sums rho over equal row and column indices of
     every other spin; tr(block sigma) / 2 is that spin's term.
@@ -218,7 +194,9 @@ def _pauli_trace(rho: np.ndarray, obs: PauliSum) -> complex:
         outer, inner = 2 ** (spin - 1), 2 ** (obs.n_spins - spin)
         block = np.einsum("asbatb->st", rho.reshape(outer, 2, inner, outer, 2, inner))
         raw += np.einsum("st,ts->", block, pauli) / 2
-    return complex(raw)
+    if abs(raw.imag) > IMAG_TOL:
+        raise ValidationError(f"trace expectation has imaginary residual {raw.imag:.3e}")
+    return float(molecule_count * raw.real)
 
 
 def compare_pathways(
@@ -235,9 +213,8 @@ def compare_pathways(
     the density matrix from the circuit's gate list in two row passes and
     never reads the propagator, so a propagator that is not the
     circuit's, unitary or not, shows up as a disagreement rather than as
-    an error.  Each observable is a PauliSum or a matrix, which is checked
-    to be Hermitian; the evolved density matrix is built once and read for
-    every observable.
+    an error.  Each observable is a PauliSum; the evolved density matrix is
+    built once and read for every observable.
     """
     return _compare_pathways(circuit, propagator, ensemble, observables)[0]
 

@@ -4,8 +4,7 @@ Everything in this package works on plain ``numpy`` arrays of dtype
 complex128.  The functions here validate the roles a matrix or vector is
 supposed to play (Hermitian, unitary, normalized state, density operator)
 and provide the handful of primitives the rest of the package is built on:
-single-spin embedding, Hermitian spectra, partial transpose and Frobenius
-distances.
+Hermitian spectra, partial transpose and Frobenius distances.
 
 Conventions, fixed once for the whole package:
 
@@ -38,8 +37,7 @@ DIM_CAP = 2**MAX_SPINS
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
-for _m in (PAULI_X, PAULI_Y, PAULI_Z, IDENTITY_2):
+for _m in (PAULI_X, PAULI_Y, PAULI_Z):
     _m.setflags(write=False)
 
 
@@ -207,18 +205,6 @@ class BipartitionSpec:
         if self.n_spins <= 9:
             return "".join(map(str, self.left)) + "|" + "".join(map(str, self.right))
         return ",".join(map(str, self.left)) + "|" + ",".join(map(str, self.right))
-
-
-def embed_single_spin(op2, spin: int, n_spins: int) -> np.ndarray:
-    """Embed a 2x2 operator on one spin of an N-spin space (big-endian)."""
-    op2 = as_matrix(op2)
-    if op2.shape[0] != 2:
-        raise ValidationError("embed_single_spin expects a 2x2 operator")
-    if not 1 <= spin <= n_spins:
-        raise ValidationError(f"spin index {spin} out of range for {n_spins} spins")
-    left = np.eye(2 ** (spin - 1), dtype=complex)
-    right = np.eye(2 ** (n_spins - spin), dtype=complex)
-    return np.kron(np.kron(left, op2), right)
 
 
 def hermitian_eigenvalues(a) -> np.ndarray:

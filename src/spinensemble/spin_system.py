@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qlinalg import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    ValidationError,
-    _require_spin_count,
-    embed_single_spin,
-)
+from .qlinalg import PAULI_X, PAULI_Y, PAULI_Z, ValidationError, _require_spin_count
 
 _PAULI_BY_AXIS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
@@ -188,9 +181,9 @@ class PauliSum:
     """The observable sum_j sigma_axis(spin j) / 2 over the listed spins.
 
     All spins make the collective magnetisation along the axis; one spin
-    makes that spin's component.  The pathway engine reads a PauliSum
-    term by term and never forms its 2**N x 2**N matrix; ``dense`` builds
-    that matrix on request.
+    makes that spin's component.  It is the only observable the pathway
+    engine accepts, which reads it term by term and never forms its
+    2**N x 2**N matrix.
     """
 
     n_spins: int
@@ -221,21 +214,3 @@ class PauliSum:
     @property
     def dim(self) -> int:
         return 2**self.n_spins
-
-    def dense(self) -> np.ndarray:
-        """The observable as a 2**N x 2**N matrix."""
-        pauli = _PAULI_BY_AXIS[self.axis] / 2.0
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for spin in self.spins:
-            total += embed_single_spin(pauli, spin, self.n_spins)
-        return total
-
-
-def collective_observable(n_spins: int, axis: str) -> np.ndarray:
-    """Total spin component along an axis: sum_j sigma_axis(spin j) / 2."""
-    return PauliSum.collective(n_spins, axis).dense()
-
-
-def single_spin_observable(n_spins: int, axis: str, spin: int) -> np.ndarray:
-    """Spin component of one spin only: sigma_axis(spin) / 2 embedded in N spins."""
-    return PauliSum(n_spins, axis, (spin,)).dense()

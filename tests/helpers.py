@@ -3,6 +3,7 @@
 import numpy as np
 
 from spinensemble.circuit import _apply_gate, _gate_matrix
+from spinensemble.qlinalg import PAULI_X, PAULI_Y, PAULI_Z
 
 
 def random_unitary(rng, dim):
@@ -46,3 +47,25 @@ def conjugate_gate_by_gate(circuit, rho):
         rho = _apply_gate(rho, matrix, tuple(t - 1 for t in gate.targets))
         rho = _apply_gate(rho, matrix.conj(), tuple(n_spins + t - 1 for t in gate.targets))
     return rho
+
+
+def dense_observable(pauli):
+    """Reference matrix of a PauliSum: sigma_axis / 2 on each listed spin,
+    embedded by Kronecker products with spin 1 the most significant bit."""
+    sigma = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}[pauli.axis] / 2.0
+    total = np.zeros((pauli.dim, pauli.dim), dtype=complex)
+    for spin in pauli.spins:
+        left = np.eye(2 ** (spin - 1))
+        right = np.eye(2 ** (pauli.n_spins - spin))
+        total += np.kron(np.kron(left, sigma), right)
+    return total
+
+
+def dense_per_state_values(u, matrix):
+    """Reference <k|U^dagger obs U|k> for every column k of u, from obs @ u."""
+    return np.einsum("ik,ik->k", u.conj(), matrix @ u).real
+
+
+def dense_trace_value(rho, matrix, molecule_count):
+    """Reference M * tr(rho obs), read from the dense matrix."""
+    return molecule_count * np.einsum("ij,ji->", rho, matrix).real

@@ -24,9 +24,9 @@ from spinensemble.engine import (
 from spinensemble.entanglement import entanglement_report, ppt_report
 from spinensemble.qlinalg import BipartitionSpec, frobenius_distance, maximally_mixed
 from spinensemble.spin_system import (
+    PauliSum,
     SpinSystem,
     ThermalEnsemble,
-    collective_observable,
     equilibrium_density_matrix,
 )
 
@@ -53,7 +53,7 @@ def test_criterion_1_pathway_agreement_on_random_circuits():
     problems = []
     started = time.perf_counter()
     for n_spins in (1, 2, 3, 4):
-        observables = {axis: collective_observable(n_spins, axis) for axis in "xyz"}
+        observables = {axis: PauliSum.collective(n_spins, axis) for axis in "xyz"}
         for index in range(50):
             ensemble = _random_ensemble(rng, n_spins)
             circuit = random_circuit(n_spins, rng)
@@ -149,7 +149,7 @@ def test_criterion_4_identity_circuit_transverse_null():
                     circuit,
                     compose_propagator(circuit),
                     ensemble,
-                    [collective_observable(n_spins, axis)],
+                    [PauliSum.collective(n_spins, axis)],
                 )
                 if abs(result.expectation_sum) > budget:
                     problems.append(f"N={n_spins} {axis}: sum {result.expectation_sum}")

@@ -10,6 +10,7 @@ import pytest
 
 from spinensemble import circuit as circuit_module
 from spinensemble import cli as cli_module
+from spinensemble import engine as engine_module
 from spinensemble.circuit import CircuitParseError
 from spinensemble.cli import (
     ConfigError,
@@ -23,7 +24,7 @@ from spinensemble.cli import (
     summary_lines,
 )
 from spinensemble.qlinalg import ValidationError
-from spinensemble.spin_system import PauliSum, collective_observable, single_spin_observable
+from spinensemble.spin_system import PauliSum
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 BELL_TEXT = "H 1\nCNOT 1 2\n"
@@ -114,6 +115,7 @@ class TestLoadConfig:
             ("molecule_count = 1.0e6", "molecule_count = 0", "must be positive"),
             ("bipartition = 1|2", "bipartition = 1|1", "bipartition"),
             ("observable = x", "observable = q", "axis must be x, y, or z"),
+            ("observable = x", "observable = x@²", "integer"),
         ],
     )
     def test_bad_value(self, tmp_path, old, new, fragment):
@@ -149,8 +151,7 @@ class TestLoadConfig:
         def refuse(*args):
             raise AssertionError("load_config built an observable matrix")
 
-        monkeypatch.setattr(PauliSum, "dense", refuse)
-        monkeypatch.setattr("spinensemble.spin_system.embed_single_spin", refuse)
+        monkeypatch.setattr(np, "kron", refuse)
         assert load_config(write_config(tmp_path)).observable == "x"
         spin_text = BASE_CONFIG.replace("observable = x", "observable = z@2")
         assert load_config(write_config(tmp_path, spin_text)).observable == "z@2"
@@ -168,12 +169,12 @@ class TestParseObservable:
     def test_collective(self):
         label, observable = parse_observable("x", 2)
         assert label == "collective x"
-        np.testing.assert_array_equal(observable.dense(), collective_observable(2, "x"))
+        assert observable == PauliSum(2, "x", (1, 2))
 
     def test_single_spin(self):
         label, observable = parse_observable("z@2", 2)
         assert label == "spin-2 z"
-        np.testing.assert_array_equal(observable.dense(), single_spin_observable(2, "z", 2))
+        assert observable == PauliSum(2, "z", (2,))
 
     def test_bad_axis(self):
         with pytest.raises(ConfigError, match="axis"):
@@ -355,14 +356,12 @@ class TestRunSimulate:
     )
     def test_no_dense_observable_is_built(self, tmp_path, monkeypatch, command, observable):
         """The pathways read a PauliSum term by term: no 2**N x 2**N
-        observable is built or Hermitian-checked."""
+        observable is embedded from its spin operators."""
 
         def refuse(*args):
-            raise AssertionError("a dense observable was built or checked")
+            raise AssertionError("a dense observable was built")
 
-        monkeypatch.setattr(PauliSum, "dense", refuse)
-        monkeypatch.setattr("spinensemble.spin_system.embed_single_spin", refuse)
-        monkeypatch.setattr("spinensemble.engine.hermitian", refuse)
+        monkeypatch.setattr(np, "kron", refuse)
         if command == "simulate":
             text = BASE_CONFIG.replace("observable = x", f"observable = {observable}")
             argv = ["simulate", "--config", write_config(tmp_path, text)]
@@ -660,6 +659,44 @@ class TestMainExitCodes:
         path = write_config(tmp_path)
         assert main(["simulate", "--config", path]) == 2
         assert "validation error: numeric check failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("role,name", [("config", "run.cfg"), ("circuit", "bell.qc")])
+    def test_non_utf8_file_exits_1_and_keeps_report(self, tmp_path, capsys, role, name):
+        path = write_config(tmp_path)
+        assert main(["simulate", "--config", path]) == 0
+        report = tmp_path / "report.json"
+        before = report.read_bytes()
+        capsys.readouterr()
+        bad = tmp_path / name
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        assert main(["simulate", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot read {role} {bad}: 'utf-8' codec can't decode")
+        assert report.read_bytes() == before
+
+    def test_trace_imaginary_residual_exits_2_and_keeps_report(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        path = write_config(tmp_path)
+        assert main(["simulate", "--config", path]) == 0
+        report = tmp_path / "report.json"
+        before = report.read_bytes()
+        capsys.readouterr()
+        original = engine_module._evolved_density_matrix
+
+        def skewed(circuit, ensemble):
+            rho = original(circuit, ensemble)
+            rho[0, 1] += 1e-9j  # with rho[1, 0], tr(rho' x) gains 1e-9 i
+            rho[1, 0] += 1e-9j
+            return rho
+
+        monkeypatch.setattr(engine_module, "_evolved_density_matrix", skewed)
+        assert main(["simulate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        message = "validation error: trace expectation has imaginary residual 1.000e-09"
+        assert err.splitlines() == [message]
+        assert report.read_bytes() == before
 
     def test_config_error_message_is_actionable(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE_CONFIG.replace("observable = x", "observable = k"))

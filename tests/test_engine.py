@@ -12,8 +12,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import conjugate_gate_by_gate, random_hermitian, random_unitary
+from helpers import (
+    conjugate_gate_by_gate,
+    dense_observable,
+    dense_per_state_values,
+    dense_trace_value,
+    random_unitary,
+)
 from spinensemble.circuit import Circuit, compose_propagator, parse_circuit, random_circuit
+from spinensemble import engine
 from spinensemble.engine import (
     IMAG_TOL,
     PATHWAY_TOL,
@@ -26,12 +33,11 @@ from spinensemble.engine import (
     _weighted_sum,
     per_state_expectations,
 )
-from spinensemble.qlinalg import HERMITIAN_TOL, ValidationError, hermitian
+from spinensemble.qlinalg import ValidationError, hermitian
 from spinensemble.spin_system import (
     PauliSum,
     SpinSystem,
     ThermalEnsemble,
-    collective_observable,
     equilibrium_density_matrix,
 )
 
@@ -78,50 +84,40 @@ class TestEvolveEigenstate:
 
 class TestPerStateExpectations:
     def test_identity_propagator_sx_is_zero(self):
-        obs = collective_observable(1, "x")
+        obs = PauliSum.collective(1, "x")
         assert per_state_expectations(np.eye(2, dtype=complex), obs)[0] == 0.0
 
     def test_hadamard_rotates_ground_to_plus(self):
-        obs = collective_observable(1, "x")
+        obs = PauliSum.collective(1, "x")
         value = per_state_expectations(H2, obs)[0]
         assert abs(value - 0.5) < 1e-12
 
     def test_bell_state_collective_x_vanishes(self):
         u = compose_propagator(parse_circuit("H 1\nCNOT 1 2", 2))
-        obs = collective_observable(2, "x")
+        obs = PauliSum.collective(2, "x")
         assert abs(per_state_expectations(u, obs)[0]) < 1e-12
 
     def test_vectorized_matches_per_index(self):
         rng = np.random.default_rng(41)
         u = random_unitary(rng, 8)
-        obs = random_hermitian(rng, 8)
-        values = per_state_expectations(u, obs)
-        for k in range(8):
-            column = evolve_eigenstate(u, k)
-            assert abs(values[k] - np.vdot(column, obs @ column).real) < 1e-12
+        for obs in [PauliSum.collective(3, axis) for axis in "xyz"] + [PauliSum(3, "y", (2,))]:
+            values = per_state_expectations(u, obs)
+            matrix = dense_observable(obs)
+            for k in range(8):
+                column = evolve_eigenstate(u, k)
+                assert abs(values[k] - np.vdot(column, matrix @ column).real) < 1e-12
 
     def test_rejects_non_hermitian_observable(self):
+        """A matrix is not an observable the engine reads, Hermitian or not."""
         bad = np.array([[0, 1], [0, 0]], dtype=complex)
-        with pytest.raises(ValidationError, match="[Hh]ermitian"):
-            per_state_expectations(np.eye(2, dtype=complex), bad)
-
-
-    def test_imaginary_residual_names_the_first_bad_eigenstate(self):
-        """Hermitian within HERMITIAN_TOL, yet columns 3 and 6 of H^(x)10 read
-        imaginary parts over IMAG_TOL: the error names eigenstate 3."""
-        u = compose_propagator(parse_circuit("\n".join(f"H {s}" for s in range(1, 11)), 10))
-        skew = sum(np.outer(u[:, k], u[:, k].conj()) for k in (6, 3))
-        # The anti-Hermitian part i * 2e-13 * K * skew has entries of at most
-        # 4e-13, inside HERMITIAN_TOL; columns 3 and 6 read 2e-13 * K = 2e-10.
-        obs = collective_observable(10, "z") + 0.2e-12j * 1024 * skew
-        assert np.max(np.abs(obs - obs.conj().T)) <= HERMITIAN_TOL
-        assert 0.2e-12 * 1024 > 2 * IMAG_TOL
-        with pytest.raises(ValidationError, match="eigenstate 3 "):
-            per_state_expectations(u, obs)
+        hermitian_matrix = dense_observable(PauliSum.collective(1, "x"))
+        for matrix in (bad, hermitian_matrix):
+            with pytest.raises(ValidationError, match="must be a PauliSum, got ndarray"):
+                per_state_expectations(np.eye(2, dtype=complex), matrix)
 
 
 class TestPauliSum:
-    """The term-by-term kernels against the dense observable they stand for."""
+    """The term-by-term kernels against the dense oracle in helpers."""
 
     def test_matches_dense_observable_on_random_circuits(self):
         rng = np.random.default_rng(51)
@@ -132,16 +128,17 @@ class TestPauliSum:
             for axis in "xyz":
                 observables = [PauliSum.collective(n_spins, axis), PauliSum(n_spins, axis, (1,))]
                 observables.append(PauliSum(n_spins, axis, (n_spins,)))
+                rho = _evolved_density_matrix(circuit, ens)
                 for pauli in observables:
-                    dense = pauli.dense()
+                    dense = dense_observable(pauli)
                     np.testing.assert_allclose(
                         per_state_expectations(u, pauli),
-                        per_state_expectations(u, dense),
+                        dense_per_state_values(u, dense),
                         rtol=0,
                         atol=1e-12,
                     )
                     local = ensemble_expectation_trace(circuit, ens, pauli)
-                    reference = ensemble_expectation_trace(circuit, ens, dense)
+                    reference = dense_trace_value(rho, dense, ens.molecule_count)
                     assert abs(local - reference) <= PATHWAY_TOL * ens.molecule_count
 
     def test_compare_pathways_and_single_state_accept_pauli_sums(self):
@@ -151,10 +148,12 @@ class TestPauliSum:
         u = compose_propagator(circuit)
         paulis = [PauliSum(4, axis, (2, 4)) for axis in "xyz"]
         results = compare_pathways(circuit, u, ens, paulis)
-        dense_results = compare_pathways(circuit, u, ens, [p.dense() for p in paulis])
-        for pauli, result, dense in zip(paulis, results, dense_results):
+        for pauli, result in zip(paulis, results):
+            dense_sum = _weighted_sum(
+                ens.populations, dense_per_state_values(u, dense_observable(pauli))
+            )
             assert result.abs_difference <= PATHWAY_TOL * ens.molecule_count
-            assert abs(result.expectation_sum - dense.expectation_sum) <= 1e-12 * ens.molecule_count
+            assert abs(result.expectation_sum - dense_sum) <= 1e-12 * ens.molecule_count
             single = per_state_expectations(u, pauli)
             assert single.tobytes() == result.per_state_values.tobytes()
 
@@ -225,14 +224,14 @@ class TestEnsembleSum:
         system = SpinSystem.zeeman([2.0, 1.0])
         ens = ThermalEnsemble(system, 1.0, 8.0, populations=np.full(4, 2.0))
         u = random_unitary(rng, 4)
-        value = ensemble_expectation_sum(u, ens, collective_observable(2, "x"))
+        value = ensemble_expectation_sum(u, ens, PauliSum.collective(2, "x"))
         assert abs(value) < 1e-12
 
     def test_single_spin_identity_circuit_closed_form(self):
         ens = zeeman_ensemble(1)
         c1, c2 = ens.populations
         value = ensemble_expectation_sum(
-            np.eye(2, dtype=complex), ens, collective_observable(1, "z")
+            np.eye(2, dtype=complex), ens, PauliSum.collective(1, "z")
         )
         assert abs(value - (c1 - c2) / 2.0) < 1e-12
 
@@ -242,10 +241,11 @@ class TestEnsembleSum:
             ens = zeeman_ensemble(n_spins)
             circuit = random_circuit(n_spins, rng, min_depth=20, max_depth=20)
             u = compose_propagator(circuit)
-            obs = random_hermitian(rng, ens.system.dim)
-            s = ensemble_expectation_sum(u, ens, obs)
-            t = ensemble_expectation_trace(circuit, ens, obs)
-            assert abs(s - t) <= PATHWAY_TOL * ens.molecule_count
+            for axis in "xyz":
+                obs = PauliSum(n_spins, axis, tuple(range(n_spins, 0, -1)))
+                s = ensemble_expectation_sum(u, ens, obs)
+                t = ensemble_expectation_trace(circuit, ens, obs)
+                assert abs(s - t) <= PATHWAY_TOL * ens.molecule_count
 
 
 class TestEnsembleTrace:
@@ -255,14 +255,14 @@ class TestEnsembleTrace:
         system = SpinSystem.zeeman([2.0, 1.0])
         ens = ThermalEnsemble(system, 1.0, 4.0, populations=np.ones(4))
         circuit = random_circuit(2, rng, min_depth=20, max_depth=20)
-        value = ensemble_expectation_trace(circuit, ens, collective_observable(2, "z"))
+        value = ensemble_expectation_trace(circuit, ens, PauliSum.collective(2, "z"))
         assert abs(value) < 1e-12
 
     def test_bell_circuit_agreement_is_tight(self):
         ens = zeeman_ensemble(2)
         circuit = parse_circuit("H 1\nCNOT 1 2", 2)
         u = compose_propagator(circuit)
-        obs = collective_observable(2, "z")
+        obs = PauliSum.collective(2, "z")
         s = ensemble_expectation_sum(u, ens, obs)
         t = ensemble_expectation_trace(circuit, ens, obs)
         assert abs(s - t) <= 1e-12 * ens.molecule_count
@@ -271,7 +271,7 @@ class TestEnsembleTrace:
 class TestComparePathways:
     def test_empty_circuit_traceless_observable(self):
         ens = zeeman_ensemble(2)
-        (result,) = run_compare(Circuit(2), ens, collective_observable(2, "x"))
+        (result,) = run_compare(Circuit(2), ens, PauliSum.collective(2, "x"))
         assert result.expectation_sum == 0.0
         assert result.expectation_trace == 0.0
         assert result.abs_difference == 0.0
@@ -279,7 +279,7 @@ class TestComparePathways:
     def test_bell_circuit_result_fields(self):
         ens = zeeman_ensemble(2)
         circuit = parse_circuit("H 1\nCNOT 1 2", 2)
-        (result,) = run_compare(circuit, ens, collective_observable(2, "z"))
+        (result,) = run_compare(circuit, ens, PauliSum.collective(2, "z"))
         assert isinstance(result, PathwayResult)
         assert result.abs_difference <= PATHWAY_TOL * ens.molecule_count
         assert result.per_state_values.shape == (4,)
@@ -287,14 +287,14 @@ class TestComparePathways:
     def test_abs_difference_is_consistent(self):
         rng = np.random.default_rng(45)
         ens = zeeman_ensemble(3)
-        (result,) = run_compare(random_circuit(3, rng), ens, collective_observable(3, "y"))
+        (result,) = run_compare(random_circuit(3, rng), ens, PauliSum.collective(3, "y"))
         assert result.abs_difference == abs(result.expectation_sum - result.expectation_trace)
 
     def test_sum_reconstructs_from_per_state_values(self):
         """Reported per-state values plus populations must rebuild the sum bit-exactly."""
         rng = np.random.default_rng(46)
         ens = zeeman_ensemble(2)
-        (result,) = run_compare(random_circuit(2, rng), ens, collective_observable(2, "x"))
+        (result,) = run_compare(random_circuit(2, rng), ens, PauliSum.collective(2, "x"))
         acc = 0.0
         for k in range(4):
             acc += ens.populations[k] * result.per_state_values[k]
@@ -302,14 +302,14 @@ class TestComparePathways:
 
     def test_per_state_values_are_read_only(self):
         ens = zeeman_ensemble(1)
-        (result,) = run_compare(Circuit(1), ens, collective_observable(1, "z"))
+        (result,) = run_compare(Circuit(1), ens, PauliSum.collective(1, "z"))
         with pytest.raises(ValueError):
             result.per_state_values[0] = 7.0
 
     def test_dimension_mismatch_rejected(self):
         ens = zeeman_ensemble(2)
         with pytest.raises(ValidationError, match="match"):
-            run_compare(Circuit(1), ens, collective_observable(1, "z"))
+            run_compare(Circuit(1), ens, PauliSum.collective(1, "z"))
 
 
 class TestPathwayIndependence:
@@ -318,10 +318,10 @@ class TestPathwayIndependence:
         ens = zeeman_ensemble(2)
         circuit = parse_circuit("X 1", 2)
         foreign = compose_propagator(Circuit(2))
-        (result,) = compare_pathways(circuit, foreign, ens, [collective_observable(2, "z")])
+        (result,) = compare_pathways(circuit, foreign, ens, [PauliSum.collective(2, "z")])
         assert result.abs_difference > PATHWAY_TOL * ens.molecule_count
         assert result.expectation_trace == ensemble_expectation_trace(
-            circuit, ens, collective_observable(2, "z")
+            circuit, ens, PauliSum.collective(2, "z")
         )
 
     def test_non_unitary_propagator_shows_as_disagreement(self):
@@ -329,7 +329,7 @@ class TestPathwayIndependence:
         ens = zeeman_ensemble(2)
         circuit = parse_circuit("RY 1 0.4\nCNOT 1 2", 2)
         scaled = 1.5 * compose_propagator(circuit)
-        (result,) = compare_pathways(circuit, scaled, ens, [collective_observable(2, "z")])
+        (result,) = compare_pathways(circuit, scaled, ens, [PauliSum.collective(2, "z")])
         assert result.abs_difference > PATHWAY_TOL * ens.molecule_count
         scaled_trace = 2.25 * result.expectation_trace
         assert abs(result.expectation_sum - scaled_trace) <= PATHWAY_TOL * ens.molecule_count
@@ -339,7 +339,7 @@ class TestPathwayIndependence:
         ens = zeeman_ensemble(3)
         circuit = random_circuit(3, rng, min_depth=20, max_depth=20)
         u = compose_propagator(circuit)
-        observables = [collective_observable(3, axis) for axis in "xyz"]
+        observables = [PauliSum.collective(3, axis) for axis in "xyz"]
         results = compare_pathways(circuit, u, ens, observables)
         assert len(results) == 3
         for obs, result in zip(observables, results):
@@ -353,18 +353,51 @@ class TestPathwayIndependence:
             ens = zeeman_ensemble(n_spins)
             circuit = random_circuit(n_spins, rng, min_depth=20, max_depth=20)
             u = compose_propagator(circuit)
-            obs = random_hermitian(rng, ens.system.dim)
             rho = (u * ens.probabilities) @ u.conj().T
-            dense = ens.molecule_count * np.trace(rho @ obs).real
-            local = ensemble_expectation_trace(circuit, ens, obs)
-            assert abs(local - dense) <= PATHWAY_TOL * ens.molecule_count
+            for axis in "xyz":
+                obs = PauliSum.collective(n_spins, axis)
+                dense = dense_trace_value(rho, dense_observable(obs), ens.molecule_count)
+                local = ensemble_expectation_trace(circuit, ens, obs)
+                assert abs(local - dense) <= PATHWAY_TOL * ens.molecule_count
 
     def test_rejects_non_hermitian_observable(self):
+        """A matrix is not an observable the engine reads, Hermitian or not."""
         bad = np.array([[0, 1], [0, 0]], dtype=complex)
-        with pytest.raises(ValidationError, match="[Hh]ermitian"):
-            run_compare(Circuit(1), zeeman_ensemble(1), bad)
-        with pytest.raises(ValidationError, match="[Hh]ermitian"):
-            ensemble_expectation_trace(Circuit(1), zeeman_ensemble(1), bad)
+        ens = zeeman_ensemble(1)
+        for matrix in (bad, dense_observable(PauliSum.collective(1, "z"))):
+            with pytest.raises(ValidationError, match="observable must be a PauliSum"):
+                run_compare(Circuit(1), ens, matrix)
+            with pytest.raises(ValidationError, match="observable must be a PauliSum"):
+                ensemble_expectation_trace(Circuit(1), ens, matrix)
+            with pytest.raises(ValidationError, match="observable must be a PauliSum"):
+                ensemble_expectation_sum(np.eye(2, dtype=complex), ens, matrix)
+
+
+class TestTraceImaginaryResidual:
+    """The trace pathway refuses a reading whose imaginary part exceeds
+    IMAG_TOL.  i * delta * obs is anti-Hermitian, so rho' + i * delta * obs
+    reads an imaginary part of delta * tr(obs^2) = delta * K * N / 4 for a
+    collective observable."""
+
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_residual_over_the_budget_is_rejected(self, monkeypatch, axis):
+        ens = zeeman_ensemble(3)
+        circuit = random_circuit(3, np.random.default_rng(54), min_depth=20, max_depth=20)
+        obs = PauliSum.collective(3, axis)
+        original = engine._evolved_density_matrix
+        for share in (0.5, 2.0):
+            skew = 1j * share * IMAG_TOL / (8 * 3 / 4) * dense_observable(obs)
+            monkeypatch.setattr(
+                engine, "_evolved_density_matrix", lambda c, e: original(c, e) + skew
+            )
+            if share < 1:
+                ensemble_expectation_trace(circuit, ens, obs)
+                run_compare(circuit, ens, obs)
+                continue
+            with pytest.raises(ValidationError, match="trace expectation has imaginary residual"):
+                ensemble_expectation_trace(circuit, ens, obs)
+            with pytest.raises(ValidationError, match="trace expectation has imaginary residual"):
+                run_compare(circuit, ens, obs)
 
 
 class TestRowPassDensityMatrix:
@@ -416,7 +449,7 @@ class TestLinearity:
     def test_doubling_molecules_doubles_both_pathways(self):
         rng = np.random.default_rng(47)
         circuit = random_circuit(2, rng)
-        obs = collective_observable(2, "z")
+        obs = PauliSum.collective(2, "z")
         system = SpinSystem.zeeman([2.0, 1.0])
         base = ThermalEnsemble.boltzmann(system, 3.0e5, 5.0e5)
         doubled = ThermalEnsemble(
@@ -434,7 +467,7 @@ class TestLinearity:
     def test_tripling_molecules_scales_within_roundoff(self):
         rng = np.random.default_rng(48)
         circuit = random_circuit(2, rng)
-        obs = collective_observable(2, "x")
+        obs = PauliSum.collective(2, "x")
         system = SpinSystem.zeeman([2.0, 1.0])
         base = ThermalEnsemble.boltzmann(system, 3.0e5, 1.0e5)
         tripled = ThermalEnsemble(

@@ -11,7 +11,6 @@ from spinensemble.qlinalg import (
     ValidationError,
     as_matrix,
     density_matrix,
-    embed_single_spin,
     frobenius_distance,
     hermitian,
     hermitian_eigenvalues,
@@ -120,23 +119,6 @@ class TestBipartitionSpec:
     def test_parse_rejects_malformed(self, text, n):
         with pytest.raises(ValidationError):
             BipartitionSpec.parse(text, n)
-
-
-class TestEmbedSingleSpin:
-    def test_single_spin_space_is_identity_embedding(self):
-        np.testing.assert_array_equal(embed_single_spin(PAULI_X, 1, 1), PAULI_X)
-
-    def test_first_spin_is_most_significant(self):
-        np.testing.assert_array_equal(
-            embed_single_spin(PAULI_Z, 1, 2), np.diag([1, 1, -1, -1]).astype(complex)
-        )
-        np.testing.assert_array_equal(
-            embed_single_spin(PAULI_Z, 2, 2), np.diag([1, -1, 1, -1]).astype(complex)
-        )
-
-    def test_out_of_range_spin(self):
-        with pytest.raises(ValidationError, match="out of range"):
-            embed_single_spin(PAULI_X, 3, 2)
 
 
 class TestHermitianEigenvalues:

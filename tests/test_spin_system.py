@@ -4,16 +4,16 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import dense_observable
 from spinensemble.qlinalg import ValidationError, frobenius_distance, maximally_mixed
 from spinensemble.spin_system import (
+    PauliSum,
     SpinSystem,
     ThermalEnsemble,
     boltzmann_populations,
-    collective_observable,
     default_energies,
     epsilon_report,
     equilibrium_density_matrix,
-    single_spin_observable,
 )
 
 
@@ -224,20 +224,27 @@ class TestEpsilonReport:
         assert spreads[0] > spreads[1] > spreads[2]
 
 
+def dense_collective(n_spins, axis):
+    return dense_observable(PauliSum.collective(n_spins, axis))
+
+
 class TestObservables:
+    """The dense oracle that tests compare PauliSum readings with, against
+    matrices built by hand."""
+
     def test_single_spin_x(self):
         np.testing.assert_array_equal(
-            collective_observable(1, "x"), np.array([[0, 0.5], [0.5, 0]], dtype=complex)
+            dense_collective(1, "x"), np.array([[0, 0.5], [0.5, 0]], dtype=complex)
         )
 
     def test_two_spin_x_is_two_term_sum(self):
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         eye = np.eye(2, dtype=complex)
         expected = (np.kron(sx, eye) + np.kron(eye, sx)) / 2.0
-        np.testing.assert_array_equal(collective_observable(2, "x"), expected)
+        np.testing.assert_array_equal(dense_collective(2, "x"), expected)
 
     def test_three_spin_z_diagonal(self):
-        obs = collective_observable(3, "z")
+        obs = dense_collective(3, "z")
         diag = obs.diagonal().real
         assert diag[0] == 1.5  # |000>
         for k in range(8):
@@ -245,7 +252,7 @@ class TestObservables:
 
     def test_traceless_and_symmetric_spectrum(self):
         for n, axis in [(1, "x"), (2, "y"), (3, "z"), (2, "x")]:
-            obs = collective_observable(n, axis)
+            obs = dense_collective(n, axis)
             np.testing.assert_allclose(np.trace(obs), 0.0, atol=1e-14)
             eigs = np.linalg.eigvalsh(obs)
             np.testing.assert_allclose(eigs, -eigs[::-1], atol=1e-12)
@@ -254,9 +261,9 @@ class TestObservables:
         sz = np.array([[1, 0], [0, -1]], dtype=complex)
         eye = np.eye(2, dtype=complex)
         np.testing.assert_array_equal(
-            single_spin_observable(2, "z", 2), np.kron(eye, sz) / 2.0
+            dense_observable(PauliSum(2, "z", (2,))), np.kron(eye, sz) / 2.0
         )
 
     def test_rejects_unknown_axis(self):
         with pytest.raises(ValidationError, match="axis"):
-            collective_observable(2, "q")
+            PauliSum.collective(2, "q")
