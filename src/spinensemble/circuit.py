@@ -255,10 +255,14 @@ def _compile(gates) -> tuple:
             dev = np.max(np.abs(products - np.eye(size)))
             if not dev <= UNITARY_TOL:  # also rejects NaN
                 raise ValidationError(f"matrix is not unitary: max |U^dagger U - I| = {dev:.3e}")
-    return tuple(
-        _compile_step(matrix, tuple(t - 1 for t in gate.targets))
-        for matrix, gate in zip(matrices, gates)
-    )
+    steps = []
+    for matrix, gate in zip(matrices, gates):
+        axes = tuple(t - 1 for t in gate.targets)
+        if len(axes) == 2:
+            steps.append((_permute_pair, _fixed_pair_arguments(matrix.tobytes(), *axes)))
+        else:
+            steps.append(_compile_step(matrix, axes))
+    return tuple(steps)
 
 
 def _compile_step(matrix: np.ndarray, axes: tuple[int, ...]) -> tuple:
@@ -298,6 +302,21 @@ def _pair_arguments(matrix: np.ndarray, a: int, b: int) -> tuple:
     source = sources.reshape(2, 1, 2)
     index = (source >> 1) * (2 * gap) + np.arange(gap)[:, None] * 2 + (source & 1)
     return 2**a, gap, index.reshape(-1), tuple(np.flatnonzero(signs == -1).tolist())
+
+
+@functools.cache
+def _fixed_pair_arguments(matrix_bytes: bytes, a: int, b: int) -> tuple:
+    """_pair_arguments for a fixed two-spin kind, compiled once per process.
+
+    Keyed by the 4x4 matrix's bytes, not its kind name, so a changed
+    matrix is compiled and checked afresh.  The three fixed kinds on at
+    most 12 * 11 ordered axis pairs give at most 396 entries; the shared
+    index is read-only.  _apply_gate's arbitrary matrices never come here.
+    """
+    matrix = np.frombuffer(matrix_bytes, dtype=complex).reshape(4, 4)
+    outer, gap, index, negated = _pair_arguments(matrix, a, b)
+    index.setflags(write=False)
+    return outer, gap, index, negated
 
 
 def _permute_pair(

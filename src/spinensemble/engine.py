@@ -13,6 +13,15 @@ disagreement instead of cancelling out.  Their agreement is the
 package's central consistency check, so a result where they disagree
 hands both numbers back instead of hiding one.
 
+compare_pathways runs the two as separate halves and then pairs their
+outputs: the trace half evolves rho' and reads each observable's trace
+value, the sum half reads per-state values and weighted sums from U.
+Neither half needs the other's K x K array, so the simulate command runs
+the trace half first, reads rho' for its separability report as well
+(which overwrites it), and releases it before composing U for the sum
+half and the Schmidt table.  A certified simulate then holds at most two
+K x K complex arrays at a time, never U and rho' together.
+
 An observable is a PauliSum (spin_system), such as the collective
 magnetisation, and the engine accepts nothing else.  It is read term by
 term and never built as a matrix: the sum pathway takes O(N K^2) row-pair
@@ -213,33 +222,47 @@ def compare_pathways(
     the density matrix from the circuit's gate list in two row passes and
     never reads the propagator, so a propagator that is not the
     circuit's, unitary or not, shows up as a disagreement rather than as
-    an error.  Each observable is a PauliSum; the evolved density matrix is
-    built once and read for every observable.
+    an error.  Each observable is a PauliSum.  The sum half reads the
+    propagator first; the trace half then builds the evolved density
+    matrix once and reads it for every observable.
     """
-    return _compare_pathways(circuit, propagator, ensemble, observables)[0]
-
-
-def _compare_pathways(
-    circuit: Circuit, propagator: np.ndarray, ensemble: ThermalEnsemble, observables
-) -> tuple[tuple[PathwayResult, ...], np.ndarray]:
-    """compare_pathways, and the evolved density matrix it read, for the
-    caller to keep."""
     u = np.asarray(propagator, dtype=complex)
     checked = [_checked(obs) for obs in observables]
     _require_dim(ensemble.system.dim, circuit, u, *checked)
+    sums = _sum_side(u, ensemble, checked)
+    return _pathway_results(sums, _trace_side(circuit, ensemble, checked)[0])
+
+
+def _trace_side(
+    circuit: Circuit, ensemble: ThermalEnsemble, observables
+) -> tuple[list[float], np.ndarray]:
+    """The trace half of compare_pathways: each observable's M tr(rho' obs),
+    and rho' itself, evolved from the gate list, for the caller to keep."""
     rho = _evolved_density_matrix(circuit, ensemble)
+    return [_trace_value(rho, obs, ensemble.molecule_count) for obs in observables], rho
+
+
+def _sum_side(
+    u: np.ndarray, ensemble: ThermalEnsemble, observables
+) -> list[tuple[np.ndarray, float]]:
+    """The sum half of compare_pathways: each observable's per-state values
+    and their population-weighted sum, read from the propagator u."""
     pairs = {}
-    results = []
-    for obs in checked:
+    sides = []
+    for obs in observables:
         per_state = _per_state_values(u, obs, pairs)
-        total = _weighted_sum(ensemble.populations, per_state)
-        trace_value = _trace_value(rho, obs, ensemble.molecule_count)
-        results.append(
-            PathwayResult(
-                expectation_sum=total,
-                expectation_trace=trace_value,
-                abs_difference=abs(total - trace_value),
-                per_state_values=per_state,
-            )
+        sides.append((per_state, _weighted_sum(ensemble.populations, per_state)))
+    return sides
+
+
+def _pathway_results(sums, traces) -> tuple[PathwayResult, ...]:
+    """One PathwayResult per observable from the two halves' outputs."""
+    return tuple(
+        PathwayResult(
+            expectation_sum=total,
+            expectation_trace=trace_value,
+            abs_difference=abs(total - trace_value),
+            per_state_values=per_state,
         )
-    return tuple(results), rho
+        for (per_state, total), trace_value in zip(sums, traces, strict=True)
+    )

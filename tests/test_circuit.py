@@ -414,6 +414,26 @@ class TestLocalGateApplication:
             with pytest.raises(ValidationError, match="permute"):
                 _apply_gate(state, matrix.astype(complex), (0, 1))
 
+    def test_circuits_share_each_fixed_pair_compilation(self):
+        """A fixed two-spin kind on one axis pair compiles once per process,
+        whatever the spin count, and the shared index cannot be written."""
+        first = parse_circuit("CNOT 1 3\nH 2", 3)._plan[0]
+        second = parse_circuit("X 4\nCNOT 1 3", 4)._plan[1]
+        assert first[0] is second[0] is circuit_module._permute_pair
+        assert first[1] is second[1]
+        index = first[1][2]
+        with pytest.raises(ValueError, match="read-only"):
+            index[0] = 0
+
+    def test_apply_gate_checks_every_matrix_and_caches_none(self):
+        parse_circuit("CZ 1 2", 2)._plan
+        entries = circuit_module._fixed_pair_arguments.cache_info().currsize
+        hadamard = _gate_matrix(Gate("H", (1,)))
+        with pytest.raises(ValidationError, match="permute"):
+            _apply_gate(np.eye(4, dtype=complex), np.kron(hadamard, hadamard), (0, 1))
+        _apply_gate(np.eye(4, dtype=complex), circuit_module._FIXED_2Q["CZ"], (1, 0))
+        assert circuit_module._fixed_pair_arguments.cache_info().currsize == entries
+
     def test_input_is_not_modified(self):
         state = np.arange(16, dtype=complex).reshape(4, 4)
         before = state.copy()

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from spinensemble import circuit as circuit_module
 from spinensemble import cli as cli_module
 from spinensemble import engine as engine_module
-from spinensemble.circuit import CircuitParseError
+from spinensemble.circuit import CircuitParseError, format_circuit, random_circuit
 from spinensemble.cli import (
     ConfigError,
     UsageError,
@@ -493,6 +494,33 @@ class TestRunSimulate:
         if svd_calls:
             assert calls[0][0] == 4  # one matrix per eigenstate
 
+    @pytest.mark.parametrize("axis", ["x", "z"])
+    def test_certified_run_holds_two_operator_arrays_at_most(self, tmp_path, axis):
+        """rho' is read and released before U is composed, so a certified
+        simulate never holds U and rho' together: its traced peak stays
+        under two K x K complex arrays and a quarter of one.  At N = 9, not
+        less: numpy copies up to 256 KiB of a strided view that a ufunc
+        writes in place, as _permute_pair negates CZ's quadrant, and that
+        copy is already a quarter of an N = 8 array."""
+        n_spins = 9
+        operand = 16 * 4**n_spins
+        circuit = random_circuit(n_spins, np.random.default_rng(61), min_depth=20, max_depth=20)
+        text = (
+            BASE_CONFIG.replace("n_spins = 2", f"n_spins = {n_spins}")
+            .replace("larmor = 2.0, 1.0", "larmor = " + ", ".join(map(str, range(1, n_spins + 1))))
+            .replace("observable = x", f"observable = {axis}")
+            .replace("bipartition = 1|2", "bipartition = 1,2,3,4|5,6,7,8,9")
+        )
+        config = load_config(write_config(tmp_path, text, circuit=format_circuit(circuit)))
+        tracemalloc.start()
+        try:
+            report = run_simulate(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["separability"]["evolved"]["certified_separable"] is True
+        assert peak <= 2.25 * operand
+
     def test_low_temperature_bell_average_is_npt(self, tmp_path):
         """H 1; CNOT 1 2 maps the eigenstates onto the Bell states, so the
         evolved state is Bell-diagonal with weights p_k; its partial
@@ -696,6 +724,24 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         message = "validation error: trace expectation has imaginary residual 1.000e-09"
         assert err.splitlines() == [message]
+        assert report.read_bytes() == before
+
+    def test_unnormalized_propagator_exits_2_and_keeps_report(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The sum side runs after the trace side has finished; a propagator
+        that fails the Schmidt table's normalisation check still exits 2."""
+        path = write_config(tmp_path)
+        assert main(["simulate", "--config", path]) == 0
+        report = tmp_path / "report.json"
+        before = report.read_bytes()
+        capsys.readouterr()
+        original = cli_module.compose_propagator
+        monkeypatch.setattr(cli_module, "compose_propagator", lambda c: 1.01 * original(c))
+        assert main(["simulate", "--config", path]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("validation error: evolved eigenstate 0 is not normalized")
         assert report.read_bytes() == before
 
     def test_config_error_message_is_actionable(self, tmp_path, capsys):
