@@ -20,17 +20,13 @@ from .circuit import (
 from .engine import (
     PathwayResult,
     compare_pathways,
-    ensemble_expectation_sum,
-    ensemble_expectation_trace,
     evolve_eigenstate,
-    per_state_expectations,
 )
 from .entanglement import (
     EntanglementReport,
     SeparabilityReport,
     entanglement_entropy,
     entanglement_report,
-    mixedness_report,
     ppt_report,
     schmidt_coefficients,
 )
@@ -38,20 +34,14 @@ from .qlinalg import (
     BipartitionSpec,
     ValidationError,
     density_matrix,
-    frobenius_distance,
     hermitian,
-    hermitian_eigenvalues,
-    maximally_mixed,
-    partial_transpose,
     state_vector,
-    unitary,
 )
 from .spin_system import (
     EpsilonReport,
     PauliSum,
     SpinSystem,
     ThermalEnsemble,
-    boltzmann_populations,
     default_energies,
     epsilon_report,
     equilibrium_density_matrix,
@@ -70,30 +60,20 @@ __all__ = [
     "SpinSystem",
     "ThermalEnsemble",
     "ValidationError",
-    "boltzmann_populations",
     "compare_pathways",
     "compose_propagator",
     "default_energies",
     "density_matrix",
-    "ensemble_expectation_sum",
-    "ensemble_expectation_trace",
     "entanglement_entropy",
     "entanglement_report",
     "epsilon_report",
     "equilibrium_density_matrix",
     "evolve_eigenstate",
     "format_circuit",
-    "frobenius_distance",
     "hermitian",
-    "hermitian_eigenvalues",
-    "maximally_mixed",
-    "mixedness_report",
     "parse_circuit",
-    "partial_transpose",
-    "per_state_expectations",
     "ppt_report",
     "random_circuit",
     "schmidt_coefficients",
     "state_vector",
-    "unitary",
 ]

@@ -348,7 +348,7 @@ def run_sweep(config: RunConfig, n_circuits: int, output_path: str | None = None
     worst = None
     for index in range(n_circuits):
         circuit = random_circuit(config.n_spins, rng)
-        results = compare_pathways(circuit, compose_propagator(circuit), ensemble, observables)
+        results = compare_pathways(circuit, ensemble, observables)
         circuit_max = 0.0
         for axis, result in zip(SWEEP_AXES, results):
             difference = result.abs_difference

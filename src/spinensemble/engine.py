@@ -13,14 +13,15 @@ disagreement instead of cancelling out.  Their agreement is the
 package's central consistency check, so a result where they disagree
 hands both numbers back instead of hiding one.
 
-compare_pathways runs the two as separate halves and then pairs their
-outputs: the trace half evolves rho' and reads each observable's trace
-value, the sum half reads per-state values and weighted sums from U.
-Neither half needs the other's K x K array, so the simulate command runs
-the trace half first, reads rho' for its separability report as well
-(which overwrites it), and releases it before composing U for the sum
-half and the Schmidt table.  A certified simulate then holds at most two
-K x K complex arrays at a time, never U and rho' together.
+The two run as separate halves whose outputs one combiner pairs: the
+trace half evolves rho' and reads each observable's trace value, the sum
+half reads per-state values and weighted sums from U.  Neither half needs
+the other's K x K array, so each finishes its array before the next is
+built: compare_pathways (the sweep's path) runs the trace half, releases
+rho' and only then composes U itself; the simulate command also reads
+rho' for its separability report (which overwrites it) before it
+composes U for the sum half and the Schmidt table.  Either way at most
+two K x K complex arrays are alive at a time, never U and rho' together.
 
 An observable is a PauliSum (spin_system), such as the collective
 magnetisation, and the engine accepts nothing else.  It is read term by
@@ -43,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, _apply_gates
-from .qlinalg import ValidationError, unitary
+from .circuit import Circuit, _apply_gates, compose_propagator
+from .qlinalg import ValidationError
 from .spin_system import _PAULI_BY_AXIS, PauliSum, ThermalEnsemble, equilibrium_density_matrix
 
 IMAG_TOL = 1e-10
@@ -85,19 +86,6 @@ def evolve_eigenstate(propagator: np.ndarray, k: int) -> np.ndarray:
     return u[:, k].copy()
 
 
-def per_state_expectations(propagator: np.ndarray, observable) -> np.ndarray:
-    """<k|U' obs U|k> for every computational eigenstate k, as real floats.
-
-    The evolved state of eigenstate k is the k-th column of the
-    propagator, so each value is a quadratic form in one column, never a
-    density matrix.  ``observable`` is a PauliSum, read term by term.
-    """
-    u = unitary(propagator)
-    obs = _checked(observable)
-    _require_dim(u.shape[0], obs)
-    return _per_state_values(u, obs)
-
-
 def _checked(observable) -> PauliSum:
     """The observable, which must be a PauliSum; a PauliSum checked itself
     when built."""
@@ -107,14 +95,12 @@ def _checked(observable) -> PauliSum:
 
 
 def _require_dim(dim: int, *operands) -> None:
-    """Each operand, the propagator, a PauliSum or a Circuit, must act on dim levels."""
+    """Each operand, a PauliSum or a Circuit, must act on dim levels."""
     for op in operands:
-        if isinstance(op, np.ndarray):
-            kind, shape = "matrix", op.shape
-        else:
-            kind, shape = type(op).__name__, (op.dim, op.dim)
-        if shape != (dim, dim):
-            raise ValidationError(f"{kind} shape {shape} does not match dimension {dim}")
+        if op.dim != dim:
+            raise ValidationError(
+                f"{type(op).__name__} shape {(op.dim, op.dim)} does not match dimension {dim}"
+            )
 
 
 def _per_state_values(u: np.ndarray, obs: PauliSum, pairs: dict | None = None) -> np.ndarray:
@@ -141,20 +127,6 @@ def _per_state_values(u: np.ndarray, obs: PauliSum, pairs: dict | None = None) -
     return values
 
 
-def ensemble_expectation_sum(
-    propagator: np.ndarray, ensemble: ThermalEnsemble, observable
-) -> float:
-    """Pathway A: population-weighted sum of per-eigenstate expectations.
-
-    The accumulation runs in fixed ascending k order so the result is
-    bit-reproducible no matter how the per-state values were produced.
-    """
-    u = unitary(propagator)
-    obs = _checked(observable)
-    _require_dim(ensemble.system.dim, u, obs)
-    return _weighted_sum(ensemble.populations, _per_state_values(u, obs))
-
-
 def _weighted_sum(populations: np.ndarray, per_state: np.ndarray) -> float:
     """sum_k populations[k] * per_state[k], added in ascending k.
 
@@ -165,16 +137,6 @@ def _weighted_sum(populations: np.ndarray, per_state: np.ndarray) -> float:
     if not per_state.size:
         return 0.0
     return float(np.cumsum(populations * per_state)[-1]) + 0.0
-
-
-def ensemble_expectation_trace(
-    circuit: Circuit, ensemble: ThermalEnsemble, observable
-) -> float:
-    """Pathway B: M * tr(rho' * obs), rho' the equilibrium mixture evolved by the gate list."""
-    obs = _checked(observable)
-    _require_dim(ensemble.system.dim, circuit, obs)
-    rho = _evolved_density_matrix(circuit, ensemble)
-    return _trace_value(rho, obs, ensemble.molecule_count)
 
 
 def _evolved_density_matrix(circuit: Circuit, ensemble: ThermalEnsemble) -> np.ndarray:
@@ -209,28 +171,20 @@ def _trace_value(rho: np.ndarray, obs: PauliSum, molecule_count: float) -> float
 
 
 def compare_pathways(
-    circuit: Circuit,
-    propagator: np.ndarray,
-    ensemble: ThermalEnsemble,
-    observables,
+    circuit: Circuit, ensemble: ThermalEnsemble, observables
 ) -> tuple[PathwayResult, ...]:
     """Run both pathways for each observable and report both numbers.
 
-    The sum pathway reads ``propagator``, which should be the circuit's
-    own from ``compose_propagator``: that call built it from gates checked
-    unitary, and this one does not check it.  The trace pathway evolves
-    the density matrix from the circuit's gate list in two row passes and
-    never reads the propagator, so a propagator that is not the
-    circuit's, unitary or not, shows up as a disagreement rather than as
-    an error.  Each observable is a PauliSum.  The sum half reads the
-    propagator first; the trace half then builds the evolved density
-    matrix once and reads it for every observable.
+    Each observable is a PauliSum.  The trace half evolves the density
+    matrix from the circuit's gate list in two row passes, never reading the
+    propagator, and reads it for every observable; it is released before the
+    propagator is composed for the sum half, so a fault in composing shows
+    up as a disagreement and no more than two K x K arrays are alive at once.
     """
-    u = np.asarray(propagator, dtype=complex)
     checked = [_checked(obs) for obs in observables]
-    _require_dim(ensemble.system.dim, circuit, u, *checked)
-    sums = _sum_side(u, ensemble, checked)
-    return _pathway_results(sums, _trace_side(circuit, ensemble, checked)[0])
+    _require_dim(ensemble.system.dim, circuit, *checked)
+    traces = _trace_side(circuit, ensemble, checked)[0]
+    return _pathway_results(_sum_side(compose_propagator(circuit), ensemble, checked), traces)
 
 
 def _trace_side(

@@ -204,11 +204,6 @@ def ppt_report(rho: np.ndarray, part: BipartitionSpec) -> SeparabilityReport:
     )
 
 
-def mixedness_report(rho: np.ndarray) -> SeparabilityReport:
-    """Distance diagnostics only: purity and Frobenius distance to I/K."""
-    return SeparabilityReport(None, None, None, None, None, *_distance_fields(density_matrix(rho)))
-
-
 def _ensemble_reports(
     probabilities: np.ndarray, rho: np.ndarray, part: BipartitionSpec | None
 ) -> tuple[SeparabilityReport, SeparabilityReport]:

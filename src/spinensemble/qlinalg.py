@@ -2,9 +2,10 @@
 
 Everything in this package works on plain ``numpy`` arrays of dtype
 complex128.  The functions here validate the roles a matrix or vector is
-supposed to play (Hermitian, unitary, normalized state, density operator)
-and provide the handful of primitives the rest of the package is built on:
-Hermitian spectra, partial transpose and Frobenius distances.
+supposed to play (Hermitian, normalized state, density operator) and hold
+the few kernels the entanglement reports share: a Hermitian spectrum that
+skips the eigendecomposition for a diagonal matrix, the partial transpose
+across a bipartition, and a thread-count-independent inner product.
 
 Conventions, fixed once for the whole package:
 
@@ -18,7 +19,6 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +29,6 @@ HERMITIAN_TOL = 1e-12   # max-abs deviation allowed in A - A^dagger
 UNITARY_TOL = 1e-10     # max-abs deviation allowed in U^dagger U - I
 NORM_TOL = 1e-10        # |sum |a_k|^2 - 1| allowed for state vectors
 PSD_TOL = 1e-10         # eigenvalue floor for density operators
-EQ_TOL = 1e-12          # entrywise equality assertions
-SPECTRAL_TOL = 1e-9     # residuals of spectral identities
 MAX_SPINS = 12
 DIM_CAP = 2**MAX_SPINS
 
@@ -74,15 +72,6 @@ def hermitian(entries) -> np.ndarray:
     if dev > HERMITIAN_TOL:
         raise ValidationError(f"matrix is not Hermitian: max |A - A^dagger| = {dev:.3e}")
     return a
-
-
-def unitary(entries) -> np.ndarray:
-    """Validate and return a unitary matrix (max-abs tolerance UNITARY_TOL)."""
-    u = as_matrix(entries)
-    dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if dev > UNITARY_TOL:
-        raise ValidationError(f"matrix is not unitary: max |U^dagger U - I| = {dev:.3e}")
-    return u
 
 
 def state_vector(amplitudes) -> np.ndarray:
@@ -132,15 +121,6 @@ def _shifted_cholesky_succeeds(rho: np.ndarray) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-def maximally_mixed(dim: int) -> np.ndarray:
-    """The maximally mixed state I/dim."""
-    if dim < 1:
-        raise ValidationError("matrix dimension must be >= 1")
-    if dim > DIM_CAP:
-        raise ValidationError(f"dimension {dim} exceeds the dense cap {DIM_CAP}")
-    return np.eye(dim, dtype=complex) / dim
 
 
 @dataclass(frozen=True)
@@ -207,17 +187,6 @@ class BipartitionSpec:
         return ",".join(map(str, self.left)) + "|" + ",".join(map(str, self.right))
 
 
-def hermitian_eigenvalues(a) -> np.ndarray:
-    """Real spectrum of a Hermitian matrix, ascending.
-
-    A diagonal matrix's spectrum is its sorted diagonal, which matches
-    ``eigvalsh`` bit for bit (tested for entries of magnitude 1e-12 to
-    1e2), so only a matrix with a nonzero entry off the diagonal costs an
-    eigendecomposition.
-    """
-    return _spectrum(hermitian(a))
-
-
 def _spectrum(a: np.ndarray) -> np.ndarray:
     if _is_diagonal(a):
         return np.sort(np.diagonal(a).real)
@@ -227,11 +196,6 @@ def _spectrum(a: np.ndarray) -> np.ndarray:
 def _is_diagonal(a: np.ndarray) -> bool:
     """Every off-diagonal entry is exactly 0; counts, so no K x K temporary."""
     return np.count_nonzero(a) == np.count_nonzero(np.diagonal(a))
-
-
-def partial_transpose(rho, part: BipartitionSpec) -> np.ndarray:
-    """Transpose the right-side spin indices of a 2**N-dimensional operator."""
-    return _partial_transpose(as_matrix(rho), part)
 
 
 def _partial_transpose(rho: np.ndarray, part: BipartitionSpec) -> np.ndarray:
@@ -246,16 +210,6 @@ def _partial_transpose(rho: np.ndarray, part: BipartitionSpec) -> np.ndarray:
         ax = spin - 1
         perm[ax], perm[n + ax] = perm[n + ax], perm[ax]
     return t.transpose(perm).reshape(rho.shape)
-
-
-def frobenius_distance(a, b) -> float:
-    """sqrt(sum |A_ij - B_ij|^2)."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValidationError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    difference = a - b
-    return math.sqrt(_inner(difference, difference).real)
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> complex:

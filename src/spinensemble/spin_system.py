@@ -77,30 +77,6 @@ def default_energies(n_spins: int, larmor) -> list[float]:
     return energies.tolist()
 
 
-def boltzmann_populations(energies, temperature: float, molecule_count: float) -> np.ndarray:
-    """Level counts C_k = M exp(-E_k/T) / Z.
-
-    Energies are shifted by their minimum before exponentiation so large
-    E/T ratios cannot overflow to inf; the shift cancels in the
-    normalization.
-    """
-    if temperature <= 0:
-        raise ValidationError(f"temperature must be positive, got {temperature}")
-    if molecule_count <= 0:
-        raise ValidationError(f"molecule_count must be positive, got {molecule_count}")
-    return _boltzmann_populations(energies, temperature, molecule_count)
-
-
-def _boltzmann_populations(energies, temperature: float, molecule_count: float) -> np.ndarray:
-    e = np.asarray(energies, dtype=float)
-    # At extreme E/T the exponent overflows to -inf, whose weight 0 is the
-    # correct limit; no warning is due.  A temperature that is not positive
-    # gives nan or inf here, quietly: the caller rejects it.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        weights = np.exp(-(e - e.min()) / temperature)
-        return molecule_count * weights / weights.sum()
-
-
 @dataclass(frozen=True, eq=False)
 class ThermalEnsemble:
     """M molecules distributed over the levels of one spin system.
@@ -141,8 +117,19 @@ class ThermalEnsemble:
     def boltzmann(
         cls, system: SpinSystem, temperature: float, molecule_count: float
     ) -> "ThermalEnsemble":
-        """The equilibrium distribution; __post_init__ checks T and M."""
-        pops = _boltzmann_populations(system.level_energies, temperature, molecule_count)
+        """The equilibrium distribution C_k = M exp(-E_k/T) / Z.
+
+        Energies are shifted by their minimum before exponentiation so large
+        E/T ratios cannot overflow to inf; the shift cancels in the
+        normalization.  __post_init__ checks T and M.
+        """
+        e = np.asarray(system.level_energies, dtype=float)
+        # At extreme E/T the exponent overflows to -inf, whose weight 0 is the
+        # correct limit; no warning is due.  A temperature that is not positive
+        # gives nan or inf here, quietly: __post_init__ rejects it.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            weights = np.exp(-(e - e.min()) / temperature)
+            pops = molecule_count * weights / weights.sum()
         return cls(system, temperature, molecule_count, pops)
 
     @property

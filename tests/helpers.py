@@ -69,3 +69,18 @@ def dense_per_state_values(u, matrix):
 def dense_trace_value(rho, matrix, molecule_count):
     """Reference M * tr(rho obs), read from the dense matrix."""
     return molecule_count * np.einsum("ij,ji->", rho, matrix).real
+
+
+def maximally_mixed(dim):
+    """Reference I/dim."""
+    return np.eye(dim, dtype=complex) / dim
+
+
+def frobenius_distance(a, b):
+    """Reference sqrt(sum |A_ij - B_ij|^2)."""
+    return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
+
+
+def unitarity_deviation(u):
+    """Reference dense K^3 check: max |U^dagger U - I|."""
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))

@@ -15,14 +15,9 @@ import numpy as np
 
 from spinensemble.circuit import Circuit, compose_propagator, parse_circuit, random_circuit
 from spinensemble.cli import main
-from spinensemble.engine import (
-    compare_pathways,
-    ensemble_expectation_sum,
-    ensemble_expectation_trace,
-    evolve_eigenstate,
-)
+from spinensemble.engine import compare_pathways, evolve_eigenstate
 from spinensemble.entanglement import entanglement_report, ppt_report
-from spinensemble.qlinalg import BipartitionSpec, frobenius_distance, maximally_mixed
+from spinensemble.qlinalg import BipartitionSpec
 from spinensemble.spin_system import (
     PauliSum,
     SpinSystem,
@@ -53,15 +48,14 @@ def test_criterion_1_pathway_agreement_on_random_circuits():
     problems = []
     started = time.perf_counter()
     for n_spins in (1, 2, 3, 4):
-        observables = {axis: PauliSum.collective(n_spins, axis) for axis in "xyz"}
+        observables = [PauliSum.collective(n_spins, axis) for axis in "xyz"]
         for index in range(50):
             ensemble = _random_ensemble(rng, n_spins)
             circuit = random_circuit(n_spins, rng)
-            propagator = compose_propagator(circuit)
             budget = 1e-10 * ensemble.molecule_count
-            for axis in "xyz":
-                a = ensemble_expectation_sum(propagator, ensemble, observables[axis])
-                b = ensemble_expectation_trace(circuit, ensemble, observables[axis])
+            results = compare_pathways(circuit, ensemble, observables)
+            for axis, result in zip("xyz", results):
+                a, b = result.expectation_sum, result.expectation_trace
                 if abs(a - b) > budget:
                     problems.append(
                         f"N={n_spins} circuit {index} axis {axis}: |{a} - {b}| > {budget}"
@@ -115,13 +109,13 @@ def test_criterion_3_populations_flatten_as_temperature_grows():
     """Over 4 decades of epsilon the spread shrinks monotonically, rho_eq -> I/K."""
     problems = []
     system = SpinSystem.zeeman([2.0, 1.0])
-    identity_over_k = maximally_mixed(4)
+    cut = BipartitionSpec((1,), (2,))
     spreads = []
     for epsilon in (1e-1, 1e-2, 1e-3, 1e-4):
         ensemble = ThermalEnsemble.boltzmann(system, system.spectral_width / epsilon, 1.0e6)
         spread = float(np.max(np.abs(ensemble.probabilities - 0.25)))
         spreads.append(spread)
-        distance = frobenius_distance(equilibrium_density_matrix(ensemble), identity_over_k)
+        distance = ppt_report(equilibrium_density_matrix(ensemble), cut).frobenius_to_mixed
         if distance > 2.0 * epsilon:
             problems.append(f"epsilon {epsilon}: ||rho - I/4|| = {distance} > {2.0 * epsilon}")
     for a, b in zip(spreads, spreads[1:]):
@@ -144,12 +138,8 @@ def test_criterion_4_identity_circuit_transverse_null():
             ensemble = _random_ensemble(rng, n_spins)
             budget = 1e-12 * ensemble.molecule_count
             for axis in "xy":
-                circuit = Circuit(n_spins)
                 (result,) = compare_pathways(
-                    circuit,
-                    compose_propagator(circuit),
-                    ensemble,
-                    [PauliSum.collective(n_spins, axis)],
+                    Circuit(n_spins), ensemble, [PauliSum.collective(n_spins, axis)]
                 )
                 if abs(result.expectation_sum) > budget:
                     problems.append(f"N={n_spins} {axis}: sum {result.expectation_sum}")

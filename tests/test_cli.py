@@ -468,8 +468,8 @@ class TestRunSimulate:
         self, tmp_path, monkeypatch, text, circuit, svd_calls
     ):
         """The Schmidt table of every eigenstate is one batched SVD, and the
-        composed propagator is trusted by construction: no command runs the
-        dense U^dagger U check."""
+        composed propagator is trusted by construction: the package has no
+        dense U^dagger U check for a command to run."""
         calls = []
         original = np.linalg.svd
 
@@ -477,14 +477,17 @@ class TestRunSimulate:
             calls.append(np.shape(args[0]))
             return original(*args, **kwargs)
 
-        def refuse(*args):
-            raise AssertionError("the dense unitarity check ran")
-
         monkeypatch.setattr(np.linalg, "svd", counting)
-        for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").startswith("spinensemble"):
-                if hasattr(module, "unitary"):
-                    monkeypatch.setattr(module, "unitary", refuse)
+        modules = [
+            module
+            for name, module in sys.modules.items()
+            if name == "spinensemble" or name.startswith("spinensemble.")
+        ]
+        assert {"spinensemble.cli", "spinensemble.engine", "spinensemble.qlinalg"} <= {
+            module.__name__ for module in modules
+        }
+        for module in modules:
+            assert not hasattr(module, "unitary"), module.__name__
         if circuit is None:
             argv = ["sweep", "--config", write_config(tmp_path, text), "--n", "4"]
         else:
@@ -583,6 +586,29 @@ class TestRunSweep:
         run_sweep(config, 4, output_path=str(a))
         run_sweep(config, 4, output_path=str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_holds_two_operator_arrays_at_most(self, tmp_path):
+        """Each circuit's rho' is read and released before its U is
+        composed, so a sweep never holds U and rho' together: its traced
+        peak stays under two K x K complex arrays and a quarter of one.  At
+        N = 9, as in the simulate ceiling test, because numpy's copy of
+        CZ's negated quadrant is a quarter of an N = 8 array."""
+        n_spins = 9
+        operand = 16 * 4**n_spins
+        path = tmp_path / "sweep.cfg"
+        path.write_text(
+            f"n_spins = {n_spins}\nlarmor = {', '.join(map(str, range(1, n_spins + 1)))}\n"
+            "temperature = 3.0e5\nmolecule_count = 1.0e6\noutput_path = sweep.json\nseed = 5\n"
+        )
+        config = load_config(str(path))
+        tracemalloc.start()
+        try:
+            report = run_sweep(config, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["sweep"]["within_tolerance"] is True
+        assert peak <= 2.25 * operand
 
 
 class TestSummaryLines:

@@ -26,12 +26,11 @@ from spinensemble.engine import (
     PATHWAY_TOL,
     PathwayResult,
     compare_pathways,
-    ensemble_expectation_sum,
-    ensemble_expectation_trace,
     evolve_eigenstate,
     _evolved_density_matrix,
+    _per_state_values,
+    _trace_value,
     _weighted_sum,
-    per_state_expectations,
 )
 from spinensemble.qlinalg import ValidationError, hermitian
 from spinensemble.spin_system import (
@@ -50,8 +49,19 @@ def zeeman_ensemble(n_spins, temperature=3.0e5, molecule_count=1.0e6):
 
 
 def run_compare(circuit, ensemble, *observables):
-    """compare_pathways with the circuit's own propagator."""
-    return compare_pathways(circuit, compose_propagator(circuit), ensemble, observables)
+    return compare_pathways(circuit, ensemble, observables)
+
+
+def ensemble_sum(u, ensemble, obs):
+    """The sum pathway alone, on a given propagator."""
+    return _weighted_sum(ensemble.populations, _per_state_values(u, obs))
+
+
+def trace_pathway(circuit, ensemble, obs):
+    """The trace pathway alone; rho' is read through the module, so a
+    monkeypatched _evolved_density_matrix takes effect."""
+    rho = engine._evolved_density_matrix(circuit, ensemble)
+    return _trace_value(rho, obs, ensemble.molecule_count)
 
 
 class TestEvolveEigenstate:
@@ -85,35 +95,43 @@ class TestEvolveEigenstate:
 class TestPerStateExpectations:
     def test_identity_propagator_sx_is_zero(self):
         obs = PauliSum.collective(1, "x")
-        assert per_state_expectations(np.eye(2, dtype=complex), obs)[0] == 0.0
+        assert _per_state_values(np.eye(2, dtype=complex), obs)[0] == 0.0
 
     def test_hadamard_rotates_ground_to_plus(self):
         obs = PauliSum.collective(1, "x")
-        value = per_state_expectations(H2, obs)[0]
+        value = _per_state_values(H2, obs)[0]
         assert abs(value - 0.5) < 1e-12
 
     def test_bell_state_collective_x_vanishes(self):
         u = compose_propagator(parse_circuit("H 1\nCNOT 1 2", 2))
         obs = PauliSum.collective(2, "x")
-        assert abs(per_state_expectations(u, obs)[0]) < 1e-12
+        assert abs(_per_state_values(u, obs)[0]) < 1e-12
 
     def test_vectorized_matches_per_index(self):
         rng = np.random.default_rng(41)
         u = random_unitary(rng, 8)
         for obs in [PauliSum.collective(3, axis) for axis in "xyz"] + [PauliSum(3, "y", (2,))]:
-            values = per_state_expectations(u, obs)
+            values = _per_state_values(u, obs)
             matrix = dense_observable(obs)
             for k in range(8):
                 column = evolve_eigenstate(u, k)
                 assert abs(values[k] - np.vdot(column, matrix @ column).real) < 1e-12
 
-    def test_rejects_non_hermitian_observable(self):
-        """A matrix is not an observable the engine reads, Hermitian or not."""
+    def test_rejects_non_hermitian_observable(self, monkeypatch):
+        """A matrix is not an observable the engine reads, Hermitian or not,
+        and it is refused before either pathway evolves anything."""
         bad = np.array([[0, 1], [0, 0]], dtype=complex)
         hermitian_matrix = dense_observable(PauliSum.collective(1, "x"))
+
+        def refuse(*args):
+            raise AssertionError("a pathway ran before the observable was checked")
+
+        monkeypatch.setattr(engine, "compose_propagator", refuse)
+        monkeypatch.setattr(engine, "_evolved_density_matrix", refuse)
+        ens = zeeman_ensemble(1)
         for matrix in (bad, hermitian_matrix):
             with pytest.raises(ValidationError, match="must be a PauliSum, got ndarray"):
-                per_state_expectations(np.eye(2, dtype=complex), matrix)
+                run_compare(Circuit(1), ens, PauliSum.collective(1, "z"), matrix)
 
 
 class TestPauliSum:
@@ -132,12 +150,12 @@ class TestPauliSum:
                 for pauli in observables:
                     dense = dense_observable(pauli)
                     np.testing.assert_allclose(
-                        per_state_expectations(u, pauli),
+                        _per_state_values(u, pauli),
                         dense_per_state_values(u, dense),
                         rtol=0,
                         atol=1e-12,
                     )
-                    local = ensemble_expectation_trace(circuit, ens, pauli)
+                    local = _trace_value(rho, pauli, ens.molecule_count)
                     reference = dense_trace_value(rho, dense, ens.molecule_count)
                     assert abs(local - reference) <= PATHWAY_TOL * ens.molecule_count
 
@@ -147,19 +165,18 @@ class TestPauliSum:
         circuit = random_circuit(4, rng, min_depth=20, max_depth=20)
         u = compose_propagator(circuit)
         paulis = [PauliSum(4, axis, (2, 4)) for axis in "xyz"]
-        results = compare_pathways(circuit, u, ens, paulis)
+        results = compare_pathways(circuit, ens, paulis)
         for pauli, result in zip(paulis, results):
             dense_sum = _weighted_sum(
                 ens.populations, dense_per_state_values(u, dense_observable(pauli))
             )
             assert result.abs_difference <= PATHWAY_TOL * ens.molecule_count
             assert abs(result.expectation_sum - dense_sum) <= 1e-12 * ens.molecule_count
-            single = per_state_expectations(u, pauli)
+            single = _per_state_values(u, pauli)
             assert single.tobytes() == result.per_state_values.tobytes()
 
     def test_x_and_y_share_one_row_pair_product_per_spin(self, monkeypatch):
         circuit = random_circuit(4, np.random.default_rng(53), min_depth=20, max_depth=20)
-        u = compose_propagator(circuit)
         observables = [PauliSum.collective(4, axis) for axis in "xyz"]
         subscripts = []
         original = np.einsum
@@ -169,15 +186,15 @@ class TestPauliSum:
             return original(spec, *operands, **kwargs)
 
         monkeypatch.setattr(np, "einsum", counting)
-        compare_pathways(circuit, u, zeeman_ensemble(4), observables)
+        compare_pathways(circuit, zeeman_ensemble(4), observables)
         assert subscripts.count("ijk,ijk->k") == 4
 
     def test_dimension_mismatch_rejected(self):
         ens = zeeman_ensemble(2)
-        with pytest.raises(ValidationError, match="match"):
+        with pytest.raises(ValidationError, match=r"PauliSum shape \(8, 8\) does not match"):
             run_compare(Circuit(2), ens, PauliSum.collective(3, "x"))
-        with pytest.raises(ValidationError, match="match"):
-            per_state_expectations(np.eye(4, dtype=complex), PauliSum.collective(1, "z"))
+        with pytest.raises(ValidationError, match=r"PauliSum shape \(2, 2\) does not match"):
+            run_compare(Circuit(2), ens, PauliSum.collective(2, "z"), PauliSum.collective(1, "z"))
 
     @pytest.mark.parametrize(
         "args,fragment",
@@ -224,28 +241,23 @@ class TestEnsembleSum:
         system = SpinSystem.zeeman([2.0, 1.0])
         ens = ThermalEnsemble(system, 1.0, 8.0, populations=np.full(4, 2.0))
         u = random_unitary(rng, 4)
-        value = ensemble_expectation_sum(u, ens, PauliSum.collective(2, "x"))
+        value = ensemble_sum(u, ens, PauliSum.collective(2, "x"))
         assert abs(value) < 1e-12
 
     def test_single_spin_identity_circuit_closed_form(self):
         ens = zeeman_ensemble(1)
         c1, c2 = ens.populations
-        value = ensemble_expectation_sum(
-            np.eye(2, dtype=complex), ens, PauliSum.collective(1, "z")
-        )
-        assert abs(value - (c1 - c2) / 2.0) < 1e-12
+        (result,) = run_compare(Circuit(1), ens, PauliSum.collective(1, "z"))
+        assert abs(result.expectation_sum - (c1 - c2) / 2.0) < 1e-12
 
     def test_matches_trace_pathway_on_random_input(self):
         rng = np.random.default_rng(43)
         for n_spins in (1, 2, 3):
             ens = zeeman_ensemble(n_spins)
             circuit = random_circuit(n_spins, rng, min_depth=20, max_depth=20)
-            u = compose_propagator(circuit)
-            for axis in "xyz":
-                obs = PauliSum(n_spins, axis, tuple(range(n_spins, 0, -1)))
-                s = ensemble_expectation_sum(u, ens, obs)
-                t = ensemble_expectation_trace(circuit, ens, obs)
-                assert abs(s - t) <= PATHWAY_TOL * ens.molecule_count
+            observables = [PauliSum(n_spins, axis, tuple(range(n_spins, 0, -1))) for axis in "xyz"]
+            for result in compare_pathways(circuit, ens, observables):
+                assert result.abs_difference <= PATHWAY_TOL * ens.molecule_count
 
 
 class TestEnsembleTrace:
@@ -255,17 +267,14 @@ class TestEnsembleTrace:
         system = SpinSystem.zeeman([2.0, 1.0])
         ens = ThermalEnsemble(system, 1.0, 4.0, populations=np.ones(4))
         circuit = random_circuit(2, rng, min_depth=20, max_depth=20)
-        value = ensemble_expectation_trace(circuit, ens, PauliSum.collective(2, "z"))
-        assert abs(value) < 1e-12
+        (result,) = run_compare(circuit, ens, PauliSum.collective(2, "z"))
+        assert abs(result.expectation_trace) < 1e-12
 
     def test_bell_circuit_agreement_is_tight(self):
         ens = zeeman_ensemble(2)
         circuit = parse_circuit("H 1\nCNOT 1 2", 2)
-        u = compose_propagator(circuit)
-        obs = PauliSum.collective(2, "z")
-        s = ensemble_expectation_sum(u, ens, obs)
-        t = ensemble_expectation_trace(circuit, ens, obs)
-        assert abs(s - t) <= 1e-12 * ens.molecule_count
+        (result,) = run_compare(circuit, ens, PauliSum.collective(2, "z"))
+        assert result.abs_difference <= 1e-12 * ens.molecule_count
 
 
 class TestComparePathways:
@@ -313,24 +322,28 @@ class TestComparePathways:
 
 
 class TestPathwayIndependence:
-    def test_foreign_propagator_shows_as_disagreement(self):
-        """The trace pathway reads the gate list, never the propagator it is handed."""
+    def test_foreign_propagator_shows_as_disagreement(self, monkeypatch):
+        """The trace pathway reads the gate list, never the composed
+        propagator: a wrong one shows in the sum alone."""
         ens = zeeman_ensemble(2)
         circuit = parse_circuit("X 1", 2)
-        foreign = compose_propagator(Circuit(2))
-        (result,) = compare_pathways(circuit, foreign, ens, [PauliSum.collective(2, "z")])
+        obs = PauliSum.collective(2, "z")
+        (honest,) = run_compare(circuit, ens, obs)
+        monkeypatch.setattr(engine, "compose_propagator", lambda c: compose_propagator(Circuit(2)))
+        (result,) = run_compare(circuit, ens, obs)
         assert result.abs_difference > PATHWAY_TOL * ens.molecule_count
-        assert result.expectation_trace == ensemble_expectation_trace(
-            circuit, ens, PauliSum.collective(2, "z")
-        )
+        assert result.expectation_trace == honest.expectation_trace
 
-    def test_non_unitary_propagator_shows_as_disagreement(self):
+    def test_non_unitary_propagator_shows_as_disagreement(self, monkeypatch):
         """compare_pathways does not re-check U; a scaled one disagrees instead."""
         ens = zeeman_ensemble(2)
         circuit = parse_circuit("RY 1 0.4\nCNOT 1 2", 2)
-        scaled = 1.5 * compose_propagator(circuit)
-        (result,) = compare_pathways(circuit, scaled, ens, [PauliSum.collective(2, "z")])
+        obs = PauliSum.collective(2, "z")
+        (honest,) = run_compare(circuit, ens, obs)
+        monkeypatch.setattr(engine, "compose_propagator", lambda c: 1.5 * compose_propagator(c))
+        (result,) = run_compare(circuit, ens, obs)
         assert result.abs_difference > PATHWAY_TOL * ens.molecule_count
+        assert result.expectation_trace == honest.expectation_trace
         scaled_trace = 2.25 * result.expectation_trace
         assert abs(result.expectation_sum - scaled_trace) <= PATHWAY_TOL * ens.molecule_count
 
@@ -340,11 +353,11 @@ class TestPathwayIndependence:
         circuit = random_circuit(3, rng, min_depth=20, max_depth=20)
         u = compose_propagator(circuit)
         observables = [PauliSum.collective(3, axis) for axis in "xyz"]
-        results = compare_pathways(circuit, u, ens, observables)
+        results = compare_pathways(circuit, ens, observables)
         assert len(results) == 3
         for obs, result in zip(observables, results):
-            assert result.expectation_sum == ensemble_expectation_sum(u, ens, obs)
-            assert result.expectation_trace == ensemble_expectation_trace(circuit, ens, obs)
+            assert result.expectation_sum == ensemble_sum(u, ens, obs)
+            assert result.expectation_trace == trace_pathway(circuit, ens, obs)
 
     def test_trace_pathway_matches_dense_conjugation(self):
         """Gate-by-gate G rho G^dagger against U rho U^dagger, up to 7 spins."""
@@ -357,7 +370,7 @@ class TestPathwayIndependence:
             for axis in "xyz":
                 obs = PauliSum.collective(n_spins, axis)
                 dense = dense_trace_value(rho, dense_observable(obs), ens.molecule_count)
-                local = ensemble_expectation_trace(circuit, ens, obs)
+                local = trace_pathway(circuit, ens, obs)
                 assert abs(local - dense) <= PATHWAY_TOL * ens.molecule_count
 
     def test_rejects_non_hermitian_observable(self):
@@ -367,10 +380,6 @@ class TestPathwayIndependence:
         for matrix in (bad, dense_observable(PauliSum.collective(1, "z"))):
             with pytest.raises(ValidationError, match="observable must be a PauliSum"):
                 run_compare(Circuit(1), ens, matrix)
-            with pytest.raises(ValidationError, match="observable must be a PauliSum"):
-                ensemble_expectation_trace(Circuit(1), ens, matrix)
-            with pytest.raises(ValidationError, match="observable must be a PauliSum"):
-                ensemble_expectation_sum(np.eye(2, dtype=complex), ens, matrix)
 
 
 class TestTraceImaginaryResidual:
@@ -391,11 +400,11 @@ class TestTraceImaginaryResidual:
                 engine, "_evolved_density_matrix", lambda c, e: original(c, e) + skew
             )
             if share < 1:
-                ensemble_expectation_trace(circuit, ens, obs)
+                trace_pathway(circuit, ens, obs)
                 run_compare(circuit, ens, obs)
                 continue
             with pytest.raises(ValidationError, match="trace expectation has imaginary residual"):
-                ensemble_expectation_trace(circuit, ens, obs)
+                trace_pathway(circuit, ens, obs)
             with pytest.raises(ValidationError, match="trace expectation has imaginary residual"):
                 run_compare(circuit, ens, obs)
 
@@ -455,14 +464,11 @@ class TestLinearity:
         doubled = ThermalEnsemble(
             system, base.temperature, 1.0e6, populations=base.populations * 2.0
         )
-        u = compose_propagator(circuit)
+        (once,) = run_compare(circuit, base, obs)
+        (twice,) = run_compare(circuit, doubled, obs)
         # power-of-two scaling is exact in floating point
-        assert ensemble_expectation_sum(u, doubled, obs) == 2.0 * ensemble_expectation_sum(
-            u, base, obs
-        )
-        assert ensemble_expectation_trace(
-            circuit, doubled, obs
-        ) == 2.0 * ensemble_expectation_trace(circuit, base, obs)
+        assert twice.expectation_sum == 2.0 * once.expectation_sum
+        assert twice.expectation_trace == 2.0 * once.expectation_trace
 
     def test_tripling_molecules_scales_within_roundoff(self):
         rng = np.random.default_rng(48)
@@ -473,8 +479,7 @@ class TestLinearity:
         tripled = ThermalEnsemble(
             system, base.temperature, 3.0e5, populations=base.populations * 3.0
         )
-        u = compose_propagator(circuit)
-        a = ensemble_expectation_sum(u, tripled, obs)
-        b = 3.0 * ensemble_expectation_sum(u, base, obs)
+        a = run_compare(circuit, tripled, obs)[0].expectation_sum
+        b = 3.0 * run_compare(circuit, base, obs)[0].expectation_sum
         # the sum is a near-cancelling residual, so roundoff scales with M
         assert abs(a - b) <= 1e-14 * tripled.molecule_count

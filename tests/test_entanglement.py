@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import bell_state, random_density, random_state, random_unitary
+from helpers import bell_state, maximally_mixed, random_density, random_state, random_unitary
 from spinensemble.circuit import Circuit, compose_propagator, parse_circuit, random_circuit
 from spinensemble.engine import evolve_eigenstate
 from spinensemble.entanglement import (
@@ -14,11 +14,10 @@ from spinensemble.entanglement import (
     _schmidt_table,
     entanglement_entropy,
     entanglement_report,
-    mixedness_report,
     ppt_report,
     schmidt_coefficients,
 )
-from spinensemble.qlinalg import BipartitionSpec, ValidationError, maximally_mixed
+from spinensemble.qlinalg import BipartitionSpec, ValidationError
 from spinensemble.spin_system import SpinSystem, ThermalEnsemble, equilibrium_density_matrix
 
 CUT_12 = BipartitionSpec((1,), (2,))
@@ -316,32 +315,34 @@ class TestPptReport:
         rho = random_density(np.random.default_rng(58), 4)
         before = rho.copy()
         ppt_report(rho, CUT_12)
-        mixedness_report(rho)
         assert rho.tobytes() == before.tobytes()
 
 
 class TestMixednessReport:
+    """The distance and purity fields of ppt_report."""
+
     def test_maximally_mixed(self):
-        report = mixedness_report(maximally_mixed(4))
+        report = ppt_report(maximally_mixed(4), CUT_12)
         assert report.frobenius_to_mixed == 0.0
         assert abs(report.purity - 0.25) < 1e-15
-        assert report.min_pt_eigenvalue is None
-        assert report.negativity is None
-        assert report.ppt_holds is None
-        assert report.ppt_conclusive is None
+        assert report.min_pt_eigenvalue == 0.25
+        assert report.negativity == 0.0
+        assert report.ppt_holds is True
+        assert report.certified_separable is True
 
     def test_pure_state_distance(self):
         rho = np.outer(bell_state(), bell_state().conj())
-        report = mixedness_report(rho)
+        report = ppt_report(rho, CUT_12)
         assert abs(report.frobenius_to_mixed - math.sqrt(1.0 - 0.25)) < 1e-12
         assert abs(report.purity - 1.0) < 1e-12
 
     def test_distance_purity_identity(self):
         """||rho - I/K||_F^2 == tr(rho^2) - 1/K for any state."""
         rng = np.random.default_rng(57)
-        for dim in (2, 4, 8):
+        for n_spins in (2, 3, 4):
+            dim = 2**n_spins
             rho = random_density(rng, dim)
-            report = mixedness_report(rho)
+            report = ppt_report(rho, BipartitionSpec((1,), tuple(range(2, n_spins + 1))))
             assert abs(report.frobenius_to_mixed**2 - (report.purity - 1.0 / dim)) < 1e-12
 
     def test_equilibrium_distance_tracks_population_spread(self):
@@ -350,7 +351,7 @@ class TestMixednessReport:
         epsilon = 1.0e-5
         temperature = system.spectral_width / epsilon
         ens = ThermalEnsemble.boltzmann(system, temperature, 1.0e6)
-        report = mixedness_report(equilibrium_density_matrix(ens))
+        report = ppt_report(equilibrium_density_matrix(ens), CUT_12)
         assert report.frobenius_to_mixed <= epsilon
 
 

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from helpers import random_density, random_hermitian, random_state, random_unitary
+from spinensemble import circuit as circuit_module
+from spinensemble.circuit import compose_propagator, parse_circuit
 from spinensemble.entanglement import (
     entanglement_entropy,
     entanglement_report,
@@ -20,7 +22,6 @@ from spinensemble.qlinalg import (
     ValidationError,
     hermitian,
     state_vector,
-    unitary,
 )
 
 CASES = 100
@@ -34,19 +35,25 @@ def random_cut(rng, n_spins):
 
 
 class TestValidatorInvariants:
-    def test_unitary_accepts_and_rejects(self):
+    def test_unitary_accepts_and_rejects(self, monkeypatch):
+        """The gate check, the one unitarity check a circuit runs, on random
+        2x2 matrices put in place of a rotation."""
         rng = np.random.default_rng(110)
         for i in range(CASES):
-            dim = int(rng.choice([2, 4, 8]))
-            u = random_unitary(rng, dim)
-            unitary(u)  # must accept
+            u = random_unitary(rng, 2)
             if i % 2 == 0:
                 broken = u.copy()
                 broken[0, 0] += 1e-6
             else:
                 broken = u * 1.000001
-            with pytest.raises(ValidationError):
-                unitary(broken)
+            for matrix, accepted in ((u, True), (broken, False)):
+                monkeypatch.setattr(circuit_module, "_rotation_matrix", lambda k, a: matrix)
+                circuit = parse_circuit("H 1\nRX 1 0.5", 1)
+                if accepted:
+                    compose_propagator(circuit)
+                    continue
+                with pytest.raises(ValidationError, match="^matrix is not unitary"):
+                    compose_propagator(circuit)
 
     def test_state_vector_accepts_and_rejects(self):
         rng = np.random.default_rng(111)

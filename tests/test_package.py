@@ -1,10 +1,32 @@
-"""The package's public names."""
+"""The package's public names, and the README's library example."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
 
 import spinensemble
 
-# Dense observable builders the package no longer has: PauliSum is the one
-# observable type.
-DELETED = ("collective_observable", "single_spin_observable", "embed_single_spin")
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Names the package no longer has: the dense observable builders (PauliSum is
+# the one observable type), and functions no command reached, whose work
+# compare_pathways, ppt_report and ThermalEnsemble.boltzmann do.
+DELETED = (
+    "collective_observable",
+    "single_spin_observable",
+    "embed_single_spin",
+    "per_state_expectations",
+    "ensemble_expectation_sum",
+    "ensemble_expectation_trace",
+    "mixedness_report",
+    "hermitian_eigenvalues",
+    "maximally_mixed",
+    "frobenius_distance",
+    "partial_transpose",
+    "boltzmann_populations",
+    "unitary",
+)
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -19,3 +41,11 @@ def test_dense_observable_builders_are_not_exported():
     for name in DELETED:
         assert name not in spinensemble.__all__
         assert not hasattr(spinensemble, name)
+
+
+def test_readme_library_example_runs_as_written():
+    (block,) = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.S | re.M)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    assert out.getvalue().splitlines() == ["[0. 0. 0. 0.]", "1.0", "True True"]

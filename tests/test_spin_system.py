@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from helpers import dense_observable
-from spinensemble.qlinalg import ValidationError, frobenius_distance, maximally_mixed
+from spinensemble.entanglement import ppt_report
+from spinensemble.qlinalg import BipartitionSpec, ValidationError
 from spinensemble.spin_system import (
     PauliSum,
     SpinSystem,
     ThermalEnsemble,
-    boltzmann_populations,
     default_energies,
     epsilon_report,
     equilibrium_density_matrix,
@@ -54,43 +54,54 @@ class TestDefaultEnergies:
         np.testing.assert_array_equal(default_energies(n_spins, larmor), looped)
 
 
+def boltzmann_counts(energies, temperature, molecule_count):
+    """ThermalEnsemble.boltzmann's populations for explicit level energies."""
+    n_spins = int(np.log2(len(energies)))
+    system = SpinSystem(n_spins, tuple(energies))
+    return ThermalEnsemble.boltzmann(system, temperature, molecule_count).populations
+
+
 class TestBoltzmannPopulations:
     def test_degenerate_levels_split_evenly(self):
-        np.testing.assert_allclose(boltzmann_populations([0.0, 0.0], 3.7, 100.0), [50.0, 50.0])
+        np.testing.assert_allclose(boltzmann_counts([0.0, 0.0], 3.7, 100.0), [50.0, 50.0])
 
     def test_ln2_ratio(self):
         t = 0.83
-        pops = boltzmann_populations([0.0, math.log(2.0) * t], t, 300.0)
+        pops = boltzmann_counts([0.0, math.log(2.0) * t], t, 300.0)
         np.testing.assert_allclose(pops, [200.0, 100.0], rtol=1e-14)
 
     def test_large_temperature_equalizes(self):
-        pops = boltzmann_populations([0.3, -0.2, 0.9, 0.1], 1e9, 1000.0)
+        pops = boltzmann_counts([0.3, -0.2, 0.9, 0.1], 1e9, 1000.0)
         assert np.max(np.abs(pops - 250.0)) <= 1e-6 * 1000.0
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(61)
         for _ in range(20):
             energies = rng.normal(size=8)
-            base = boltzmann_populations(energies, 0.7, 1.0)
-            shifted = boltzmann_populations(energies + 123.456, 0.7, 1.0)
+            base = boltzmann_counts(energies, 0.7, 1.0)
+            shifted = boltzmann_counts(energies + 123.456, 0.7, 1.0)
             np.testing.assert_allclose(shifted, base, rtol=1e-12)
 
     def test_no_overflow_at_tiny_temperature(self):
-        pops = boltzmann_populations([0.0, 1e6], 1e-3, 10.0)
+        pops = boltzmann_counts([0.0, 1e6], 1e-3, 10.0)
         assert np.all(np.isfinite(pops))
         np.testing.assert_allclose(pops, [10.0, 0.0], atol=1e-12)
 
     def test_overflowing_exponent_gives_zero_weight_silently(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pops = boltzmann_populations([-1.5, -0.5, 0.5, 1.5], 1e-320, 1.0e6)
+            pops = boltzmann_counts([-1.5, -0.5, 0.5, 1.5], 1e-320, 1.0e6)
         np.testing.assert_array_equal(pops, [1.0e6, 0.0, 0.0, 0.0])
 
     def test_rejects_bad_temperature_and_count(self):
-        with pytest.raises(ValidationError, match="temperature"):
-            boltzmann_populations([0.0, 1.0], 0.0, 10.0)
-        with pytest.raises(ValidationError, match="molecule_count"):
-            boltzmann_populations([0.0, 1.0], 1.0, -5.0)
+        """Checked once, by the ensemble; the Boltzmann weights of a bad
+        temperature raise no warning on the way."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="temperature"):
+                boltzmann_counts([0.0, 1.0], 0.0, 10.0)
+            with pytest.raises(ValidationError, match="molecule_count"):
+                boltzmann_counts([0.0, 1.0], 1.0, -5.0)
 
 
 class TestSpinSystem:
@@ -218,7 +229,7 @@ class TestEpsilonReport:
         for t in (1e1, 1e2, 1e3):
             ens = ThermalEnsemble.boltzmann(system, t, 1.0)
             rho = equilibrium_density_matrix(ens)
-            distances.append(frobenius_distance(rho, maximally_mixed(4)))
+            distances.append(ppt_report(rho, BipartitionSpec((1,), (2,))).frobenius_to_mixed)
             spreads.append(epsilon_report(ens).max_population_spread)
         assert distances[0] > distances[1] > distances[2]
         assert spreads[0] > spreads[1] > spreads[2]
