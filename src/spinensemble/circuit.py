@@ -27,9 +27,11 @@ gate's axis and 2x2 matrix; a two-spin gate's slice index and the rows
 it negates).  Compiling checks every gate matrix unitary, and every 4x4
 a signed permutation, so a composed propagator is unitary by
 construction and is never checked as a K x K matrix.  The propagator and
-both passes of the trace pathway run the same plan.  A pass writes each
-gate's result alternately to its operand and to one spare array, so it
-allocates one K x K array however many gates it runs.
+both passes of the trace pathway run the same plan.  Gates act on row
+axes only, so a pass runs in place over blocks of columns: each block's
+gates write alternately to it and to one spare block, and a pass holds
+its one K x K operand and two blocks of at most max(1, K/1024) MiB
+however many gates it runs.
 """
 
 from __future__ import annotations
@@ -233,12 +235,13 @@ def _apply_gate(state: np.ndarray, matrix: np.ndarray, axes: tuple[int, ...]) ->
     rounds like the dense Kronecker-embedded product it replaces.  For a
     4x4 matrix, which must be a signed permutation, ``axes`` lists the
     axes of its first and second basis factor, in either order.  Returns a
-    new complex array of state's shape.  This compiles the one gate and
-    runs it as a circuit's plan would.
+    new complex array of state's shape and leaves state as it was.  This
+    compiles the one gate and runs it, on the whole operand, as a
+    circuit's plan would on each block.
     """
     kernel, arguments = _compile_step(matrix, axes)
     out = np.empty(np.shape(state), dtype=complex)
-    kernel(np.asarray(state, dtype=complex), out, *arguments)
+    kernel(np.array(state, dtype=complex), out, *arguments)
     return out
 
 
@@ -324,7 +327,7 @@ def _permute_pair(
 ) -> None:
     """Apply a two-spin signed permutation (CNOT, CZ, SWAP) compiled by
     _pair_arguments, written to ``out``, a C-contiguous array of state's
-    shape.
+    shape.  State is C-contiguous too, and its contents are spent.
 
     Each output slice is one input slice, copied or negated, so the result
     is exact.  One ``take`` along the merged middle axis copies whole
@@ -332,6 +335,10 @@ def _permute_pair(
     quadrants one by one instead re-reads every cache line once per
     quadrant when width is small.  The indices are in range, so "clip"
     changes nothing but lets ``take`` write to ``out`` without a buffer.
+    A negated quadrant is a strided view, and a ufunc on one allocates
+    iterator buffers of up to 256 KiB, so it is copied into the front of
+    the spent state, negated there in one contiguous run (sign flips, so
+    signed zeros too are exact) and copied back, with no allocation.
     """
     merged = out.reshape(outer, 4 * gap, -1)
     state.reshape(outer, 4 * gap, -1).take(index, axis=1, out=merged, mode="clip")
@@ -339,21 +346,47 @@ def _permute_pair(
         quadrants = merged.reshape(outer, 2, gap, 2, -1)
         for row in negated:
             quadrant = quadrants[:, row >> 1, :, row & 1]
-            np.negative(quadrant, out=quadrant)
+            held = state.reshape(-1)[: quadrant.size].reshape(quadrant.shape)
+            np.copyto(held, quadrant)
+            np.negative(held, out=held)
+            np.copyto(quadrant, held)
+
+
+def _block_width(dim: int) -> int:
+    """Columns per block of a K x K pass: max(64, 2**16 // K) columns,
+    1 MiB of complex entries while K <= 1024, and all K when K <= 256."""
+    return min(dim, max(64, 2**16 // dim))
 
 
 def _apply_gates(state: np.ndarray, plan) -> np.ndarray:
     """Run a circuit's plan, gate by gate, on the row axes of a K x K operand.
 
-    The gates write alternately to one spare array and to the operand,
-    which is overwritten when it is already a C-contiguous complex array.
+    Gates act on row axes only, so columns never mix, and the plan runs
+    on one block of _block_width(K) columns at a time: the block is copied
+    into a contiguous (K, w) buffer, the gates write alternately to it and
+    to one spare of the same size, and the result is copied back.  When
+    w = K the operand is its own one block and nothing is copied.  The
+    operand is overwritten when it is already a C-contiguous complex
+    array, and the pass allocates two blocks beside it (one spare when
+    w = K), so one K x K array is alive however many gates run.  Returns
+    the operand, or for one block whichever of it and its spare holds the
+    result.
     """
     state = np.ascontiguousarray(state, dtype=complex)
-    spare = np.empty_like(state)
-    for kernel, arguments in plan:
-        kernel(state, spare, *arguments)
-        state, spare = spare, state
-    return state
+    dim = state.shape[0]
+    width = _block_width(dim)
+    blocked = width < dim
+    block = np.empty((dim, width), dtype=complex) if blocked else state
+    spare = np.empty((dim, width), dtype=complex)
+    for start in range(0, dim, width):
+        if blocked:
+            np.copyto(block, state[:, start : start + width])
+        for kernel, arguments in plan:
+            kernel(block, spare, *arguments)
+            block, spare = spare, block
+        if blocked:
+            np.copyto(state[:, start : start + width], block)
+    return state if blocked else block
 
 
 def compose_propagator(circuit: Circuit) -> np.ndarray:

@@ -277,9 +277,9 @@ def run_simulate(config: RunConfig, output_path: str | None = None) -> dict:
         part = BipartitionSpec.parse(config.bipartition, config.n_spins)
 
     # Everything that reads rho' runs, and rho' is released, before U is
-    # composed: rho' and U are never alive together, so a certified run
-    # holds at most two K x K complex arrays (an operand and one working
-    # array) at a time.
+    # composed: rho' and U are never alive together, and every gate pass
+    # runs in place over column blocks, so a certified run holds one K x K
+    # complex array at a time, with block-sized work arrays beside it.
     (trace_value,), rho_evolved = _trace_side(circuit, ensemble, [observable])
     initial_rep, evolved_rep = _ensemble_reports(ensemble.probabilities, rho_evolved, part)
     del rho_evolved

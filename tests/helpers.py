@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from spinensemble.circuit import _apply_gate, _gate_matrix
+from spinensemble.circuit import Circuit, Gate, _apply_gate, _gate_matrix, random_circuit
 from spinensemble.qlinalg import PAULI_X, PAULI_Y, PAULI_Z
 
 
@@ -47,6 +47,39 @@ def conjugate_gate_by_gate(circuit, rho):
         rho = _apply_gate(rho, matrix, tuple(t - 1 for t in gate.targets))
         rho = _apply_gate(rho, matrix.conj(), tuple(n_spins + t - 1 for t in gate.targets))
     return rho
+
+
+def row_passes(circuit, state):
+    """Reference pass: each gate by _apply_gate on the rows of the whole
+    operand, in order."""
+    for gate in circuit.gates:
+        state = _apply_gate(state, _gate_matrix(gate), tuple(t - 1 for t in gate.targets))
+    return state
+
+
+def every_kind_circuit(n_spins, rng, extra):
+    """Each of the twelve gate kinds at least once over five or more spins
+    (the two-spin kinds on distant and reversed pairs): 14 gates, then
+    ``extra`` seeded random gates."""
+    n = n_spins
+    gates = [
+        Gate("H", (1,)),
+        Gate("CNOT", (1, n)),
+        Gate("RY", (2,), 0.9),
+        Gate("CZ", (n, 2)),
+        Gate("X", (n,)),
+        Gate("SWAP", (3, n - 1)),
+        Gate("RX", (n - 1,), 1.3),
+        Gate("Y", (3,)),
+        Gate("CZ", (n - 1, n)),
+        Gate("S", (4,)),
+        Gate("RZ", (n,), 0.4),
+        Gate("T", (1,)),
+        Gate("Z", (2,)),
+        Gate("CNOT", (n, 1)),
+    ]
+    tail = random_circuit(n_spins, rng, min_depth=extra, max_depth=extra).gates if extra else ()
+    return Circuit(n_spins, tuple(gates) + tail)
 
 
 def dense_observable(pauli):

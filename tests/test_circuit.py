@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import bell_state, unitarity_deviation
+from helpers import bell_state, every_kind_circuit, row_passes, unitarity_deviation
 from spinensemble import circuit as circuit_module
 from spinensemble.circuit import (
     Circuit,
@@ -395,11 +396,7 @@ class TestLocalGateApplication:
                 circuit = random_circuit(n_spins, rng)
                 shape = (circuit.dim, circuit.dim)
                 state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-                expected = state
-                for gate in circuit.gates:
-                    axes = tuple(t - 1 for t in gate.targets)
-                    expected = _apply_gate(expected, _gate_matrix(gate), axes)
-                cases.append((circuit._plan, state, expected))
+                cases.append((circuit._plan, state, row_passes(circuit, state)))
 
         def refuse(*args, **kwargs):
             raise AssertionError("a compiled plan inspected a gate matrix")
@@ -441,6 +438,84 @@ class TestLocalGateApplication:
         _apply_gate(state, _gate_matrix(Gate("H", (1,))), (0,))
         _apply_gate(state, _gate_matrix(Gate("CNOT", (2, 1))), (1, 0))
         np.testing.assert_array_equal(state, before)
+
+
+class TestColumnBlocks:
+    """A pass runs the plan over blocks of columns, in place.  From N = 9
+    there are several blocks, and the result must still equal the whole
+    operand's, gate by gate, bit for bit (signed zeros included)."""
+
+    @pytest.mark.parametrize("n_spins", [9, 10])
+    @pytest.mark.parametrize("extra", [0, 7, 8])  # 14, 21 and 22 gates
+    def test_propagator_matches_whole_operand_gate_by_gate(self, n_spins, extra):
+        circuit = every_kind_circuit(n_spins, np.random.default_rng(95 + extra), extra)
+        assert circuit_module._block_width(circuit.dim) < circuit.dim
+        expected = row_passes(circuit, np.eye(circuit.dim, dtype=complex))
+        assert compose_propagator(circuit).tobytes() == expected.tobytes()
+
+    def test_empty_circuit_is_identity_over_several_blocks(self):
+        identity = np.eye(2**10, dtype=complex)
+        assert compose_propagator(Circuit(10)).tobytes() == identity.tobytes()
+
+    @pytest.mark.parametrize("n_spins", [6, 8, 10])
+    def test_block_width(self, n_spins):
+        dim = 2**n_spins
+        width = circuit_module._block_width(dim)
+        assert width == min(dim, max(64, 2**16 // dim))
+        assert dim % width == 0
+
+    def test_pass_runs_in_place_beside_two_blocks(self):
+        """Beside its operand, a pass allocates two blocks and no more
+        whatever its gates, where a K x K spare would be sixteen."""
+        n_spins = 10
+        dim = 2**n_spins
+        circuit = every_kind_circuit(n_spins, np.random.default_rng(96), 7)
+        plan = circuit._plan
+        rng = np.random.default_rng(97)
+        state = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        expected = row_passes(circuit, state)
+        tracemalloc.start()
+        try:
+            result = _apply_gates(state, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result is state
+        assert result.tobytes() == expected.tobytes()
+        block = 16 * dim * circuit_module._block_width(dim)
+        assert peak <= 2 * block + 16384  # two blocks, and small views
+
+
+    @pytest.mark.parametrize("shape", [(1024, 64), (256, 256)])
+    def test_negation_is_exact_and_allocates_nothing(self, shape):
+        """CZ flips the sign bits of one quadrant, signed zeros included (a
+        complex product with -1 would turn 0 - 0j into -0 + 0j), and runs
+        no ufunc on a strided view, which would allocate iterator buffers
+        of up to 256 KiB."""
+        rows = shape[0]
+        n_axes = rows.bit_length() - 1
+        rng = np.random.default_rng(98)
+        parts = rng.choice([0.0, -0.0, 1.5, -2.25, 0.3], size=shape + (2,))
+        state = np.ascontiguousarray(parts).view(complex).reshape(shape)
+        cz = _gate_matrix(Gate("CZ", (1, 2)))
+        for a in range(n_axes):
+            for b in range(n_axes):
+                if a == b:
+                    continue
+                low, high = min(a, b), max(a, b)
+                expected = state.copy()
+                bits = expected.view(np.uint64).reshape(2**low, 2, 2 ** (high - low - 1), 2, -1)
+                bits[:, 1, :, 1] ^= np.uint64(1 << 63)
+                arguments = circuit_module._pair_arguments(cz, a, b)
+                source, out = state.copy(), np.empty_like(state)
+                tracemalloc.start()
+                try:
+                    circuit_module._permute_pair(source, out, *arguments)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert out.tobytes() == expected.tobytes(), (a, b)
+                assert peak <= 4096, (a, b, peak)
 
 
 class TestRandomCircuit:

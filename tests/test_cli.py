@@ -497,22 +497,19 @@ class TestRunSimulate:
         if svd_calls:
             assert calls[0][0] == 4  # one matrix per eigenstate
 
-    @pytest.mark.parametrize("axis", ["x", "z"])
-    def test_certified_run_holds_two_operator_arrays_at_most(self, tmp_path, axis):
-        """rho' is read and released before U is composed, so a certified
-        simulate never holds U and rho' together: its traced peak stays
-        under two K x K complex arrays and a quarter of one.  At N = 9, not
-        less: numpy copies up to 256 KiB of a strided view that a ufunc
-        writes in place, as _permute_pair negates CZ's quadrant, and that
-        copy is already a quarter of an N = 8 array."""
-        n_spins = 9
-        operand = 16 * 4**n_spins
+    @staticmethod
+    def certified_peak(tmp_path, n_spins, axis):
+        """The traced peak of a certified simulate on a 20-gate random
+        circuit, in K x K complex arrays."""
         circuit = random_circuit(n_spins, np.random.default_rng(61), min_depth=20, max_depth=20)
+        half = n_spins // 2
+        cut = ",".join(map(str, range(1, half + 1))) + "|"
+        cut += ",".join(map(str, range(half + 1, n_spins + 1)))
         text = (
             BASE_CONFIG.replace("n_spins = 2", f"n_spins = {n_spins}")
             .replace("larmor = 2.0, 1.0", "larmor = " + ", ".join(map(str, range(1, n_spins + 1))))
             .replace("observable = x", f"observable = {axis}")
-            .replace("bipartition = 1|2", "bipartition = 1,2,3,4|5,6,7,8,9")
+            .replace("bipartition = 1|2", f"bipartition = {cut}")
         )
         config = load_config(write_config(tmp_path, text, circuit=format_circuit(circuit)))
         tracemalloc.start()
@@ -522,7 +519,20 @@ class TestRunSimulate:
         finally:
             tracemalloc.stop()
         assert report["separability"]["evolved"]["certified_separable"] is True
-        assert peak <= 2.25 * operand
+        return peak / (16 * 4**n_spins)
+
+    @pytest.mark.parametrize("axis", ["x", "z"])
+    def test_certified_run_holds_two_operator_arrays_at_most(self, tmp_path, axis):
+        """rho' is read and released before U is composed, so a certified
+        simulate never holds U and rho' together, and every gate pass runs
+        in place over 1 MiB column blocks.  At N = 9 the peak is one K x K
+        array and two blocks of a quarter each."""
+        assert self.certified_peak(tmp_path, 9, axis) <= 1.6
+
+    def test_certified_run_holds_one_operator_array_and_its_blocks(self, tmp_path):
+        """At N = 10 the two 1 MiB column blocks are an eighth of an array
+        between them: the peak stays under one K x K array and a quarter."""
+        assert self.certified_peak(tmp_path, 10, "x") <= 1.25
 
     def test_low_temperature_bell_average_is_npt(self, tmp_path):
         """H 1; CNOT 1 2 maps the eigenstates onto the Bell states, so the
@@ -587,14 +597,9 @@ class TestRunSweep:
         run_sweep(config, 4, output_path=str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_holds_two_operator_arrays_at_most(self, tmp_path):
-        """Each circuit's rho' is read and released before its U is
-        composed, so a sweep never holds U and rho' together: its traced
-        peak stays under two K x K complex arrays and a quarter of one.  At
-        N = 9, as in the simulate ceiling test, because numpy's copy of
-        CZ's negated quadrant is a quarter of an N = 8 array."""
-        n_spins = 9
-        operand = 16 * 4**n_spins
+    @staticmethod
+    def sweep_peak(tmp_path, n_spins, n_circuits):
+        """The traced peak of a sweep, in K x K complex arrays."""
         path = tmp_path / "sweep.cfg"
         path.write_text(
             f"n_spins = {n_spins}\nlarmor = {', '.join(map(str, range(1, n_spins + 1)))}\n"
@@ -603,12 +608,23 @@ class TestRunSweep:
         config = load_config(str(path))
         tracemalloc.start()
         try:
-            report = run_sweep(config, 20)
+            report = run_sweep(config, n_circuits)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert report["sweep"]["within_tolerance"] is True
-        assert peak <= 2.25 * operand
+        return peak / (16 * 4**n_spins)
+
+    def test_holds_two_operator_arrays_at_most(self, tmp_path):
+        """Each circuit's rho' is read and released before its U is
+        composed, so a sweep never holds U and rho' together, and every
+        gate pass runs in place over 1 MiB column blocks: at N = 9 the peak
+        is one K x K array and two blocks of a quarter each."""
+        assert self.sweep_peak(tmp_path, 9, 20) <= 1.6
+
+    def test_holds_one_operator_array_and_its_blocks(self, tmp_path):
+        """At N = 10 the two column blocks are an eighth of an array."""
+        assert self.sweep_peak(tmp_path, 10, 5) <= 1.25
 
 
 class TestSummaryLines:

@@ -17,7 +17,9 @@ from helpers import (
     dense_observable,
     dense_per_state_values,
     dense_trace_value,
+    every_kind_circuit,
     random_unitary,
+    row_passes,
 )
 from spinensemble.circuit import Circuit, compose_propagator, parse_circuit, random_circuit
 from spinensemble import engine
@@ -27,6 +29,7 @@ from spinensemble.engine import (
     PathwayResult,
     compare_pathways,
     evolve_eigenstate,
+    _conjugate_transpose,
     _evolved_density_matrix,
     _per_state_values,
     _trace_value,
@@ -429,10 +432,26 @@ class TestRowPassDensityMatrix:
                 hermitian(rho)
                 assert np.max(np.abs(rho - rho.conj().T)) <= 1e-15
 
+    @pytest.mark.parametrize("n_spins", [9, 10])
+    @pytest.mark.parametrize("extra", [0, 7])  # 14 and 21 gates
+    def test_column_blocks_match_whole_operand_row_passes(self, n_spins, extra):
+        """From N = 9 each pass runs over several column blocks: rho' is
+        bit for bit the two whole-operand passes around np.conjugate(a.T),
+        and within 1e-15 of gate-by-gate conjugation (which rounds in
+        another order)."""
+        ens = zeeman_ensemble(n_spins, temperature=1.0)
+        circuit = every_kind_circuit(n_spins, np.random.default_rng(53 + extra), extra)
+        half = row_passes(circuit, equilibrium_density_matrix(ens))
+        expected = row_passes(circuit, np.conjugate(half.T))
+        rho = _evolved_density_matrix(circuit, ens)
+        assert rho.tobytes() == expected.tobytes()
+        reference = conjugate_gate_by_gate(circuit, equilibrium_density_matrix(ens))
+        assert np.max(np.abs(rho - reference)) <= 1e-15
+
     def test_holds_two_operands_at_a_time(self):
-        """Each pass writes to its operand and one spare array, and the
-        half-evolved operand is gone before the second pass: the peak is
-        two K x K arrays, not one per gate or three."""
+        """At N = 8 one column block is the whole operand, so each pass
+        writes to it and one spare array: the peak is two K x K arrays,
+        not one per gate or three."""
         n_spins = 8
         operand = 16 * 4**n_spins
         ens = zeeman_ensemble(n_spins)
@@ -447,11 +466,79 @@ class TestRowPassDensityMatrix:
         assert rho.nbytes == operand
         assert peak < 2.5 * operand
 
+    def test_holds_one_operand_beside_two_blocks(self):
+        """diag(p) is the first pass's own operand, and the transpose and
+        the second pass overwrite it: at N = 10 the peak is one K x K array,
+        two 1 MiB column blocks (an eighth of it) and one 64 x 64 tile."""
+        n_spins = 10
+        operand = 16 * 4**n_spins
+        ens = zeeman_ensemble(n_spins)
+        circuit = random_circuit(n_spins, np.random.default_rng(52), min_depth=20, max_depth=20)
+        circuit._plan  # compiled outside the measurement
+        tracemalloc.start()
+        try:
+            rho = _evolved_density_matrix(circuit, ens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rho.nbytes == operand
+        assert peak < 1.15 * operand
+
     def test_empty_circuit_leaves_rho_alone(self):
         ens = zeeman_ensemble(3)
         np.testing.assert_array_equal(
             _evolved_density_matrix(Circuit(3), ens), equilibrium_density_matrix(ens)
         )
+
+    def test_empty_circuit_over_several_blocks_conjugates_only(self):
+        ens = zeeman_ensemble(10)
+        rho = _evolved_density_matrix(Circuit(10), ens)
+        assert rho.tobytes() == np.conjugate(equilibrium_density_matrix(ens)).tobytes()
+
+
+def test_sum_side_over_column_blocks_matches_whole_propagator():
+    """At N = 10 the sum half reads U over 16 column blocks: every
+    per-state value and weighted sum equals the whole-propagator reading
+    bit for bit, and its temporaries are block-sized (a contiguous copy
+    of the block and half a block for the row-pair product), where x once
+    made half a K x K array and z a whole one."""
+    n_spins = 10
+    operand = 16 * 4**n_spins
+    ens = zeeman_ensemble(n_spins, temperature=1.0)
+    u = compose_propagator(every_kind_circuit(n_spins, np.random.default_rng(55), 7))
+    observables = [PauliSum.collective(n_spins, axis) for axis in "xyz"]
+    observables.append(PauliSum(n_spins, "y", (1, n_spins)))
+    tracemalloc.start()
+    try:
+        sides = engine._sum_side(u, ens, observables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.2 * operand
+    for (per_state, total), obs in zip(sides, observables, strict=True):
+        whole = _per_state_values(u, obs)
+        assert per_state.tobytes() == whole.tobytes()
+        assert total == _weighted_sum(ens.populations, whole)
+
+
+@pytest.mark.parametrize("n_spins", range(11))
+def test_conjugate_transpose_in_place_is_exact(n_spins):
+    """The tile swaps and the one conjugating pass give np.conjugate(a.T)
+    bit for bit, signed zeros included, beside one 64 x 64 tile."""
+    dim = 2**n_spins
+    rng = np.random.default_rng(54 + n_spins)
+    parts = rng.choice([0.0, -0.0, 1.5, -2.25, 0.3], size=(dim, dim, 2))
+    parts[..., 0] += rng.normal(size=(dim, dim)) * (rng.random(size=(dim, dim)) < 0.5)
+    a = np.ascontiguousarray(parts).view(complex).reshape(dim, dim)
+    expected = np.conjugate(a.T).tobytes()
+    tracemalloc.start()
+    try:
+        _conjugate_transpose(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.tobytes() == expected
+    assert peak <= 16 * 64 * 64 + 4096
 
 
 class TestLinearity:

@@ -42,8 +42,23 @@ SIMULATE_SYSTEMS = {
 }
 OBSERVABLES = ("x", "y@1", "z")
 
+# From N = 9 a gate pass runs over several column blocks; these run only
+# collective x.  n_spins -> (larmor, bipartition line, circuit text)
+BLOCKED_SIMULATE_SYSTEMS = {
+    10: (
+        "3.0, 2.8, 2.6, 2.4, 2.2, 2.0, 1.8, 1.6, 1.4, 1.2",
+        "bipartition = 1,2,3,4,5|6,7,8,9,10\n",
+        "H 1\nCNOT 1 10\nRY 2 0.9\nCZ 10 2\nX 10\nSWAP 3 9\nRX 9 1.3\nY 3\nCZ 9 10\n"
+        "S 4\nRZ 10 0.4\nT 1\nZ 2\nCNOT 10 1\nH 6\nCZ 5 6\nRY 7 2.2\nCNOT 6 8\n",
+    ),
+}
+
 # name -> (larmor, seed, circuit count)
-SWEEPS = {"sweep-n2": ("2.0, 1.0", 7, 6), "sweep-n4": ("2.4, 1.8, 1.2, 0.6", 44, 5)}
+SWEEPS = {
+    "sweep-n2": ("2.0, 1.0", 7, 6),
+    "sweep-n4": ("2.4, 1.8, 1.2, 0.6", 44, 5),
+    "sweep-n9": ("2.9, 2.6, 2.3, 2.0, 1.7, 1.4, 1.1, 0.8, 0.5", 45, 3),
+}
 
 # Taken when the trace pathway moved to two row passes of the gate list.
 PINNED_SHA256 = {
@@ -61,6 +76,10 @@ PINNED_SHA256 = {
     "simulate-n5-z": "5874d60bca190af5dd3b3df373a05418c65921bd839a9a2b974c8aab3b4a4b8c",
     "sweep-n2": "7ec4955df2a306031b3b1f71cf0f8e186fea5812f3f6cd4b7429219d73d8ef57",
     "sweep-n4": "185a1c95cf3018adca4d48f3a682cc8752ba4b50057603ba768dfe0f727dc8ff",
+    # Taken while every gate pass still ran on the whole operand, before
+    # passes ran over column blocks.
+    "simulate-n10-x": "f34226bfacba1432ee0f4759adec8b111c164a8e5c02d45f55ef3af4cc4a2ee2",
+    "sweep-n9": "3018efbe465bc5bd098b8f0afc14f10fe6613b2096d7ee39ab15aceb6e257300",
 }
 
 RUNNER = """\
@@ -75,9 +94,11 @@ for argv in json.load(sys.stdin):
 def write_runs(tmp_path: Path) -> dict[str, list[str]]:
     """Write every config and circuit; return the argv of each named run."""
     runs = {}
-    for n_spins, (larmor, cut, circuit) in SIMULATE_SYSTEMS.items():
+    systems = [(n, system, OBSERVABLES) for n, system in SIMULATE_SYSTEMS.items()]
+    systems += [(n, system, ("x",)) for n, system in BLOCKED_SIMULATE_SYSTEMS.items()]
+    for n_spins, (larmor, cut, circuit), observables in systems:
         (tmp_path / f"n{n_spins}.qc").write_text(circuit)
-        for observable in OBSERVABLES:
+        for observable in observables:
             name = f"simulate-n{n_spins}-{observable}"
             config = tmp_path / f"{name}.cfg"
             config.write_text(
