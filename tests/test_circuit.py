@@ -449,20 +449,14 @@ class TestColumnBlocks:
     @pytest.mark.parametrize("extra", [0, 7, 8])  # 14, 21 and 22 gates
     def test_propagator_matches_whole_operand_gate_by_gate(self, n_spins, extra):
         circuit = every_kind_circuit(n_spins, np.random.default_rng(95 + extra), extra)
-        assert circuit_module._block_width(circuit.dim) < circuit.dim
+        width = circuit_module._block_width(circuit.dim)
+        assert width < circuit.dim and circuit.dim % width == 0
         expected = row_passes(circuit, np.eye(circuit.dim, dtype=complex))
         assert compose_propagator(circuit).tobytes() == expected.tobytes()
 
     def test_empty_circuit_is_identity_over_several_blocks(self):
         identity = np.eye(2**10, dtype=complex)
         assert compose_propagator(Circuit(10)).tobytes() == identity.tobytes()
-
-    @pytest.mark.parametrize("n_spins", [6, 8, 10])
-    def test_block_width(self, n_spins):
-        dim = 2**n_spins
-        width = circuit_module._block_width(dim)
-        assert width == min(dim, max(64, 2**16 // dim))
-        assert dim % width == 0
 
     def test_pass_runs_in_place_beside_two_blocks(self):
         """Beside its operand, a pass allocates two blocks and no more
