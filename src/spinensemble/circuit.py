@@ -26,12 +26,12 @@ kernel for its kind and the arguments that kernel needs (a one-spin
 gate's axis and 2x2 matrix; a two-spin gate's slice index and the rows
 it negates).  Compiling checks every gate matrix unitary, and every 4x4
 a signed permutation, so a composed propagator is unitary by
-construction and is never checked as a K x K matrix.  The propagator and
-both passes of the trace pathway run the same plan.  Gates act on row
-axes only, so a pass runs in place over blocks of columns: each block's
-gates write alternately to it and to one spare block, and a pass holds
-its one K x K operand and two blocks of at most max(1, K/1024) MiB
-however many gates it runs.
+construction and is never checked as a K x K matrix.  The sum pathway's
+blocks of evolved eigenstates, both passes of the trace pathway and
+compose_propagator run the same plan.  Gates act on row axes only, so a
+pass runs in place over blocks of columns: each block's gates write
+alternately to it and to one spare block, and a pass holds its operand
+and two blocks of at most max(1, K/1024) MiB however many gates it runs.
 """
 
 from __future__ import annotations
@@ -359,26 +359,27 @@ def _block_width(dim: int) -> int:
 
 
 def _apply_gates(state: np.ndarray, plan) -> np.ndarray:
-    """Run a circuit's plan, gate by gate, on the row axes of a K x K operand.
+    """Run a circuit's plan, gate by gate, on the row axes of a K x c
+    operand, c a power of two: a K x K operator or a block of its columns.
 
     Gates act on row axes only, so columns never mix, and the plan runs
-    on one block of _block_width(K) columns at a time: the block is copied
-    into a contiguous (K, w) buffer, the gates write alternately to it and
-    to one spare of the same size, and the result is copied back.  When
-    w = K the operand is its own one block and nothing is copied.  The
-    operand is overwritten when it is already a C-contiguous complex
-    array, and the pass allocates two blocks beside it (one spare when
-    w = K), so one K x K array is alive however many gates run.  Returns
-    the operand, or for one block whichever of it and its spare holds the
-    result.
+    on one block of at most _block_width(K) columns at a time: the block
+    is copied into a contiguous (K, w) buffer, the gates write alternately
+    to it and to one spare of the same size, and the result is copied
+    back.  When w = c the operand is its own one block and nothing is
+    copied.  The operand is overwritten when it is already a C-contiguous
+    complex array, and the pass allocates two blocks beside it (one spare
+    when w = c), so no second operand is alive however many gates run.
+    Returns the operand, or for one block whichever of it and its spare
+    holds the result.
     """
     state = np.ascontiguousarray(state, dtype=complex)
-    dim = state.shape[0]
-    width = _block_width(dim)
-    blocked = width < dim
+    dim, columns = state.shape
+    width = min(columns, _block_width(dim))
+    blocked = width < columns
     block = np.empty((dim, width), dtype=complex) if blocked else state
     spare = np.empty((dim, width), dtype=complex)
-    for start in range(0, dim, width):
+    for start in range(0, columns, width):
         if blocked:
             np.copyto(block, state[:, start : start + width])
         for kernel, arguments in plan:
@@ -395,7 +396,9 @@ def compose_propagator(circuit: Circuit) -> np.ndarray:
     The circuit's plan runs on the rows of the identity.  Returns the
     identity for an empty circuit.  Each gate matrix is checked unitary
     when the plan is compiled, before any is applied, so the product is
-    unitary up to rounding and is not checked again.
+    unitary up to rounding and is not checked again.  No command composes
+    it: the sum pathway runs the same plan on blocks of identity columns
+    (engine._eigenstate_blocks), which give these columns bit for bit.
     """
     return _apply_gates(np.eye(circuit.dim, dtype=complex), circuit._plan)
 

@@ -35,15 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (
-    CircuitParseError,
-    compose_propagator,
-    format_circuit,
-    parse_circuit,
-    random_circuit,
-)
+from .circuit import Circuit, CircuitParseError, format_circuit, parse_circuit, random_circuit
 from .engine import PATHWAY_TOL, _pathway_results, _sum_side, _trace_side, compare_pathways
-from .entanglement import _ensemble_reports, _schmidt_table
+from .entanglement import _ensemble_reports
 from .qlinalg import BipartitionSpec, ValidationError
 from .spin_system import (
     PauliSum,
@@ -99,6 +93,25 @@ class RunConfig:
         """build_ensemble(self), built once: load_config builds it to check
         the values, and the commands reuse it."""
         return build_ensemble(self)
+
+    @functools.cached_property
+    def _observable(self) -> PauliSum | None:
+        """The observable spec as a PauliSum, built once like _ensemble: 'x'
+        means the collective x observable, 'x@2' spin 2's alone."""
+        if self.observable is None:
+            return None
+        axis, at, spin_text = (part.strip() for part in self.observable.partition("@"))
+        if not at:
+            return PauliSum.collective(self.n_spins, axis)
+        if not spin_text.isdecimal():
+            raise ConfigError(f"observable spin must be an integer, got {spin_text!r}")
+        return PauliSum(self.n_spins, axis, (int(spin_text),))
+
+    @functools.cached_property
+    def _bipartition(self) -> BipartitionSpec | None:
+        """The cut, parsed once like _ensemble."""
+        text = self.bipartition
+        return None if text is None else BipartitionSpec.parse(text, self.n_spins)
 
 
 _KEY_ORDER = (
@@ -195,34 +208,15 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError(f"circuit file not found: {resolved}")
     if config.seed is not None and config.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {config.seed}")
-    # Other values are checked by the library types built from them.
+    # Other values are checked by the library types built from them, which
+    # the commands then reuse.
     with _config_values():
-        config._ensemble  # building it checks larmor, temperature and molecule_count
-        if config.observable is not None:
-            _observable(config.observable, config.n_spins)
-        if config.bipartition is not None:
-            if config.n_spins < 2:
-                raise ConfigError("bipartition requires at least 2 spins")
-            BipartitionSpec.parse(config.bipartition, config.n_spins)
+        config._ensemble  # checks larmor, temperature and molecule_count
+        config._observable
+        if config.bipartition is not None and config.n_spins < 2:
+            raise ConfigError("bipartition requires at least 2 spins")
+        config._bipartition
     return config
-
-
-def parse_observable(spec: str, n_spins: int) -> tuple[str, PauliSum]:
-    """'x' means the collective x observable; 'x@2' means spin 2 only."""
-    with _config_values():
-        return _observable(spec, n_spins)
-
-
-def _observable(spec: str, n_spins: int) -> tuple[str, PauliSum]:
-    axis, at, spin_text = spec.strip().partition("@")
-    axis = axis.strip()
-    if not at:
-        return f"collective {axis}", PauliSum.collective(n_spins, axis)
-    spin_text = spin_text.strip()
-    if not spin_text.isdecimal():
-        raise ConfigError(f"observable spin must be an integer, got {spin_text!r}")
-    spin = int(spin_text)
-    return f"spin-{spin} {axis}", PauliSum(n_spins, axis, (spin,))
 
 
 def build_ensemble(config: RunConfig) -> ThermalEnsemble:
@@ -271,25 +265,15 @@ def run_simulate(config: RunConfig, output_path: str | None = None) -> dict:
     circuit_text = _read_text(config.resolve(config.circuit_path), "circuit")
     circuit = parse_circuit(circuit_text, config.n_spins)
     ensemble = config._ensemble
-    _, observable = parse_observable(config.observable, config.n_spins)
-    part = None
-    if config.n_spins >= 2:
-        part = BipartitionSpec.parse(config.bipartition, config.n_spins)
+    observable, part = config._observable, config._bipartition
 
-    # Everything that reads rho' runs, and rho' is released, before U is
-    # composed: rho' and U are never alive together, and every gate pass
-    # runs in place over column blocks, so a certified run holds one K x K
-    # complex array at a time, with block-sized work arrays beside it.
-    (trace_value,), rho_evolved = _trace_side(circuit, ensemble, [observable])
-    initial_rep, evolved_rep = _ensemble_reports(ensemble.probabilities, rho_evolved, part)
-    del rho_evolved
-
-    propagator = compose_propagator(circuit)
-    (result,) = _pathway_results(_sum_side(propagator, ensemble, [observable]), [trace_value])
+    trace_value, (initial_rep, evolved_rep) = _trace_readouts(circuit, ensemble, observable, part)
+    sums, tables = _sum_side(circuit, ensemble, [observable], part)
+    (result,) = _pathway_results(sums, [trace_value])
     tolerance = PATHWAY_TOL * ensemble.molecule_count
 
     if part is not None:
-        coefficients, entropies, ranks = _schmidt_table(propagator, part)
+        coefficients, entropies, ranks = (np.concatenate(column) for column in zip(*tables))
         per_state = [
             {
                 "initial_eigenstate": k,
@@ -305,9 +289,6 @@ def run_simulate(config: RunConfig, output_path: str | None = None) -> dict:
         entanglement_section = {"bipartition": str(part), "per_state": per_state}
     else:
         entanglement_section = None
-    # Released before the report is built: building and rendering it while
-    # U is alive raised the peak RSS of repeated N=10 runs by about 13 MB.
-    del propagator
 
     report = {
         "config_echo": _config_echo(config),
@@ -330,6 +311,15 @@ def run_simulate(config: RunConfig, output_path: str | None = None) -> dict:
     }
     _write_report(report, config, output_path)
     return report
+
+
+def _trace_readouts(
+    circuit: Circuit, ensemble: ThermalEnsemble, observable: PauliSum, part
+) -> tuple[float, tuple]:
+    """The trace value and both separability reports, read off one rho',
+    the one K x K array a command holds, which lives until this returns."""
+    (trace_value,), rho = _trace_side(circuit, ensemble, [observable])
+    return trace_value, _ensemble_reports(ensemble.probabilities, rho, part)
 
 
 def run_sweep(config: RunConfig, n_circuits: int, output_path: str | None = None) -> dict:

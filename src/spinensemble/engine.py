@@ -6,32 +6,30 @@ the propagator, take its expectation value of the observable, and form
 the population-weighted sum over initial states.  Pathway B ("trace")
 builds the equilibrium density matrix once, evolves it as
 rho' = U (U rho)^dagger in two passes of the gate list over its rows, and
-reads M * tr(rho' * obs).  The trace pathway never reads the propagator:
+reads M * tr(rho' * obs).  Neither pathway composes the propagator:
 the two share only the gate list, compiled once per circuit into the
-plan both run, so a defect in composing the propagator shows up as a
-disagreement instead of cancelling out.  Their agreement is the
+plan both run, so a defect in how either evolves its operand shows up as
+a disagreement instead of cancelling out.  Their agreement is the
 package's central consistency check, so a result where they disagree
 hands both numbers back instead of hiding one.
 
-The two run as separate halves whose outputs one combiner pairs: the
-trace half evolves rho' and reads each observable's trace value, the sum
-half reads per-state values and weighted sums from U.  Neither half needs
-the other's K x K array, so each finishes its array before the next is
-built: compare_pathways (the sweep's path) runs the trace half, releases
-rho' and only then composes U itself; the simulate command also reads
-rho' for its separability report (which overwrites it) before it
-composes U for the sum half and the Schmidt table.  Every gate pass runs
-in place over column blocks (circuit._apply_gates), rho' is
-conjugate-transposed in place between its two passes, and the sum half
-reads U over the same blocks, so one K x K complex array is alive at a
-time, with block-sized work arrays beside it.
+The two run as separate halves whose outputs one combiner pairs.  The
+trace half evolves rho' and reads each observable's trace value.  The sum
+half runs the plan on one block of identity columns at a time, so each
+block of eigenstates U|k> is evolved on its own, as each molecule is, and
+reads per-state values and weighted sums off it.  Every gate pass runs in
+place over column blocks (circuit._apply_gates), and rho' is
+conjugate-transposed in place between its two passes, so rho' is the one
+K x K complex array either half holds, with block-sized work arrays
+beside it.
 
 An observable is a PauliSum (spin_system), such as the collective
 magnetisation, and the engine accepts nothing else.  It is read term by
 term and never built as a matrix: the sum pathway takes O(N K^2) row-pair
-reductions of the propagator, the trace pathway reads each spin's reduced
-2x2 block of rho' in O(N K).  Every reduction runs in numpy's own loops,
-not in BLAS, so its bits do not depend on the BLAS thread count.
+reductions of the evolved eigenstates, the trace pathway reads each
+spin's reduced 2x2 block of rho' in O(N K).  Every reduction runs in
+numpy's own loops, not in BLAS, so its bits do not depend on the BLAS
+thread count.
 
 Per-state expectation values depend only on the initial eigenstate index,
 never on which physical molecule carries it; no molecule index exists
@@ -47,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, _apply_gates, _block_width, compose_propagator
+from .circuit import Circuit, _apply_gates, _block_width
+from .entanglement import _schmidt_table
 from .qlinalg import ValidationError
 from .spin_system import _PAULI_BY_AXIS, PauliSum, ThermalEnsemble, equilibrium_density_matrix
 
@@ -202,15 +201,14 @@ def compare_pathways(
     """Run both pathways for each observable and report both numbers.
 
     Each observable is a PauliSum.  The trace half evolves the density
-    matrix from the circuit's gate list in two row passes, never reading the
-    propagator, and reads it for every observable; it is released before the
-    propagator is composed for the sum half, so a fault in composing shows
-    up as a disagreement and one K x K array is alive at a time.
+    matrix from the circuit's gate list in two row passes and reads it for
+    every observable; the sum half evolves the eigenstates block by block
+    from the same gate list.  Neither composes the propagator.
     """
     checked = [_checked(obs) for obs in observables]
     _require_dim(ensemble.system.dim, circuit, *checked)
     traces = _trace_side(circuit, ensemble, checked)[0]
-    return _pathway_results(_sum_side(compose_propagator(circuit), ensemble, checked), traces)
+    return _pathway_results(_sum_side(circuit, ensemble, checked)[0], traces)
 
 
 def _trace_side(
@@ -222,29 +220,38 @@ def _trace_side(
     return [_trace_value(rho, obs, ensemble.molecule_count) for obs in observables], rho
 
 
-def _sum_side(
-    u: np.ndarray, ensemble: ThermalEnsemble, observables
-) -> list[tuple[np.ndarray, float]]:
-    """The sum half of compare_pathways: each observable's per-state values
-    and their population-weighted sum, read from the propagator u.
-
-    A column's values read that column only, so they are computed over
-    the gate passes' column blocks, and every temporary is block-sized.
-    Each block is first copied out contiguous, so the reductions run on
-    whole rows of it: collective x at N=12 took 0.81 s so, 1.38 s on the
-    strided view and 1.15 s on the whole propagator (2 vCPU Xeon).
-    """
-    dim = u.shape[0]
+def _eigenstate_blocks(circuit: Circuit):
+    """Each block of evolved eigenstates with its first index: the columns
+    U|k>, k = start .. start + w - 1, from the circuit's plan run on w =
+    _block_width(K) columns of the identity.  Each block's pass allocates
+    the identity block and one spare; while K <= 256 the one block is all
+    of U."""
+    dim = circuit.dim
     width = _block_width(dim)
-    per_states = [np.empty(dim) for _ in observables]
     for start in range(0, dim, width):
-        block = np.ascontiguousarray(u[:, start : start + width])
+        yield start, _apply_gates(np.eye(dim, width, -start, dtype=complex), circuit._plan)
+
+
+def _sum_side(
+    circuit: Circuit, ensemble: ThermalEnsemble, observables, part=None
+) -> tuple[list[tuple[np.ndarray, float]], list[tuple]]:
+    """The sum half of compare_pathways: each observable's per-state values
+    and their population-weighted sum, and given a cut, each block's
+    _schmidt_table, all read off _eigenstate_blocks.
+
+    A column's values read that column only, so every temporary is
+    block-sized.
+    """
+    per_states = [np.empty(circuit.dim) for _ in observables]
+    tables = []
+    for start, block in _eigenstate_blocks(circuit):
         pairs = {}
         for per_state, obs in zip(per_states, observables):
-            per_state[start : start + width] = _per_state_values(block, obs, pairs)
-    return [
-        (per_state, _weighted_sum(ensemble.populations, per_state)) for per_state in per_states
-    ]
+            per_state[start : start + block.shape[1]] = _per_state_values(block, obs, pairs)
+        if part is not None:
+            tables.append(_schmidt_table(block, part, start))
+    sums = [(per_state, _weighted_sum(ensemble.populations, per_state)) for per_state in per_states]
+    return sums, tables
 
 
 def _pathway_results(sums, traces) -> tuple[PathwayResult, ...]:

@@ -1,8 +1,8 @@
 """Entanglement of pure states, separability evidence for mixed ones.
 
 Pure-state side: Schmidt coefficients across a bipartition via SVD of the
-reshaped amplitude tensor (one batched SVD for every evolved eigenstate of
-a propagator), entropy of entanglement in bits, and a product test
+reshaped amplitude tensor (one batched SVD for each block of evolved
+eigenstates), entropy of entanglement in bits, and a product test
 (Schmidt rank 1).  Mixed-state side: the Peres partial-transpose
 test, negativity, purity, and distance from the maximally mixed state.
 PPT is conclusive for a 2-spin system and a necessary condition only for
@@ -96,29 +96,32 @@ def schmidt_coefficients(state: np.ndarray, part: BipartitionSpec) -> np.ndarray
 
 
 def _schmidt_table(
-    propagator: np.ndarray, part: BipartitionSpec
+    block: np.ndarray, part: BipartitionSpec, start: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Schmidt coefficients, entropies and ranks of every column U|k>.
+    """Schmidt coefficients, entropies and ranks of a block of evolved
+    eigenstates, its columns U|k> for k = start, start + 1, ...
 
     One batched SVD over the columns, each reshaped and transposed as
     schmidt_coefficients does, gives the same coefficients bit for bit,
     and the entropies equal entanglement_entropy's.  Every column must be
-    normalized (NORM_TOL) and every coefficient row's squares must sum to 1.
+    normalized (NORM_TOL), and a rejection names its eigenstate k; every
+    coefficient row's squares must sum to 1.  A cut whose left spins are
+    not a leading run copies the block, never more.
     """
-    u = np.ascontiguousarray(propagator, dtype=complex)
-    dim = u.shape[1]
-    parts = u.view(np.float64).reshape(u.shape[0], dim, 2)
+    u = np.ascontiguousarray(block, dtype=complex)
+    width = u.shape[1]
+    parts = u.view(np.float64).reshape(u.shape[0], width, 2)
     deviation = np.abs(np.einsum("ikc,ikc->k", parts, parts) - 1.0)
     bad = np.flatnonzero(~(deviation <= NORM_TOL))
     if bad.size:
         raise ValidationError(
-            f"evolved eigenstate {bad[0]} is not normalized: "
+            f"evolved eigenstate {start + bad[0]} is not normalized: "
             f"|norm^2 - 1| = {deviation[bad[0]]:.3e}"
         )
     axes = [0, *part.left, *part.right]
-    columns = u.T.reshape((dim,) + (2,) * part.n_spins).transpose(axes)
+    columns = u.T.reshape((width,) + (2,) * part.n_spins).transpose(axes)
     coefficients = np.linalg.svd(
-        columns.reshape(dim, 2 ** len(part.left), 2 ** len(part.right)), compute_uv=False
+        columns.reshape(width, 2 ** len(part.left), 2 ** len(part.right)), compute_uv=False
     )
     ranks = np.count_nonzero(coefficients > SCHMIDT_RANK_TOL, axis=1)
     return coefficients, _entropies(coefficients), ranks
@@ -185,9 +188,13 @@ def _in_separable_ball(distance: float, dim: int) -> bool:
 
 def ppt_report(rho: np.ndarray, part: BipartitionSpec) -> SeparabilityReport:
     """Peres test across one bipartition, plus the mixedness diagnostics."""
-    rho = density_matrix(rho)
-    # density_matrix checked rho; a partial transpose only permutes its
-    # entries, so it is exactly as Hermitian and needs no second check
+    return _ppt_report(density_matrix(rho), part)
+
+
+def _ppt_report(rho: np.ndarray, part: BipartitionSpec) -> SeparabilityReport:
+    """ppt_report on a density matrix the caller vouches for and owns,
+    unchecked; rho is overwritten.  A partial transpose only permutes
+    rho's entries, so it is exactly as Hermitian as rho."""
     eigs = _spectrum(_partial_transpose(rho, part))
     # sum |eig| >= |trace| = 1, so a negative value here is rounding noise
     negativity = max(float((np.abs(eigs).sum() - 1.0) / 2.0), 0.0)
@@ -215,8 +222,11 @@ def _ensemble_reports(
     separable ball rho is separable across every cut: PPT holds and the
     negativity is 0 with no eigendecomposition, and purity and distance
     are read off rho in O(K^2) (which overwrites it), independently of p.
-    Outside the ball the checked exact ppt_report runs on rho.  Without a
-    cut both reports carry the distances only.
+    Outside the ball the exact report runs on rho unchecked: an evolved
+    diag(p) is Hermitian with spectrum p by construction, so
+    density_matrix's copy, Hermitian test and Cholesky factorization
+    would prove nothing.  Without a cut both reports carry the distances
+    only.
     """
     shifted = probabilities - 1.0 / probabilities.shape[0]
     dist = math.sqrt(np.einsum("i,i->", shifted, shifted))
@@ -229,5 +239,5 @@ def _ensemble_reports(
         float(probabilities.min()), 0.0, True, conclusive, True, dist, purity
     )
     if not _in_separable_ball(dist, probabilities.shape[0]):
-        return initial, ppt_report(rho, part)
+        return initial, _ppt_report(rho, part)
     return initial, SeparabilityReport(None, 0.0, True, conclusive, True, *_distance_fields(rho))

@@ -18,7 +18,6 @@ from spinensemble.cli import (
     UsageError,
     load_config,
     main,
-    parse_observable,
     render_report,
     run_simulate,
     run_sweep,
@@ -61,6 +60,32 @@ def write_config(tmp_path, text=BASE_CONFIG, circuit=BELL_TEXT, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def spins_config(n_spins, cut=None):
+    """BASE_CONFIG for n_spins spins with Larmor frequencies 1..n_spins,
+    cut into two halves unless a cut is given."""
+    if cut is None:
+        half = n_spins // 2
+        cut = ",".join(map(str, range(1, half + 1))) + "|"
+        cut += ",".join(map(str, range(half + 1, n_spins + 1)))
+    return (
+        BASE_CONFIG.replace("n_spins = 2", f"n_spins = {n_spins}")
+        .replace("larmor = 2.0, 1.0", "larmor = " + ", ".join(map(str, range(1, n_spins + 1))))
+        .replace("bipartition = 1|2", f"bipartition = {cut}")
+    )
+
+
+def rescale_blocks(monkeypatch, scale):
+    """Replace the sum side's block source with one that passes each block
+    of evolved eigenstates through scale(start, block) first."""
+    original = engine_module._eigenstate_blocks
+
+    def scaled(circuit):
+        for start, block in original(circuit):
+            yield start, scale(start, block)
+
+    monkeypatch.setattr(engine_module, "_eigenstate_blocks", scaled)
 
 
 class TestLoadConfig:
@@ -167,27 +192,30 @@ class TestLoadConfig:
 
 
 class TestParseObservable:
-    def test_collective(self):
-        label, observable = parse_observable("x", 2)
-        assert label == "collective x"
-        assert observable == PauliSum(2, "x", (1, 2))
+    """The observable spec as load_config parses it and keeps it."""
 
-    def test_single_spin(self):
-        label, observable = parse_observable("z@2", 2)
-        assert label == "spin-2 z"
-        assert observable == PauliSum(2, "z", (2,))
+    @staticmethod
+    def observable(tmp_path, spec):
+        text = BASE_CONFIG.replace("observable = x", f"observable = {spec}")
+        return load_config(write_config(tmp_path, text))._observable
 
-    def test_bad_axis(self):
+    def test_collective(self, tmp_path):
+        assert self.observable(tmp_path, "x") == PauliSum(2, "x", (1, 2))
+
+    def test_single_spin(self, tmp_path):
+        assert self.observable(tmp_path, "z@2") == PauliSum(2, "z", (2,))
+
+    def test_bad_axis(self, tmp_path):
         with pytest.raises(ConfigError, match="axis"):
-            parse_observable("w", 2)
+            self.observable(tmp_path, "w")
 
-    def test_spin_out_of_range(self):
+    def test_spin_out_of_range(self, tmp_path):
         with pytest.raises(ConfigError, match="out of range"):
-            parse_observable("x@3", 2)
+            self.observable(tmp_path, "x@3")
 
-    def test_spin_not_integer(self):
+    def test_spin_not_integer(self, tmp_path):
         with pytest.raises(ConfigError, match="integer"):
-            parse_observable("x@first", 2)
+            self.observable(tmp_path, "x@first")
 
 
 class TestRenderReport:
@@ -341,16 +369,18 @@ class TestRunSimulate:
         assert "entropy range 0.000000..0.000000 bits" in "\n".join(summary_lines(report))
 
     def test_observable_is_built_once(self, tmp_path, monkeypatch):
-        calls = []
-        original = parse_observable
+        """load_config builds the PauliSum to check the spec, and simulate
+        reuses it: one PauliSum is constructed per command."""
+        built = []
+        original = PauliSum.__post_init__
 
-        def counting(spec, n_spins):
-            calls.append(spec)
-            return original(spec, n_spins)
+        def counting(self):
+            built.append(self)
+            original(self)
 
-        monkeypatch.setattr("spinensemble.cli.parse_observable", counting)
+        monkeypatch.setattr(PauliSum, "__post_init__", counting)
         assert main(["simulate", "--config", write_config(tmp_path)]) == 0
-        assert calls == ["x"]
+        assert len(built) == 1
 
     @pytest.mark.parametrize(
         "command,observable", [("simulate", "x"), ("simulate", "y@2"), ("sweep", None)]
@@ -435,9 +465,9 @@ class TestRunSimulate:
     def test_one_eigendecomposition_per_simulate(self, tmp_path, monkeypatch, text, circuit, expected):
         """A certified simulate needs no LAPACK factorization at all: the
         initial report is read off the populations and the evolved one off
-        the separable ball.  Outside the ball, the evolved state's PSD check
-        is one Cholesky factorization and its partial transpose one
-        eigendecomposition."""
+        the separable ball.  Outside the ball, the evolved state is positive
+        by construction, so no Cholesky factorization checks it, and its
+        partial transpose takes one eigendecomposition."""
         calls = {"eigvalsh": 0, "cholesky": 0}
 
         def counting(name):
@@ -452,7 +482,7 @@ class TestRunSimulate:
         for name in calls:
             monkeypatch.setattr(np.linalg, name, counting(name))
         assert main(["simulate", "--config", write_config(tmp_path, text, circuit)]) == 0
-        assert calls == {"eigvalsh": expected, "cholesky": expected}
+        assert calls == {"eigvalsh": expected, "cholesky": 0}
 
     @pytest.mark.parametrize(
         "text,circuit,svd_calls",
@@ -497,42 +527,90 @@ class TestRunSimulate:
         if svd_calls:
             assert calls[0][0] == 4  # one matrix per eigenstate
 
+    @pytest.mark.parametrize(
+        "command,n_spins", [("simulate", 1), ("simulate", 2), ("simulate", 10), ("sweep", 10)]
+    )
+    def test_no_command_composes_the_propagator(self, tmp_path, monkeypatch, command, n_spins):
+        """Both pathways read only the gate list: with compose_propagator
+        refused in every package module that binds it, each command runs
+        and its pathways agree."""
+
+        def refuse(*args):
+            raise AssertionError("a command composed the propagator")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "spinensemble" and hasattr(module, "compose_propagator"):
+                monkeypatch.setattr(module, "compose_propagator", refuse)
+        if n_spins == 1:
+            path = write_config(tmp_path, ONE_SPIN_CONFIG, "H 1\nRX 1 0.3\n")
+        else:
+            circuit = f"H 1\nCNOT 1 {n_spins}\nRY 2 0.4\nCZ {n_spins} 1\n"
+            path = write_config(tmp_path, spins_config(n_spins) + "seed = 3\n", circuit)
+        if command == "simulate":
+            argv = ["simulate", "--config", path]
+        else:
+            argv = ["sweep", "--config", path, "--n", "2"]
+        assert main(argv) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert (report["pathways"] or report["sweep"])["within_tolerance"] is True
+
     @staticmethod
-    def certified_peak(tmp_path, n_spins, axis):
-        """The traced peak of a certified simulate on a 20-gate random
-        circuit, in K x K complex arrays."""
+    def simulate_peak(tmp_path, n_spins, axis, cut=None, temperature="3.0e5", suffix=""):
+        """The traced peak of a simulate on a 20-gate random circuit and
+        then the gates in suffix, in K x K complex arrays, and its evolved
+        separability report.  The cut defaults to the two halves of the
+        spins."""
         circuit = random_circuit(n_spins, np.random.default_rng(61), min_depth=20, max_depth=20)
-        half = n_spins // 2
-        cut = ",".join(map(str, range(1, half + 1))) + "|"
-        cut += ",".join(map(str, range(half + 1, n_spins + 1)))
         text = (
-            BASE_CONFIG.replace("n_spins = 2", f"n_spins = {n_spins}")
-            .replace("larmor = 2.0, 1.0", "larmor = " + ", ".join(map(str, range(1, n_spins + 1))))
+            spins_config(n_spins, cut)
+            .replace("temperature = 3.0e5", f"temperature = {temperature}")
             .replace("observable = x", f"observable = {axis}")
-            .replace("bipartition = 1|2", f"bipartition = {cut}")
         )
-        config = load_config(write_config(tmp_path, text, circuit=format_circuit(circuit)))
+        config = load_config(write_config(tmp_path, text, format_circuit(circuit) + suffix))
         tracemalloc.start()
         try:
             report = run_simulate(config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report["separability"]["evolved"]["certified_separable"] is True
-        return peak / (16 * 4**n_spins)
+        return peak / (16 * 4**n_spins), report["separability"]["evolved"]
 
-    @pytest.mark.parametrize("axis", ["x", "z"])
-    def test_certified_run_holds_two_operator_arrays_at_most(self, tmp_path, axis):
-        """rho' is read and released before U is composed, so a certified
-        simulate never holds U and rho' together, and every gate pass runs
-        in place over 1 MiB column blocks.  At N = 9 the peak is one K x K
-        array and two blocks of a quarter each."""
-        assert self.certified_peak(tmp_path, 9, axis) <= 1.6
+    @classmethod
+    def certified_peak(cls, tmp_path, n_spins, axis, cut=None):
+        peak, evolved = cls.simulate_peak(tmp_path, n_spins, axis, cut)
+        assert evolved["certified_separable"] is True
+        return peak
+
+    @pytest.mark.parametrize(
+        "axis,cut",
+        [("x", None), ("z", None), ("x", "1,3,5,7,9|2,4,6,8")],
+        ids=["x", "z", "x-interleaved"],
+    )
+    def test_certified_run_holds_two_operator_arrays_at_most(self, tmp_path, axis, cut):
+        """rho' is the one K x K array a simulate holds: the sum side reads
+        the eigenstates block by block from the gate list, never composing
+        U, and every gate pass runs in place over 1 MiB column blocks.  At
+        N = 9 the peak is one K x K array and two blocks of a quarter each.
+        An interleaved cut copies one block for the Schmidt table, where it
+        once copied the whole of U (2.0 arrays)."""
+        assert self.certified_peak(tmp_path, 9, axis, cut) <= 1.6
 
     def test_certified_run_holds_one_operator_array_and_its_blocks(self, tmp_path):
         """At N = 10 the two 1 MiB column blocks are an eighth of an array
         between them: the peak stays under one K x K array and a quarter."""
         assert self.certified_peak(tmp_path, 10, "x") <= 1.25
+
+    def test_uncertified_run_holds_rho_and_its_partial_transpose(self, tmp_path):
+        """Outside the separable ball the exact report reads rho' as the
+        trace side left it, with no checked copy, Hermitian test or
+        Cholesky factor beside it: rho' and its partial transpose are the
+        peak, where the checked path held about four arrays."""
+        # at T = 0.3 the ground level holds 96% of the molecules, and the
+        # last two gates entangle them across the cut
+        suffix = "H 1\nCNOT 1 9\n"
+        peak, evolved = self.simulate_peak(tmp_path, 9, "x", temperature="0.3", suffix=suffix)
+        assert evolved["certified_separable"] is False and evolved["ppt_holds"] is False
+        assert peak <= 2.5
 
     def test_low_temperature_bell_average_is_npt(self, tmp_path):
         """H 1; CNOT 1 2 maps the eigenstates onto the Bell states, so the
@@ -771,20 +849,39 @@ class TestMainExitCodes:
     def test_unnormalized_propagator_exits_2_and_keeps_report(
         self, tmp_path, capsys, monkeypatch
     ):
-        """The sum side runs after the trace side has finished; a propagator
-        that fails the Schmidt table's normalisation check still exits 2."""
+        """The sum side runs after the trace side has finished; evolved
+        eigenstates that fail the Schmidt table's normalisation check still
+        exit 2."""
         path = write_config(tmp_path)
         assert main(["simulate", "--config", path]) == 0
         report = tmp_path / "report.json"
         before = report.read_bytes()
         capsys.readouterr()
-        original = cli_module.compose_propagator
-        monkeypatch.setattr(cli_module, "compose_propagator", lambda c: 1.01 * original(c))
+        rescale_blocks(monkeypatch, lambda start, block: 1.01 * block)
         assert main(["simulate", "--config", path]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("validation error: evolved eigenstate 0 is not normalized")
         assert report.read_bytes() == before
+
+    def test_unnormalized_eigenstate_in_a_later_block_is_named(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """At N = 10 the eigenstates come in 16 blocks of 64; a bad column
+        in the eleventh block is named by its global eigenstate index."""
+
+        def scale(start, block):
+            if start <= 700 < start + block.shape[1]:
+                block[:, 700 - start] *= 1.01
+            return block
+
+        path = write_config(tmp_path, spins_config(10), "H 1\nCNOT 1 10\nRY 2 0.4\n")
+        rescale_blocks(monkeypatch, scale)
+        assert main(["simulate", "--config", path]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("validation error: evolved eigenstate 700 is not normalized")
+        assert not (tmp_path / "report.json").exists()
 
     def test_config_error_message_is_actionable(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE_CONFIG.replace("observable = x", "observable = k"))

@@ -21,7 +21,13 @@ from helpers import (
     random_unitary,
     row_passes,
 )
-from spinensemble.circuit import Circuit, compose_propagator, parse_circuit, random_circuit
+from spinensemble.circuit import (
+    Circuit,
+    _block_width,
+    compose_propagator,
+    parse_circuit,
+    random_circuit,
+)
 from spinensemble import engine
 from spinensemble.engine import (
     IMAG_TOL,
@@ -53,6 +59,16 @@ def zeeman_ensemble(n_spins, temperature=3.0e5, molecule_count=1.0e6):
 
 def run_compare(circuit, ensemble, *observables):
     return compare_pathways(circuit, ensemble, observables)
+
+
+def blocks_of(u):
+    """A stand-in for engine._eigenstate_blocks that reads a given
+    propagator's columns over the same blocks."""
+    width = _block_width(u.shape[0])
+    return lambda circuit: (
+        (start, np.ascontiguousarray(u[:, start : start + width]))
+        for start in range(0, u.shape[0], width)
+    )
 
 
 def ensemble_sum(u, ensemble, obs):
@@ -129,7 +145,7 @@ class TestPerStateExpectations:
         def refuse(*args):
             raise AssertionError("a pathway ran before the observable was checked")
 
-        monkeypatch.setattr(engine, "compose_propagator", refuse)
+        monkeypatch.setattr(engine, "_eigenstate_blocks", refuse)
         monkeypatch.setattr(engine, "_evolved_density_matrix", refuse)
         ens = zeeman_ensemble(1)
         for matrix in (bad, hermitian_matrix):
@@ -326,24 +342,27 @@ class TestComparePathways:
 
 class TestPathwayIndependence:
     def test_foreign_propagator_shows_as_disagreement(self, monkeypatch):
-        """The trace pathway reads the gate list, never the composed
-        propagator: a wrong one shows in the sum alone."""
+        """The trace pathway reads the gate list, never the sum side's
+        evolved eigenstates: wrong ones show in the sum alone."""
         ens = zeeman_ensemble(2)
         circuit = parse_circuit("X 1", 2)
         obs = PauliSum.collective(2, "z")
         (honest,) = run_compare(circuit, ens, obs)
-        monkeypatch.setattr(engine, "compose_propagator", lambda c: compose_propagator(Circuit(2)))
+        foreign = blocks_of(compose_propagator(Circuit(2)))
+        monkeypatch.setattr(engine, "_eigenstate_blocks", foreign)
         (result,) = run_compare(circuit, ens, obs)
         assert result.abs_difference > PATHWAY_TOL * ens.molecule_count
         assert result.expectation_trace == honest.expectation_trace
 
     def test_non_unitary_propagator_shows_as_disagreement(self, monkeypatch):
-        """compare_pathways does not re-check U; a scaled one disagrees instead."""
+        """compare_pathways does not re-check the evolved eigenstates;
+        scaled ones disagree instead."""
         ens = zeeman_ensemble(2)
         circuit = parse_circuit("RY 1 0.4\nCNOT 1 2", 2)
         obs = PauliSum.collective(2, "z")
         (honest,) = run_compare(circuit, ens, obs)
-        monkeypatch.setattr(engine, "compose_propagator", lambda c: 1.5 * compose_propagator(c))
+        scaled = blocks_of(1.5 * compose_propagator(circuit))
+        monkeypatch.setattr(engine, "_eigenstate_blocks", scaled)
         (result,) = run_compare(circuit, ens, obs)
         assert result.abs_difference > PATHWAY_TOL * ens.molecule_count
         assert result.expectation_trace == honest.expectation_trace
@@ -497,28 +516,42 @@ class TestRowPassDensityMatrix:
 
 
 def test_sum_side_over_column_blocks_matches_whole_propagator():
-    """At N = 10 the sum half reads U over 16 column blocks: every
-    per-state value and weighted sum equals the whole-propagator reading
-    bit for bit, and its temporaries are block-sized (a contiguous copy
-    of the block and half a block for the row-pair product), where x once
-    made half a K x K array and z a whole one."""
-    n_spins = 10
-    operand = 16 * 4**n_spins
-    ens = zeeman_ensemble(n_spins, temperature=1.0)
-    u = compose_propagator(every_kind_circuit(n_spins, np.random.default_rng(55), 7))
-    observables = [PauliSum.collective(n_spins, axis) for axis in "xyz"]
-    observables.append(PauliSum(n_spins, "y", (1, n_spins)))
-    tracemalloc.start()
-    try:
-        sides = engine._sum_side(u, ens, observables)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.2 * operand
-    for (per_state, total), obs in zip(sides, observables, strict=True):
-        whole = _per_state_values(u, obs)
-        assert per_state.tobytes() == whole.tobytes()
-        assert total == _weighted_sum(ens.populations, whole)
+    """The sum half runs the plan on blocks of identity columns: at N = 4
+    one block and at N = 10 sixteen, each equal bit for bit to the same
+    columns of the composed propagator, so every per-state value and
+    weighted sum equals the whole-propagator reading.  At N = 10 the sum
+    half holds blocks and block-sized temporaries only (an identity block,
+    its spare and the block before it, and half a block for the row-pair
+    product), where the whole propagator was one K x K array."""
+    rng = np.random.default_rng(55)
+    circuits = (random_circuit(4, rng, min_depth=20, max_depth=20), every_kind_circuit(10, rng, 7))
+    for circuit, blocks in zip(circuits, (1, 16)):
+        n_spins = circuit.n_spins
+        operand = 16 * 4**n_spins
+        ens = zeeman_ensemble(n_spins, temperature=1.0)
+        u = compose_propagator(circuit)
+        width = _block_width(circuit.dim)
+        starts = []
+        for start, block in engine._eigenstate_blocks(circuit):
+            assert block.flags.c_contiguous and block.shape == (circuit.dim, width)
+            assert block.tobytes() == np.ascontiguousarray(u[:, start : start + width]).tobytes()
+            starts.append(start)
+        assert starts == list(range(0, circuit.dim, width)) and len(starts) == blocks
+        observables = [PauliSum.collective(n_spins, axis) for axis in "xyz"]
+        observables.append(PauliSum(n_spins, "y", (1, n_spins)))
+        tracemalloc.start()
+        try:
+            sides, tables = engine._sum_side(circuit, ens, observables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tables == []
+        if blocks > 1:
+            assert peak < 0.25 * operand
+        for (per_state, total), obs in zip(sides, observables, strict=True):
+            whole = _per_state_values(u, obs)
+            assert per_state.tobytes() == whole.tobytes()
+            assert total == _weighted_sum(ens.populations, whole)
 
 
 @pytest.mark.parametrize("n_spins", range(11))

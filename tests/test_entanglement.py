@@ -78,7 +78,7 @@ def sample_cuts(n_spins):
 
 
 class TestSchmidtTable:
-    """One batched SVD over the propagator's columns, against the per-state path."""
+    """One batched SVD over a block of evolved eigenstates, against the per-state path."""
 
     def test_matches_per_state_reports_bit_for_bit(self):
         rng = np.random.default_rng(56)
@@ -150,6 +150,20 @@ class TestSchmidtTable:
         u[:, 2] = np.nan
         with pytest.raises(ValidationError, match="eigenstate 2 is not normalized"):
             _schmidt_table(u, CUT_12)
+
+    def test_a_block_reads_as_its_columns_of_the_whole(self):
+        """A block of columns, given its first index, gives the whole
+        table's rows for those eigenstates bit for bit, and a rejection
+        names the eigenstate by its index in the whole."""
+        part = BipartitionSpec.parse("1,3|2,4,5", 5)
+        u = compose_propagator(random_circuit(5, np.random.default_rng(59), 20, 20))
+        whole = _schmidt_table(u, part)
+        block = np.ascontiguousarray(u[:, 8:16])
+        for table, rows in zip(_schmidt_table(block, part, 8), whole, strict=True):
+            assert table.tobytes() == rows[8:16].tobytes()
+        block[:, 3] *= 1.0 + 1e-9
+        with pytest.raises(ValidationError, match="eigenstate 11 is not normalized"):
+            _schmidt_table(block, part, 8)
 
     def test_squared_coefficients_must_sum_to_one(self, monkeypatch):
         original = np.linalg.svd
@@ -309,6 +323,17 @@ class TestPptReport:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError, match="does not match"):
             ppt_report(maximally_mixed(8), CUT_12)
+
+    def test_rejects_what_density_matrix_rejects(self):
+        """The public report checks its input (a non-Hermitian one in
+        test_qlinalg); only the command path, whose rho' is a density
+        matrix by construction, skips the checks."""
+        for entries, message in (
+            (np.diag([1.2, -0.2, 0.0, 0.0]), "negative eigenvalue"),
+            (np.diag([0.5, 0.5, 0.5, 0.0]), "trace"),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                ppt_report(entries.astype(complex), CUT_12)
 
     def test_input_is_left_as_it_was(self):
         """The distance is taken on a private copy shifted by -I/K in place."""

@@ -6,9 +6,11 @@ alone must leave every hash below alone.  A change that moves report bytes
 on purpose updates the hashes here and says in CHANGES.md which fields
 moved and why.
 
-The runs use one BLAS thread in a fresh interpreter.  Every report here is
-certified separable and needs no eigendecomposition, but one that did
-would round its last digits by the thread count.  The hashes
+The runs use one BLAS thread in a fresh interpreter.  Every report here
+but simulate-n4-cold-x is certified separable and needs no
+eigendecomposition; that one runs the exact partial-transpose report,
+whose eigendecomposition rounds its last digits by the thread count.  The
+hashes
 were taken with numpy 2.4.6 on OpenBLAS 0.3.31; another build may round
 differently.
 """
@@ -53,6 +55,15 @@ BLOCKED_SIMULATE_SYSTEMS = {
     ),
 }
 
+# At T = 0.3 most molecules sit in the ground level, and the circuit
+# entangles them across the cut: the evolved state lies outside the
+# separable ball.  (larmor, bipartition line, circuit text)
+COLD_SIMULATE_N4 = (
+    "2.4, 1.8, 1.2, 0.6",
+    "bipartition = 1,2|3,4\n",
+    "H 1\nCNOT 1 3\nRY 2 0.9\nCNOT 2 4\nRX 4 1.3\nT 3\nCZ 1 2\nSWAP 3 4\n",
+)
+
 # name -> (larmor, seed, circuit count)
 SWEEPS = {
     "sweep-n2": ("2.0, 1.0", 7, 6),
@@ -80,6 +91,8 @@ PINNED_SHA256 = {
     # passes ran over column blocks.
     "simulate-n10-x": "f34226bfacba1432ee0f4759adec8b111c164a8e5c02d45f55ef3af4cc4a2ee2",
     "sweep-n9": "3018efbe465bc5bd098b8f0afc14f10fe6613b2096d7ee39ab15aceb6e257300",
+    # Taken while the exact report still checked rho' as a density matrix.
+    "simulate-n4-cold-x": "1cab35c8fee4439e233bdb97baea7428d87e127a46fc080bf1b25685374969de",
 }
 
 RUNNER = """\
@@ -94,16 +107,18 @@ for argv in json.load(sys.stdin):
 def write_runs(tmp_path: Path) -> dict[str, list[str]]:
     """Write every config and circuit; return the argv of each named run."""
     runs = {}
-    systems = [(n, system, OBSERVABLES) for n, system in SIMULATE_SYSTEMS.items()]
-    systems += [(n, system, ("x",)) for n, system in BLOCKED_SIMULATE_SYSTEMS.items()]
-    for n_spins, (larmor, cut, circuit), observables in systems:
-        (tmp_path / f"n{n_spins}.qc").write_text(circuit)
+    systems = [(f"n{n}", n, s, OBSERVABLES, ENSEMBLE) for n, s in SIMULATE_SYSTEMS.items()]
+    systems += [(f"n{n}", n, s, ("x",), ENSEMBLE) for n, s in BLOCKED_SIMULATE_SYSTEMS.items()]
+    cold = ENSEMBLE.replace("3.0e5", "0.3")
+    systems.append(("n4-cold", 4, COLD_SIMULATE_N4, ("x",), cold))
+    for label, n_spins, (larmor, cut, circuit), observables, ensemble in systems:
+        (tmp_path / f"{label}.qc").write_text(circuit)
         for observable in observables:
-            name = f"simulate-n{n_spins}-{observable}"
+            name = f"simulate-{label}-{observable}"
             config = tmp_path / f"{name}.cfg"
             config.write_text(
-                f"n_spins = {n_spins}\nlarmor = {larmor}\n{ENSEMBLE}"
-                f"circuit_path = n{n_spins}.qc\nobservable = {observable}\n{cut}"
+                f"n_spins = {n_spins}\nlarmor = {larmor}\n{ensemble}"
+                f"circuit_path = {label}.qc\nobservable = {observable}\n{cut}"
             )
             runs[name] = ["simulate", "--config", str(config)]
     for name, (larmor, seed, count) in SWEEPS.items():
