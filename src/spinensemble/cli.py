@@ -35,9 +35,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, CircuitParseError, format_circuit, parse_circuit, random_circuit
-from .engine import PATHWAY_TOL, _pathway_results, _sum_side, _trace_side, compare_pathways
-from .entanglement import _ensemble_reports
+from .circuit import CircuitParseError, format_circuit, parse_circuit, random_circuit
+from .engine import (
+    PATHWAY_TOL,
+    _eigenstate_blocks,
+    _pathway_results,
+    _sum_side,
+    _trace_side,
+    compare_pathways,
+)
+from .entanglement import _ensemble_reports, _schmidt_table
 from .qlinalg import BipartitionSpec, ValidationError
 from .spin_system import (
     PauliSum,
@@ -267,28 +274,16 @@ def run_simulate(config: RunConfig, output_path: str | None = None) -> dict:
     ensemble = config._ensemble
     observable, part = config._observable, config._bipartition
 
-    trace_value, (initial_rep, evolved_rep) = _trace_readouts(circuit, ensemble, observable, part)
-    sums, tables = _sum_side(circuit, ensemble, [observable], part)
-    (result,) = _pathway_results(sums, [trace_value])
-    tolerance = PATHWAY_TOL * ensemble.molecule_count
-
+    (trace_value,), rho = _trace_side(circuit, ensemble, [observable])
+    initial_rep, evolved_rep = _ensemble_reports(ensemble.probabilities, rho, part)
+    del rho  # before the sum side's blocks: N=10 then peaks at 1.13 K x K arrays, not 1.22
+    per_state = []
+    blocks = _eigenstate_blocks(circuit)
     if part is not None:
-        coefficients, entropies, ranks = (np.concatenate(column) for column in zip(*tables))
-        per_state = [
-            {
-                "initial_eigenstate": k,
-                "schmidt_coefficients": row,
-                "entropy_bits": entropy,
-                "schmidt_rank": rank,
-                "is_product": rank == 1,
-            }
-            for k, (row, entropy, rank) in enumerate(
-                zip(coefficients.tolist(), entropies.tolist(), ranks.tolist())
-            )
-        ]
-        entanglement_section = {"bipartition": str(part), "per_state": per_state}
-    else:
-        entanglement_section = None
+        blocks = _with_schmidt_rows(blocks, part, per_state)
+    (result,) = _pathway_results(_sum_side(blocks, ensemble, [observable]), [trace_value])
+    tolerance = PATHWAY_TOL * ensemble.molecule_count
+    entanglement = None if part is None else {"bipartition": str(part), "per_state": per_state}
 
     report = {
         "config_echo": _config_echo(config),
@@ -302,7 +297,7 @@ def run_simulate(config: RunConfig, output_path: str | None = None) -> dict:
             "tolerance": tolerance,
             "within_tolerance": result.abs_difference <= tolerance,
         },
-        "entanglement": entanglement_section,
+        "entanglement": entanglement,
         "separability": {
             "initial": dataclasses.asdict(initial_rep),
             "evolved": dataclasses.asdict(evolved_rep),
@@ -313,13 +308,23 @@ def run_simulate(config: RunConfig, output_path: str | None = None) -> dict:
     return report
 
 
-def _trace_readouts(
-    circuit: Circuit, ensemble: ThermalEnsemble, observable: PauliSum, part
-) -> tuple[float, tuple]:
-    """The trace value and both separability reports, read off one rho',
-    the one K x K array a command holds, which lives until this returns."""
-    (trace_value,), rho = _trace_side(circuit, ensemble, [observable])
-    return trace_value, _ensemble_reports(ensemble.probabilities, rho, part)
+def _with_schmidt_rows(blocks, part, per_state: list):
+    """Each (start, block) of blocks, after appending the entanglement
+    section's entry for each of the block's eigenstates to per_state."""
+    for start, block in blocks:
+        table = (column.tolist() for column in _schmidt_table(block, part, start))
+        for k, (row, entropy, rank) in enumerate(zip(*table), start):
+            per_state.append(
+                {
+                    "initial_eigenstate": k,
+                    "schmidt_coefficients": row,
+                    "entropy_bits": entropy,
+                    "schmidt_rank": rank,
+                    "is_product": rank == 1,
+                }
+            )
+        yield start, block
+        del block  # else held while blocks builds the next block
 
 
 def run_sweep(config: RunConfig, n_circuits: int, output_path: str | None = None) -> dict:

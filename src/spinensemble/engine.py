@@ -46,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, _apply_gates, _block_width
-from .entanglement import _schmidt_table
 from .qlinalg import ValidationError
 from .spin_system import _PAULI_BY_AXIS, PauliSum, ThermalEnsemble, equilibrium_density_matrix
 
@@ -208,7 +207,7 @@ def compare_pathways(
     checked = [_checked(obs) for obs in observables]
     _require_dim(ensemble.system.dim, circuit, *checked)
     traces = _trace_side(circuit, ensemble, checked)[0]
-    return _pathway_results(_sum_side(circuit, ensemble, checked)[0], traces)
+    return _pathway_results(_sum_side(_eigenstate_blocks(circuit), ensemble, checked), traces)
 
 
 def _trace_side(
@@ -232,26 +231,21 @@ def _eigenstate_blocks(circuit: Circuit):
         yield start, _apply_gates(np.eye(dim, width, -start, dtype=complex), circuit._plan)
 
 
-def _sum_side(
-    circuit: Circuit, ensemble: ThermalEnsemble, observables, part=None
-) -> tuple[list[tuple[np.ndarray, float]], list[tuple]]:
+def _sum_side(blocks, ensemble: ThermalEnsemble, observables) -> list[tuple[np.ndarray, float]]:
     """The sum half of compare_pathways: each observable's per-state values
-    and their population-weighted sum, and given a cut, each block's
-    _schmidt_table, all read off _eigenstate_blocks.
+    and their population-weighted sum, read off blocks, an iterable of
+    (start, block) such as _eigenstate_blocks.
 
     A column's values read that column only, so every temporary is
     block-sized.
     """
-    per_states = [np.empty(circuit.dim) for _ in observables]
-    tables = []
-    for start, block in _eigenstate_blocks(circuit):
+    per_states = [np.empty(ensemble.system.dim) for _ in observables]
+    for start, block in blocks:
         pairs = {}
         for per_state, obs in zip(per_states, observables):
             per_state[start : start + block.shape[1]] = _per_state_values(block, obs, pairs)
-        if part is not None:
-            tables.append(_schmidt_table(block, part, start))
-    sums = [(per_state, _weighted_sum(ensemble.populations, per_state)) for per_state in per_states]
-    return sums, tables
+        del block, pairs  # else held while blocks builds the next block
+    return [(per_state, _weighted_sum(ensemble.populations, per_state)) for per_state in per_states]
 
 
 def _pathway_results(sums, traces) -> tuple[PathwayResult, ...]:
