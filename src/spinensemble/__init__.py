@@ -17,18 +17,12 @@ from .circuit import (
     parse_circuit,
     random_circuit,
 )
-from .engine import (
-    PathwayResult,
-    compare_pathways,
-    evolve_eigenstate,
-)
+from .engine import PathwayResult, compare_pathways
 from .entanglement import (
     EntanglementReport,
     SeparabilityReport,
-    entanglement_entropy,
     entanglement_report,
     ppt_report,
-    schmidt_coefficients,
 )
 from .qlinalg import (
     BipartitionSpec,
@@ -64,16 +58,13 @@ __all__ = [
     "compose_propagator",
     "default_energies",
     "density_matrix",
-    "entanglement_entropy",
     "entanglement_report",
     "epsilon_report",
     "equilibrium_density_matrix",
-    "evolve_eigenstate",
     "format_circuit",
     "hermitian",
     "parse_circuit",
     "ppt_report",
     "random_circuit",
-    "schmidt_coefficients",
     "state_vector",
 ]

@@ -182,7 +182,12 @@ def _gate(line_number: int, kind: str, targets: tuple[int, ...], angle: float | 
 def _parse_spin(line_number: int, token: str, n_spins: int) -> int:
     if not _INT_RE.match(token):
         raise CircuitParseError(line_number, f"malformed spin index {token!r}")
-    spin = int(token)
+    try:
+        spin = int(token)
+    except ValueError:  # more digits than the interpreter converts
+        raise CircuitParseError(
+            line_number, f"spin index of {len(token)} digits is too long"
+        ) from None
     if not 1 <= spin <= n_spins:
         raise CircuitParseError(
             line_number, f"spin index {spin} out of range for {n_spins} spins"
@@ -236,10 +241,10 @@ def _apply_gate(state: np.ndarray, matrix: np.ndarray, axes: tuple[int, ...]) ->
     4x4 matrix, which must be a signed permutation, ``axes`` lists the
     axes of its first and second basis factor, in either order.  Returns a
     new complex array of state's shape and leaves state as it was.  This
-    compiles the one gate and runs it, on the whole operand, as a
-    circuit's plan would on each block.
+    compiles the one gate as a circuit's plan does and runs it on the
+    whole operand, as the plan would on each block.
     """
-    kernel, arguments = _compile_step(matrix, axes)
+    kernel, arguments = _step(matrix, axes)
     out = np.empty(np.shape(state), dtype=complex)
     kernel(np.array(state, dtype=complex), out, *arguments)
     return out
@@ -258,21 +263,16 @@ def _compile(gates) -> tuple:
             dev = np.max(np.abs(products - np.eye(size)))
             if not dev <= UNITARY_TOL:  # also rejects NaN
                 raise ValidationError(f"matrix is not unitary: max |U^dagger U - I| = {dev:.3e}")
-    steps = []
-    for matrix, gate in zip(matrices, gates):
-        axes = tuple(t - 1 for t in gate.targets)
-        if len(axes) == 2:
-            steps.append((_permute_pair, _fixed_pair_arguments(matrix.tobytes(), *axes)))
-        else:
-            steps.append(_compile_step(matrix, axes))
-    return tuple(steps)
+    return tuple(
+        _step(matrix, tuple(t - 1 for t in gate.targets)) for matrix, gate in zip(matrices, gates)
+    )
 
 
-def _compile_step(matrix: np.ndarray, axes: tuple[int, ...]) -> tuple:
+def _step(matrix: np.ndarray, axes: tuple[int, ...]) -> tuple:
     """The kernel for one gate on 0-based axes, and its arguments."""
     if len(axes) == 1:
         return _multiply_axis, (2 ** axes[0], matrix)
-    return _permute_pair, _pair_arguments(matrix, *axes)
+    return _permute_pair, _pair_arguments(np.asarray(matrix, dtype=complex).tobytes(), *axes)
 
 
 def _multiply_axis(state: np.ndarray, out: np.ndarray, outer: int, matrix: np.ndarray) -> None:
@@ -281,15 +281,22 @@ def _multiply_axis(state: np.ndarray, out: np.ndarray, outer: int, matrix: np.nd
     np.matmul(matrix, state.reshape(outer, 2, -1), out=out.reshape(outer, 2, -1))
 
 
-def _pair_arguments(matrix: np.ndarray, a: int, b: int) -> tuple:
-    """_permute_pair's arguments for a 4x4 signed permutation on axes a, b.
+@functools.cache
+def _pair_arguments(matrix_bytes: bytes, a: int, b: int) -> tuple:
+    """_permute_pair's arguments for a 4x4 signed permutation on axes a, b,
+    compiled once per process for each matrix and axis pair.
 
     The view (2**a, 2, gap, 2, width) of an operand is read as (2**a,
     4*gap, width), and ``index`` lists, per output position of the merged
-    middle axis, the position it copies.  Rows of the gate matrix whose
+    middle axis, the position it copies; being shared, it is a read-only
+    view of the array _permute_pair reads.  Rows of the gate matrix whose
     entry is -1 are negated after the copy.
+    The key is the complex matrix's bytes, not a kind name, so a changed
+    matrix is compiled and checked afresh; a rejected one is not kept.
+    The commands' three fixed kinds on at most 12 * 11 ordered axis pairs
+    give at most 396 entries.
     """
-    m = matrix.reshape(2, 2, 2, 2)
+    m = np.frombuffer(matrix_bytes, dtype=complex).reshape(2, 2, 2, 2)
     if a > b:
         a, b = b, a
         m = m.transpose(1, 0, 3, 2)
@@ -303,23 +310,10 @@ def _pair_arguments(matrix: np.ndarray, a: int, b: int) -> tuple:
     # output position (i, y, j) of the merged axis reads (k, y, l), where
     # row 2i + j of the gate matrix has its entry in column 2k + l
     source = sources.reshape(2, 1, 2)
-    index = (source >> 1) * (2 * gap) + np.arange(gap)[:, None] * 2 + (source & 1)
-    return 2**a, gap, index.reshape(-1), tuple(np.flatnonzero(signs == -1).tolist())
-
-
-@functools.cache
-def _fixed_pair_arguments(matrix_bytes: bytes, a: int, b: int) -> tuple:
-    """_pair_arguments for a fixed two-spin kind, compiled once per process.
-
-    Keyed by the 4x4 matrix's bytes, not its kind name, so a changed
-    matrix is compiled and checked afresh.  The three fixed kinds on at
-    most 12 * 11 ordered axis pairs give at most 396 entries; the shared
-    index is read-only.  _apply_gate's arbitrary matrices never come here.
-    """
-    matrix = np.frombuffer(matrix_bytes, dtype=complex).reshape(4, 4)
-    outer, gap, index, negated = _pair_arguments(matrix, a, b)
-    index.setflags(write=False)
-    return outer, gap, index, negated
+    index = ((source >> 1) * (2 * gap) + np.arange(gap)[:, None] * 2 + (source & 1)).flatten()
+    shared = index.view()  # shared.base is index
+    shared.setflags(write=False)
+    return 2**a, gap, shared, tuple(np.flatnonzero(signs == -1).tolist())
 
 
 def _permute_pair(
@@ -331,17 +325,19 @@ def _permute_pair(
 
     Each output slice is one input slice, copied or negated, so the result
     is exact.  One ``take`` along the merged middle axis copies whole
-    contiguous runs of ``width`` entries in memory order.  Copying the four
-    quadrants one by one instead re-reads every cache line once per
-    quadrant when width is small.  The indices are in range, so "clip"
-    changes nothing but lets ``take`` write to ``out`` without a buffer.
+    contiguous runs of ``width`` entries in memory order.  Copying the
+    four quadrants one by one instead re-reads every cache line once per
+    quadrant when width is small.  ``take`` copies an index it may not
+    write, so it reads the writable array under the shared, read-only
+    ``index``.  The indices are in range, so "clip" changes nothing but
+    lets ``take`` write to ``out`` without a buffer.
     A negated quadrant is a strided view, and a ufunc on one allocates
     iterator buffers of up to 256 KiB, so it is copied into the front of
     the spent state, negated there in one contiguous run (sign flips, so
     signed zeros too are exact) and copied back, with no allocation.
     """
     merged = out.reshape(outer, 4 * gap, -1)
-    state.reshape(outer, 4 * gap, -1).take(index, axis=1, out=merged, mode="clip")
+    state.reshape(outer, 4 * gap, -1).take(index.base, axis=1, out=merged, mode="clip")
     if negated:
         quadrants = merged.reshape(outer, 2, gap, 2, -1)
         for row in negated:

@@ -112,7 +112,11 @@ class RunConfig:
             return PauliSum.collective(self.n_spins, axis)
         if not spin_text.isdecimal():
             raise ConfigError(f"observable spin must be an integer, got {spin_text!r}")
-        return PauliSum(self.n_spins, axis, (int(spin_text),))
+        try:
+            spin = int(spin_text)
+        except ValueError:  # more digits than the interpreter converts
+            raise ConfigError(f"observable spin of {len(spin_text)} digits is too long") from None
+        return PauliSum(self.n_spins, axis, (spin,))
 
     @functools.cached_property
     def _bipartition(self) -> BipartitionSpec | None:
@@ -121,17 +125,7 @@ class RunConfig:
         return None if text is None else BipartitionSpec.parse(text, self.n_spins)
 
 
-_KEY_ORDER = (
-    "n_spins",
-    "larmor",
-    "temperature",
-    "molecule_count",
-    "circuit_path",
-    "observable",
-    "bipartition",
-    "seed",
-    "output_path",
-)
+_KEY_ORDER = tuple(f.name for f in dataclasses.fields(RunConfig) if f.name != "base_dir")
 _REQUIRED_KEYS = ("n_spins", "larmor", "temperature", "molecule_count")
 
 
@@ -151,6 +145,8 @@ def _parse_entries(text: str, label: str) -> dict[str, str]:
             raise ConfigError(f"{label}:{line_number}: duplicate key {key!r}")
         if not value:
             raise ConfigError(f"{label}:{line_number}: empty value for {key!r}")
+        if "\0" in value:  # no path, number or spec holds one
+            raise ConfigError(f"{label}:{line_number}: NUL character in value for {key!r}")
         entries[key] = value
     return entries
 
@@ -234,16 +230,9 @@ def build_ensemble(config: RunConfig) -> ThermalEnsemble:
 def _config_echo(config: RunConfig) -> dict:
     # output_path and base_dir are excluded so that redirecting the output
     # of a run never changes the report body.
-    return {
-        "n_spins": config.n_spins,
-        "larmor": list(config.larmor),
-        "temperature": config.temperature,
-        "molecule_count": config.molecule_count,
-        "circuit_path": config.circuit_path,
-        "observable": config.observable,
-        "bipartition": config.bipartition,
-        "seed": config.seed,
-    }
+    echo = {key: getattr(config, key) for key in _KEY_ORDER if key != "output_path"}
+    echo["larmor"] = list(config.larmor)
+    return echo
 
 
 def _ensemble_section(ensemble: ThermalEnsemble) -> dict:

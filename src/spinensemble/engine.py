@@ -77,16 +77,6 @@ class PathwayResult:
         object.__setattr__(self, "per_state_values", arr)
 
 
-def evolve_eigenstate(propagator: np.ndarray, k: int) -> np.ndarray:
-    """State U|k>: column k of the propagator, as a fresh vector."""
-    u = np.asarray(propagator, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValidationError(f"propagator must be square, got shape {u.shape}")
-    if not 0 <= k < u.shape[0]:
-        raise ValidationError(f"eigenstate index {k} out of range for dim {u.shape[0]}")
-    return u[:, k].copy()
-
-
 def _checked(observable) -> PauliSum:
     """The observable, which must be a PauliSum; a PauliSum checked itself
     when built."""

@@ -2,11 +2,12 @@
 
 Pure-state side: Schmidt coefficients across a bipartition via SVD of the
 reshaped amplitude tensor (one batched SVD for each block of evolved
-eigenstates), entropy of entanglement in bits, and a product test
-(Schmidt rank 1).  Mixed-state side: the Peres partial-transpose
-test, negativity, purity, and distance from the maximally mixed state.
-PPT is conclusive for a 2-spin system and a necessary condition only for
-larger ones; reports carry that flag so callers never over-claim.
+eigenstates; a single state is a block of one), entropy of entanglement
+in bits, and a product test (Schmidt rank 1).  Mixed-state side: the
+Peres partial-transpose test, negativity, purity, and distance from the
+maximally mixed state.  PPT is conclusive for a 2-spin system and a
+necessary condition only for larger ones; reports carry that flag so
+callers never over-claim.
 
 Separability is certified, across every cut at once, by the ball of
 Gurvits and Barnum (PRA 66, 062311, 2002): every K-level state within
@@ -76,39 +77,26 @@ class SeparabilityReport:
     purity: float
 
 
-def schmidt_coefficients(state: np.ndarray, part: BipartitionSpec) -> np.ndarray:
-    """Schmidt coefficients of a pure state, descending, nonnegative.
-
-    The amplitude vector is reshaped to one axis per spin, the left spins
-    are gathered in front of the right spins, and the singular values of
-    the resulting matrix are the coefficients.  Their squares sum to 1.
-    """
-    psi = state_vector(state)
-    n_spins = part.n_spins
-    if psi.shape[0] != 2**n_spins:
-        raise ValidationError(
-            f"state dim {psi.shape[0]} does not match bipartition over {n_spins} spins"
-        )
-    tensor = psi.reshape((2,) * n_spins)
-    axes = [s - 1 for s in part.left] + [s - 1 for s in part.right]
-    matrix = tensor.transpose(axes).reshape(2 ** len(part.left), 2 ** len(part.right))
-    return np.linalg.svd(matrix, compute_uv=False)
-
-
 def _schmidt_table(
     block: np.ndarray, part: BipartitionSpec, start: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Schmidt coefficients, entropies and ranks of a block of evolved
-    eigenstates, its columns U|k> for k = start, start + 1, ...
+    """Schmidt coefficients (descending), entropies in bits and ranks of a
+    block of pure states, its columns U|k> for k = start, start + 1, ...
 
-    One batched SVD over the columns, each reshaped and transposed as
-    schmidt_coefficients does, gives the same coefficients bit for bit,
-    and the entropies equal entanglement_entropy's.  Every column must be
-    normalized (NORM_TOL), and a rejection names its eigenstate k; every
-    coefficient row's squares must sum to 1.  A cut whose left spins are
-    not a leading run copies the block, never more.
+    Each column is read as a (2,)*N tensor, its left spins gathered in
+    front of its right spins, and one batched SVD over the resulting
+    2**|L| x 2**|R| matrices gives every column's coefficients; a column
+    gets the same bits alone or in a block.  The column length must be
+    2**N for the cut's N spins, every column must be normalized
+    (NORM_TOL), and a rejection names its eigenstate k; every coefficient
+    row's squares must sum to 1.  A cut whose left spins are not a
+    leading run copies the block, never more.
     """
     u = np.ascontiguousarray(block, dtype=complex)
+    if u.shape[0] != 2**part.n_spins:
+        raise ValidationError(
+            f"state dim {u.shape[0]} does not match bipartition over {part.n_spins} spins"
+        )
     width = u.shape[1]
     parts = u.view(np.float64).reshape(u.shape[0], width, 2)
     deviation = np.abs(np.einsum("ikc,ikc->k", parts, parts) - 1.0)
@@ -127,16 +115,9 @@ def _schmidt_table(
     return coefficients, _entropies(coefficients), ranks
 
 
-def entanglement_entropy(coefficients: np.ndarray) -> float:
-    """Shannon entropy of squared Schmidt coefficients, base 2, 0*log0 = 0."""
-    coefficients = np.asarray(coefficients, dtype=float)
-    if coefficients.size == 0:
-        raise ValidationError("empty coefficient list")
-    return float(_entropies(coefficients.reshape(1, -1))[0])
-
-
 def _entropies(coefficients: np.ndarray) -> np.ndarray:
-    """entanglement_entropy of each row, with its checks.
+    """Shannon entropy, base 2, of each row's squared Schmidt
+    coefficients, 0 log 0 = 0; each row's squares must sum to 1 (NaN fails).
 
     Each row's nonzero squares are summed in their own order as one
     contiguous run, so a row gets the same bits alone or in a batch; rows
@@ -162,16 +143,11 @@ def _entropies(coefficients: np.ndarray) -> np.ndarray:
 
 
 def entanglement_report(state: np.ndarray, part: BipartitionSpec) -> EntanglementReport:
-    """Full pure-state entanglement summary across one bipartition."""
-    coeffs = schmidt_coefficients(state, part)
-    rank = int(np.count_nonzero(coeffs > SCHMIDT_RANK_TOL))
-    return EntanglementReport(
-        bipartition=part,
-        schmidt_coefficients=coeffs,
-        entropy_bits=entanglement_entropy(coeffs),
-        schmidt_rank=rank,
-        is_product=rank == 1,
-    )
+    """Full pure-state entanglement summary across one bipartition: the
+    commands' Schmidt table of the one column state, read off its row."""
+    coefficients, entropies, ranks = _schmidt_table(state_vector(state)[:, None], part)
+    rank = int(ranks[0])
+    return EntanglementReport(part, coefficients[0], float(entropies[0]), rank, rank == 1)
 
 
 def _distance_fields(rho: np.ndarray) -> tuple[float, float]:

@@ -38,6 +38,25 @@ def bell_state():
     return psi
 
 
+def schmidt_reference(psi, part):
+    """Reference Schmidt coefficients of one pure state, one SVD: its
+    (2,)*N tensor with the left spins gathered in front of the right
+    spins, read as a 2**|L| x 2**|R| matrix."""
+    tensor = np.asarray(psi).reshape((2,) * part.n_spins)
+    axes = [s - 1 for s in part.left] + [s - 1 for s in part.right]
+    matrix = tensor.transpose(axes).reshape(2 ** len(part.left), 2 ** len(part.right))
+    return np.linalg.svd(matrix, compute_uv=False)
+
+
+def entropy_reference(coefficients):
+    """Reference entropy in bits: -sum p log2 p over the nonzero squares p,
+    in their order, with a nonpositive sum read as +0.0."""
+    probs = np.asarray(coefficients) ** 2
+    probs = probs[probs > 0.0]
+    value = float(-(probs * np.log2(probs)).sum())
+    return value if value > 0.0 else 0.0
+
+
 def conjugate_gate_by_gate(circuit, rho):
     """Reference G rho G^dagger for each gate in order: G on the row axes
     of the (2,)*2N tensor of rho, conj(G) on its column axes."""

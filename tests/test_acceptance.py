@@ -15,7 +15,7 @@ import numpy as np
 
 from spinensemble.circuit import Circuit, compose_propagator, parse_circuit, random_circuit
 from spinensemble.cli import main
-from spinensemble.engine import compare_pathways, evolve_eigenstate
+from spinensemble.engine import compare_pathways
 from spinensemble.entanglement import entanglement_report, ppt_report
 from spinensemble.qlinalg import BipartitionSpec
 from spinensemble.spin_system import (
@@ -82,7 +82,7 @@ def test_criterion_2_entangled_molecules_mixed_ensemble():
     cut = BipartitionSpec((1,), (2,))
 
     for k in range(4):
-        report = entanglement_report(evolve_eigenstate(propagator, k), cut)
+        report = entanglement_report(propagator[:, k], cut)
         if abs(report.entropy_bits - 1.0) > 1e-9:
             problems.append(f"eigenstate {k}: entropy {report.entropy_bits} not 1.0 +- 1e-9")
 

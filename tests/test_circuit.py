@@ -423,14 +423,22 @@ class TestLocalGateApplication:
         with pytest.raises(ValueError, match="read-only"):
             index[0] = 0
 
-    def test_apply_gate_checks_every_matrix_and_caches_none(self):
+    def test_apply_gate_checks_every_matrix(self):
+        """_apply_gate compiles through the plans' cache, keyed by the
+        matrix itself: on axes a plan has compiled CZ for, another matrix
+        is checked and applied as itself, and a rejected one is rejected
+        every time."""
         parse_circuit("CZ 1 2", 2)._plan
-        entries = circuit_module._fixed_pair_arguments.cache_info().currsize
         hadamard = _gate_matrix(Gate("H", (1,)))
-        with pytest.raises(ValidationError, match="permute"):
-            _apply_gate(np.eye(4, dtype=complex), np.kron(hadamard, hadamard), (0, 1))
-        _apply_gate(np.eye(4, dtype=complex), circuit_module._FIXED_2Q["CZ"], (1, 0))
-        assert circuit_module._fixed_pair_arguments.cache_info().currsize == entries
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="permute"):
+                _apply_gate(np.eye(4, dtype=complex), np.kron(hadamard, hadamard), (0, 1))
+        negated_cz = -circuit_module._FIXED_2Q["CZ"]
+        np.testing.assert_array_equal(_apply_gate(np.eye(4), negated_cz, (0, 1)), negated_cz)
+        cz = circuit_module._FIXED_2Q["CZ"]
+        before = circuit_module._pair_arguments.cache_info()
+        np.testing.assert_array_equal(_apply_gate(np.eye(4), cz, (0, 1)), cz)
+        assert circuit_module._pair_arguments.cache_info().hits == before.hits + 1
 
     def test_input_is_not_modified(self):
         state = np.arange(16, dtype=complex).reshape(4, 4)
@@ -500,7 +508,7 @@ class TestColumnBlocks:
                 expected = state.copy()
                 bits = expected.view(np.uint64).reshape(2**low, 2, 2 ** (high - low - 1), 2, -1)
                 bits[:, 1, :, 1] ^= np.uint64(1 << 63)
-                arguments = circuit_module._pair_arguments(cz, a, b)
+                arguments = circuit_module._pair_arguments(cz.tobytes(), a, b)
                 source, out = state.copy(), np.empty_like(state)
                 tracemalloc.start()
                 try:

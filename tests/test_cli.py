@@ -890,6 +890,31 @@ class TestMainExitCodes:
         assert main(["simulate", "--config", path]) == 1
         assert "axis must be x, y, or z" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "where,fragment",
+        [
+            ("observable", "observable spin of 5000 digits is too long"),
+            ("circuit", "line 1: spin index of 5000 digits is too long"),
+            ("output_path", "run.cfg:8: NUL character in value for 'output_path'"),
+        ],
+    )
+    def test_unconvertible_value_exits_1_with_one_line(self, tmp_path, capsys, where, fragment):
+        """A spin index of more digits than the interpreter converts to an
+        int, in the observable or in the circuit, and an output path that
+        holds a NUL character are input errors, not tracebacks."""
+        text, circuit = BASE_CONFIG, BELL_TEXT
+        if where == "observable":
+            text = BASE_CONFIG.replace("observable = x", "observable = x@" + "1" * 5000)
+        elif where == "circuit":
+            circuit = "H " + "1" * 5000 + "\n"
+        else:
+            text = BASE_CONFIG.replace("output_path = report.json", "output_path = re\0port.json")
+        assert main(["simulate", "--config", write_config(tmp_path, text, circuit)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert fragment in err and "Traceback" not in err
+        assert not list(tmp_path.glob("*.json"))
+
     def test_non_unitary_gate_exits_2(self, tmp_path, capsys, monkeypatch):
         skewed = np.array([[1, 1], [0, 1]], dtype=complex)
         monkeypatch.setitem(circuit_module._FIXED_1Q, "H", skewed)

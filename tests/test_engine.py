@@ -34,7 +34,6 @@ from spinensemble.engine import (
     PATHWAY_TOL,
     PathwayResult,
     compare_pathways,
-    evolve_eigenstate,
     _conjugate_transpose,
     _evolved_density_matrix,
     _per_state_values,
@@ -84,31 +83,34 @@ def trace_pathway(circuit, ensemble, obs):
 
 
 class TestEvolveEigenstate:
+    """The sum pathway's evolved eigenstates U|k>, read block by block off
+    the circuit's plan."""
+
+    @staticmethod
+    def columns(circuit):
+        return np.hstack([block for _, block in engine._eigenstate_blocks(circuit)])
+
     def test_identity_returns_basis_vector(self):
-        u = np.eye(4, dtype=complex)
-        np.testing.assert_array_equal(evolve_eigenstate(u, 2), [0, 0, 1, 0])
+        np.testing.assert_array_equal(self.columns(Circuit(2))[:, 2], [0, 0, 1, 0])
 
     def test_bell_from_ground_state(self):
-        u = compose_propagator(parse_circuit("H 1\nCNOT 1 2", 2))
-        np.testing.assert_allclose(
-            evolve_eigenstate(u, 0), np.array([1, 0, 0, 1]) / np.sqrt(2), atol=1e-12
-        )
+        u = self.columns(parse_circuit("H 1\nCNOT 1 2", 2))
+        np.testing.assert_allclose(u[:, 0], np.array([1, 0, 0, 1]) / np.sqrt(2), atol=1e-12)
 
     def test_output_is_normalized(self):
-        rng = np.random.default_rng(40)
-        u = random_unitary(rng, 8)
-        for k in range(8):
-            assert abs(np.linalg.norm(evolve_eigenstate(u, k)) - 1.0) < 1e-12
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValidationError, match="index"):
-            evolve_eigenstate(np.eye(4, dtype=complex), 4)
+        circuit = random_circuit(9, np.random.default_rng(40), 20, 20)  # four blocks
+        norms = np.linalg.norm(self.columns(circuit), axis=0)
+        assert np.all(np.abs(norms - 1.0) < 1e-12)
 
     def test_returns_independent_copy(self):
-        u = np.eye(2, dtype=complex)
-        v = evolve_eigenstate(u, 0)
-        v[0] = 9.0
-        assert u[0, 0] == 1.0
+        """Each block is an array of its own, so blocks kept together still
+        hold their own columns: U's, bit for bit."""
+        circuit = random_circuit(10, np.random.default_rng(42), 20, 20)
+        blocks = [block for _, block in engine._eigenstate_blocks(circuit)]
+        assert len(blocks) == 2**10 // _block_width(2**10)
+        for i, block in enumerate(blocks):
+            assert not any(np.shares_memory(block, other) for other in blocks[i + 1 :])
+        assert np.hstack(blocks).tobytes() == compose_propagator(circuit).tobytes()
 
 
 class TestPerStateExpectations:
@@ -133,7 +135,7 @@ class TestPerStateExpectations:
             values = _per_state_values(u, obs)
             matrix = dense_observable(obs)
             for k in range(8):
-                column = evolve_eigenstate(u, k)
+                column = u[:, k]
                 assert abs(values[k] - np.vdot(column, matrix @ column).real) < 1e-12
 
     def test_rejects_non_hermitian_observable(self, monkeypatch):

@@ -3,19 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from helpers import bell_state, maximally_mixed, random_density, random_state, random_unitary
+from helpers import (
+    bell_state,
+    entropy_reference,
+    maximally_mixed,
+    random_density,
+    random_state,
+    random_unitary,
+    schmidt_reference,
+)
+from spinensemble import entanglement as entanglement_module
 from spinensemble.circuit import Circuit, compose_propagator, parse_circuit, random_circuit
-from spinensemble.engine import evolve_eigenstate
 from spinensemble.entanglement import (
     EntanglementReport,
     SeparabilityReport,
     _ensemble_reports,
     _entropies,
     _schmidt_table,
-    entanglement_entropy,
     entanglement_report,
     ppt_report,
-    schmidt_coefficients,
 )
 from spinensemble.qlinalg import BipartitionSpec, ValidationError
 from spinensemble.spin_system import SpinSystem, ThermalEnsemble, equilibrium_density_matrix
@@ -30,7 +36,18 @@ def ghz(n_spins):
     return psi
 
 
+def schmidt_coefficients(psi, part):
+    return entanglement_report(psi, part).schmidt_coefficients
+
+
+def entropy(coefficients):
+    """_entropies of one coefficient row."""
+    return float(_entropies(np.asarray(coefficients, dtype=float).reshape(1, -1))[0])
+
+
 class TestSchmidtCoefficients:
+    """The coefficients of entanglement_report."""
+
     def test_product_state_has_single_coefficient(self):
         psi = np.array([0, 1, 0, 0], dtype=complex)  # |0> x |1>
         coeffs = schmidt_coefficients(psi, CUT_12)
@@ -56,8 +73,12 @@ class TestSchmidtCoefficients:
             assert abs(np.sum(coeffs**2) - 1.0) < 1e-12
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError, match="does not match"):
+        """The table checks the state length against the cut, for the
+        library report and for a block alike."""
+        with pytest.raises(ValidationError, match="state dim 2 does not match bipartition"):
             schmidt_coefficients(np.array([1, 0], dtype=complex), CUT_12)
+        with pytest.raises(ValidationError, match="state dim 8 does not match bipartition"):
+            _schmidt_table(np.eye(8, dtype=complex), CUT_12)
 
     def test_cut_order_does_not_change_spectrum(self):
         rng = np.random.default_rng(51)
@@ -78,9 +99,12 @@ def sample_cuts(n_spins):
 
 
 class TestSchmidtTable:
-    """One batched SVD over a block of evolved eigenstates, against the per-state path."""
+    """One batched SVD over a block of evolved eigenstates, against a
+    per-state reshape and SVD (helpers.schmidt_reference)."""
 
     def test_matches_per_state_reports_bit_for_bit(self):
+        """Each row equals the per-state reference, and the library report
+        of that column alone, bit for bit."""
         rng = np.random.default_rng(56)
         for n_spins in range(2, 9):
             for part in sample_cuts(n_spins):
@@ -88,10 +112,14 @@ class TestSchmidtTable:
                 u = compose_propagator(circuit)
                 coefficients, entropies, ranks = _schmidt_table(u, part)
                 for k in range(u.shape[0]):
-                    report = entanglement_report(evolve_eigenstate(u, k), part)
-                    np.testing.assert_array_equal(coefficients[k], report.schmidt_coefficients)
-                    assert entropies[k] == report.entropy_bits
-                    assert ranks[k] == report.schmidt_rank
+                    expected = schmidt_reference(u[:, k], part)
+                    assert coefficients[k].tobytes() == expected.tobytes()
+                    assert entropies[k] == entropy_reference(expected)
+                    assert ranks[k] == np.count_nonzero(expected > 1e-8)
+                    report = entanglement_report(u[:, k], part)
+                    assert report.schmidt_coefficients.tobytes() == expected.tobytes()
+                    assert report.entropy_bits == entropies[k]
+                    assert report.schmidt_rank == ranks[k]
 
     def test_named_non_contiguous_cuts(self):
         rng = np.random.default_rng(57)
@@ -100,8 +128,8 @@ class TestSchmidtTable:
             u = compose_propagator(random_circuit(n_spins, rng, min_depth=20, max_depth=20))
             coefficients, _, _ = _schmidt_table(u, part)
             for k in range(u.shape[0]):
-                expected = schmidt_coefficients(evolve_eigenstate(u, k), part)
-                np.testing.assert_array_equal(coefficients[k], expected)
+                expected = schmidt_reference(u[:, k], part)
+                assert coefficients[k].tobytes() == expected.tobytes()
 
     def test_exact_zero_coefficients_give_positive_zero_entropy(self):
         """A permutation circuit maps basis states to basis states, whose
@@ -121,9 +149,8 @@ class TestSchmidtTable:
         u[4:, 4:] = compose_propagator(parse_circuit("H 1\nCNOT 1 2", 2))
         coefficients, entropies, _ = _schmidt_table(u, BipartitionSpec((2,), (1, 3)))
         assert {np.count_nonzero(row) for row in coefficients} == {1, 2}
-        for row, entropy in zip(coefficients, entropies):
-            probs = row[row > 0] ** 2
-            assert entropy == max(float(-(probs * np.log2(probs)).sum()), 0.0)
+        for row, value in zip(coefficients, entropies):
+            assert value == entropy_reference(row)
 
     @pytest.mark.parametrize("width", [2, 7, 8, 9, 32])
     def test_entropies_sum_only_nonzero_squares_in_order(self, width):
@@ -137,10 +164,8 @@ class TestSchmidtTable:
         rows[:, 0] += 0.1
         rows /= np.sqrt(np.sum(rows**2, axis=1, keepdims=True))
         batch = _entropies(rows)
-        for row, entropy in zip(rows, batch):
-            probs = row[row > 0] ** 2
-            expected = max(float(-(probs * np.log2(probs)).sum()), 0.0)
-            assert entropy == expected == entanglement_entropy(row)
+        for row, value in zip(rows, batch):
+            assert value == entropy_reference(row) == entropy(row)
 
     def test_unnormalized_column_rejected(self):
         u = compose_propagator(parse_circuit("H 1\nCNOT 1 2", 2))
@@ -173,32 +198,35 @@ class TestSchmidtTable:
 
 
 class TestEntanglementEntropy:
+    """_entropies on one coefficient row, and the reports' entropy_bits."""
+
     def test_product_state_entropy_zero(self):
-        assert entanglement_entropy(np.array([1.0, 0.0])) == 0.0
+        assert entropy([1.0, 0.0]) == 0.0
 
     def test_bell_entropy_one_bit(self):
-        assert abs(entanglement_entropy(np.array([INV_SQRT2, INV_SQRT2])) - 1.0) < 1e-12
+        assert abs(entropy([INV_SQRT2, INV_SQRT2]) - 1.0) < 1e-12
 
     def test_uneven_split_known_value(self):
         coeffs = np.sqrt([1.0 / 3.0, 2.0 / 3.0])
         expected = 0.9182958340544896  # H(1/3) in bits
-        assert abs(entanglement_entropy(coeffs) - expected) < 1e-12
+        assert abs(entropy(coeffs) - expected) < 1e-12
 
     def test_bounds(self):
         rng = np.random.default_rng(52)
         for _ in range(30):
             psi = random_state(rng, 8)
             part = BipartitionSpec((1,), (2, 3))
-            s = entanglement_entropy(schmidt_coefficients(psi, part))
+            s = entanglement_report(psi, part).entropy_bits
             assert 0.0 <= s <= 1.0 + 1e-12  # min(|L|,|R|) = 1 qubit
 
     def test_empty_coefficients_rejected(self):
-        with pytest.raises(ValidationError, match="empty"):
-            entanglement_entropy(np.array([]))
+        """An empty row's squares sum to 0, not 1."""
+        with pytest.raises(ValidationError, match="sum to 0.0"):
+            entropy([])
 
     def test_unnormalized_coefficients_rejected(self):
         with pytest.raises(ValidationError, match="sum"):
-            entanglement_entropy(np.array([1.0, 1.0]))
+            entropy([1.0, 1.0])
 
     @pytest.mark.parametrize(
         "coefficients", [[math.nan, 1.0], [math.nan, INV_SQRT2, INV_SQRT2]], ids=["nan-1", "nan-bell"]
@@ -207,7 +235,7 @@ class TestEntanglementEntropy:
         """A NaN square makes the sum NaN, which fails the sum check
         instead of being dropped as a zero square."""
         with pytest.raises(ValidationError, match="sum to nan"):
-            entanglement_entropy(np.array(coefficients))
+            entropy(coefficients)
 
 
 class TestEntanglementReport:
@@ -230,8 +258,8 @@ class TestEntanglementReport:
         """-0.0 would print as "-0" in reports; product states must give +0.0."""
         psi = np.kron(np.array([1, 0]), np.array([INV_SQRT2, INV_SQRT2])).astype(complex)
         for coeffs in (np.array([1.0, 0.0]), schmidt_coefficients(psi, CUT_12)):
-            entropy = entanglement_entropy(coeffs)
-            assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
+            value = entropy(coeffs)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
         assert math.copysign(1.0, entanglement_report(psi, CUT_12).entropy_bits) == 1.0
 
     def test_zero_entropy_iff_rank_one(self):
@@ -256,6 +284,28 @@ class TestEntanglementReport:
         report = entanglement_report(bell_state(), CUT_12)
         with pytest.raises(ValueError):
             report.schmidt_coefficients[0] = 0.0
+
+    def test_runs_the_commands_schmidt_table(self, monkeypatch):
+        """The library report is the commands' table on a block of one
+        column, not a second decomposition of its own."""
+        original, blocks = entanglement_module._schmidt_table, []
+
+        def recording(block, part, start=0):
+            blocks.append(block.shape)
+            return original(block, part, start)
+
+        monkeypatch.setattr(entanglement_module, "_schmidt_table", recording)
+        assert entanglement_report(bell_state(), CUT_12).schmidt_rank == 2
+        assert blocks == [(4, 1)]
+
+    def test_rejects_what_state_vector_rejects(self):
+        for amplitudes, message in (
+            (np.eye(4), "1-D amplitude vector"),
+            (np.array([1.0, np.nan, 0.0, 0.0]), "finite"),
+            (np.array([1.0, 1.0, 0.0, 0.0]), "not normalized"),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                entanglement_report(amplitudes, CUT_12)
 
 
 class TestPptReport:
@@ -462,7 +512,7 @@ class TestHeadlineContrast:
         ens = ThermalEnsemble.boltzmann(system, system.spectral_width / epsilon, 1.0e6)
         u = compose_propagator(parse_circuit("H 1\nCNOT 1 2", 2))
         for k in range(4):
-            psi = evolve_eigenstate(u, k)
+            psi = u[:, k]
             report = entanglement_report(psi, CUT_12)
             assert abs(report.entropy_bits - 1.0) < 1e-9
             assert report.schmidt_rank == 2

@@ -11,12 +11,7 @@ import pytest
 from helpers import random_density, random_hermitian, random_state, random_unitary
 from spinensemble import circuit as circuit_module
 from spinensemble.circuit import compose_propagator, parse_circuit
-from spinensemble.entanglement import (
-    entanglement_entropy,
-    entanglement_report,
-    ppt_report,
-    schmidt_coefficients,
-)
+from spinensemble.entanglement import entanglement_report, ppt_report
 from spinensemble.qlinalg import (
     BipartitionSpec,
     ValidationError,
@@ -103,8 +98,8 @@ class TestEntropyInvariants:
         for _ in range(CASES):
             psi = random_state(rng, 4)
             u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
-            before = entanglement_entropy(schmidt_coefficients(psi, CUT_12))
-            after = entanglement_entropy(schmidt_coefficients(u @ psi, CUT_12))
+            before = entanglement_report(psi, CUT_12).entropy_bits
+            after = entanglement_report(u @ psi, CUT_12).entropy_bits
             assert abs(before - after) < 1e-10
 
     def test_entropy_symmetric_under_side_swap(self):
@@ -112,8 +107,8 @@ class TestEntropyInvariants:
         swapped = BipartitionSpec((2,), (1,))
         for _ in range(CASES):
             psi = random_state(rng, 4)
-            a = entanglement_entropy(schmidt_coefficients(psi, CUT_12))
-            b = entanglement_entropy(schmidt_coefficients(psi, swapped))
+            a = entanglement_report(psi, CUT_12).entropy_bits
+            b = entanglement_report(psi, swapped).entropy_bits
             assert abs(a - b) < 1e-12
 
 
@@ -145,7 +140,7 @@ class TestSchmidtInvariants:
         for _ in range(CASES):
             n_spins = int(rng.integers(2, 5))
             psi = random_state(rng, 2**n_spins)
-            coeffs = schmidt_coefficients(psi, random_cut(rng, n_spins))
+            coeffs = entanglement_report(psi, random_cut(rng, n_spins)).schmidt_coefficients
             assert abs(float(np.sum(coeffs**2)) - 1.0) < 1e-10
             assert np.all(coeffs >= -1e-15)
             assert np.all(np.diff(coeffs) <= 1e-15)

@@ -11,7 +11,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 # Names the package no longer has: the dense observable builders (PauliSum is
 # the one observable type), and functions no command reached, whose work
-# compare_pathways, ppt_report and ThermalEnsemble.boltzmann do.
+# compare_pathways, entanglement_report, ppt_report and
+# ThermalEnsemble.boltzmann do.
 DELETED = (
     "collective_observable",
     "single_spin_observable",
@@ -26,6 +27,9 @@ DELETED = (
     "partial_transpose",
     "boltzmann_populations",
     "unitary",
+    "schmidt_coefficients",
+    "entanglement_entropy",
+    "evolve_eigenstate",
 )
 
 
@@ -37,7 +41,7 @@ def test_all_is_sorted_unique_and_resolves():
         assert hasattr(spinensemble, name), name
 
 
-def test_dense_observable_builders_are_not_exported():
+def test_deleted_names_are_gone():
     for name in DELETED:
         assert name not in spinensemble.__all__
         assert not hasattr(spinensemble, name)
