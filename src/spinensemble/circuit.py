@@ -7,7 +7,8 @@ File grammar (line oriented, '#' starts a comment, blank lines ignored):
 
 H/X/Y/Z/S/T take one spin index; RX/RY/RZ take one spin index and one
 angle in radians; CNOT/CZ/SWAP take two distinct spin indices (for CNOT
-the first is the control).  Spin indices are 1-based.
+the first is the control).  Spin indices are 1-based and written in ASCII
+digits; an angle must be finite.
 
 Temporal order convention: textual order IS application order.  The first
 line acts on states first, so the composed propagator of gates g1..gL is
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +49,8 @@ from .qlinalg import (
     PAULI_Z,
     UNITARY_TOL,
     ValidationError,
+    _read_int,
+    _read_real,
     _require_spin_count,
 )
 
@@ -76,9 +78,6 @@ _FIXED_2Q = {
         [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
     ),
 }
-
-_INT_RE = re.compile(r"^\d+$")
-
 
 class CircuitParseError(ValueError):
     """Raised on malformed circuit text; the message cites the line number."""
@@ -148,58 +147,35 @@ def parse_circuit(text: str, n_spins: int) -> Circuit:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        name = tokens[0]
-        if name not in GATE_KINDS:
-            raise CircuitParseError(line_number, f"unknown gate name {name!r}")
-        args = tokens[1:]
-        angle = None
-        if name in ROTATION_KINDS:
-            if len(args) != 2:
-                raise CircuitParseError(line_number, f"{name} takes one spin and one angle")
-            targets = (_parse_spin(line_number, args[0], n_spins),)
-            angle = _parse_angle(line_number, args[1])
-        elif name in TWO_SPIN_KINDS:
-            if len(args) != 2:
-                raise CircuitParseError(line_number, f"{name} takes two spin indices")
-            targets = tuple(_parse_spin(line_number, arg, n_spins) for arg in args)
-        else:
-            if len(args) != 1:
-                raise CircuitParseError(line_number, f"{name} takes one spin index")
-            targets = (_parse_spin(line_number, args[0], n_spins),)
-        gates.append(_gate(line_number, name, targets, angle))
+        try:
+            gates.append(_parse_gate(line.split(), n_spins))
+        except ValidationError as exc:
+            raise CircuitParseError(line_number, str(exc)) from None
     return Circuit(n_spins, tuple(gates))
 
 
-def _gate(line_number: int, kind: str, targets: tuple[int, ...], angle: float | None) -> Gate:
-    """A Gate, its own checks reported against the line it came from."""
-    try:
-        return Gate(kind, targets, angle)
-    except ValidationError as exc:
-        raise CircuitParseError(line_number, str(exc)) from None
+def _parse_gate(tokens: list[str], n_spins: int) -> Gate:
+    name, args = tokens[0], tokens[1:]
+    if name not in GATE_KINDS:
+        raise ValidationError(f"unknown gate name {name!r}")
+    if name in ROTATION_KINDS:
+        if len(args) != 2:
+            raise ValidationError(f"{name} takes one spin and one angle")
+        spin = _parse_spin(args[0], n_spins)
+        return Gate(name, (spin,), _read_real(args[1], f"{name} angle"))
+    if name in TWO_SPIN_KINDS:
+        if len(args) != 2:
+            raise ValidationError(f"{name} takes two spin indices")
+    elif len(args) != 1:
+        raise ValidationError(f"{name} takes one spin index")
+    return Gate(name, tuple(_parse_spin(arg, n_spins) for arg in args))
 
 
-def _parse_spin(line_number: int, token: str, n_spins: int) -> int:
-    if not _INT_RE.match(token):
-        raise CircuitParseError(line_number, f"malformed spin index {token!r}")
-    try:
-        spin = int(token)
-    except ValueError:  # more digits than the interpreter converts
-        raise CircuitParseError(
-            line_number, f"spin index of {len(token)} digits is too long"
-        ) from None
+def _parse_spin(token: str, n_spins: int) -> int:
+    spin = _read_int(token, "spin index")
     if not 1 <= spin <= n_spins:
-        raise CircuitParseError(
-            line_number, f"spin index {spin} out of range for {n_spins} spins"
-        )
+        raise ValidationError(f"spin index {spin} out of range for {n_spins} spins")
     return spin
-
-
-def _parse_angle(line_number: int, token: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise CircuitParseError(line_number, f"malformed angle {token!r}") from None
 
 
 def format_circuit(circuit: Circuit) -> str:

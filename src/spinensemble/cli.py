@@ -18,7 +18,10 @@ builds a 2**N x 2**N observable matrix.
 
 Exit codes: 0 success, 1 usage or config or parse trouble, 2 numeric
 validation failure such as a non-unitary gate matrix, or a linear-algebra
-routine that fails or runs out of memory.
+routine that fails or runs out of memory.  A failure prints one stderr
+line of at most ERROR_CAP characters.  Every integer and real read from
+a config, circuit, cut or the command line goes through qlinalg's
+_read_int or _read_real.
 """
 
 from __future__ import annotations
@@ -37,15 +40,15 @@ import numpy as np
 
 from .circuit import CircuitParseError, format_circuit, parse_circuit, random_circuit
 from .engine import (
-    PATHWAY_TOL,
     _eigenstate_blocks,
     _pathway_results,
+    _pathway_tolerance,
     _sum_side,
     _trace_side,
     compare_pathways,
 )
 from .entanglement import _ensemble_reports, _schmidt_table
-from .qlinalg import BipartitionSpec, ValidationError
+from .qlinalg import BipartitionSpec, ValidationError, _read_int, _read_real
 from .spin_system import (
     PauliSum,
     SpinSystem,
@@ -55,6 +58,7 @@ from .spin_system import (
 )
 
 SWEEP_AXES = ("x", "y", "z")
+ERROR_CAP = 400  # characters in the one stderr line of a failed run
 
 
 class ConfigError(ValueError):
@@ -110,13 +114,7 @@ class RunConfig:
         axis, at, spin_text = (part.strip() for part in self.observable.partition("@"))
         if not at:
             return PauliSum.collective(self.n_spins, axis)
-        if not spin_text.isdecimal():
-            raise ConfigError(f"observable spin must be an integer, got {spin_text!r}")
-        try:
-            spin = int(spin_text)
-        except ValueError:  # more digits than the interpreter converts
-            raise ConfigError(f"observable spin of {len(spin_text)} digits is too long") from None
-        return PauliSum(self.n_spins, axis, (spin,))
+        return PauliSum(self.n_spins, axis, (_read_int(spin_text, "observable spin"),))
 
     @functools.cached_property
     def _bipartition(self) -> BipartitionSpec | None:
@@ -151,23 +149,6 @@ def _parse_entries(text: str, label: str) -> dict[str, str]:
     return entries
 
 
-def _config_int(entries: dict[str, str], key: str) -> int:
-    try:
-        return int(entries[key])
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {entries[key]!r}") from None
-
-
-def _config_float(entries: dict[str, str], key: str) -> float:
-    try:
-        value = float(entries[key])
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {entries[key]!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite, got {entries[key]!r}")
-    return value
-
-
 def _read_text(path: str, role: str) -> str:
     """The file's UTF-8 text; ConfigError names the file when it cannot be
     read or is not UTF-8."""
@@ -186,38 +167,27 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError(f"{path}: missing required key {key!r}")
 
     larmor_tokens = entries["larmor"].replace(",", " ").split()
-    try:
-        larmor = tuple(float(tok) for tok in larmor_tokens)
-    except ValueError:
-        raise ConfigError(f"larmor must be a list of numbers, got {entries['larmor']!r}") from None
-
-    base_dir = os.path.dirname(os.path.abspath(path))
-    config = RunConfig(
-        n_spins=_config_int(entries, "n_spins"),
-        larmor=larmor,
-        temperature=_config_float(entries, "temperature"),
-        molecule_count=_config_float(entries, "molecule_count"),
-        circuit_path=entries.get("circuit_path"),
-        observable=entries.get("observable"),
-        bipartition=entries.get("bipartition"),
-        seed=_config_int(entries, "seed") if "seed" in entries else None,
-        output_path=entries.get("output_path"),
-        base_dir=base_dir,
-    )
-
-    if config.circuit_path is not None:
-        resolved = config.resolve(config.circuit_path)
-        if not os.path.isfile(resolved):
-            raise ConfigError(f"circuit file not found: {resolved}")
-    if config.seed is not None and config.seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {config.seed}")
-    # Other values are checked by the library types built from them, which
-    # the commands then reuse.
     with _config_values():
+        config = RunConfig(
+            n_spins=_read_int(entries["n_spins"], "n_spins"),
+            larmor=tuple(_read_real(tok, "larmor entry") for tok in larmor_tokens),
+            temperature=_read_real(entries["temperature"], "temperature"),
+            molecule_count=_read_real(entries["molecule_count"], "molecule_count"),
+            circuit_path=entries.get("circuit_path"),
+            observable=entries.get("observable"),
+            bipartition=entries.get("bipartition"),
+            seed=_read_int(entries["seed"], "seed") if "seed" in entries else None,
+            output_path=entries.get("output_path"),
+            base_dir=os.path.dirname(os.path.abspath(path)),
+        )
+        if config.circuit_path is not None:
+            resolved = config.resolve(config.circuit_path)
+            if not os.path.isfile(resolved):
+                raise ConfigError(f"circuit file not found: {resolved}")
+        # Other values are checked by the library types built from them,
+        # which the commands then reuse.
         config._ensemble  # checks larmor, temperature and molecule_count
         config._observable
-        if config.bipartition is not None and config.n_spins < 2:
-            raise ConfigError("bipartition requires at least 2 spins")
         config._bipartition
     return config
 
@@ -271,7 +241,7 @@ def run_simulate(config: RunConfig, output_path: str | None = None) -> dict:
     if part is not None:
         blocks = _with_schmidt_rows(blocks, part, per_state)
     (result,) = _pathway_results(_sum_side(blocks, ensemble, [observable]), [trace_value])
-    tolerance = PATHWAY_TOL * ensemble.molecule_count
+    tolerance = _pathway_tolerance(ensemble)
     entanglement = None if part is None else {"bipartition": str(part), "per_state": per_state}
 
     report = {
@@ -325,7 +295,7 @@ def run_sweep(config: RunConfig, n_circuits: int, output_path: str | None = None
 
     ensemble = config._ensemble
     observables = [PauliSum.collective(config.n_spins, axis) for axis in SWEEP_AXES]
-    tolerance = PATHWAY_TOL * ensemble.molecule_count
+    tolerance = _pathway_tolerance(ensemble)
     rng = np.random.default_rng(config.seed)
 
     per_circuit: list[float] = []
@@ -380,18 +350,20 @@ def _write_report(report: dict, config: RunConfig, output_path: str | None):
         raise ConfigError("no output path: set output_path in the config or pass --output")
     text = render_report(report)
     # Write through a symlink instead of replacing it with a regular file.
-    target = os.path.realpath(target)
-    directory, name = os.path.split(target)
+    real = os.path.realpath(target)
+    directory, name = os.path.split(real)
     temp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
         with open(temp, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
         with contextlib.suppress(FileNotFoundError):
-            os.chmod(temp, os.stat(target).st_mode & 0o7777)
-        os.replace(temp, target)
-    except BaseException:
+            os.chmod(temp, os.stat(real).st_mode & 0o7777)
+        os.replace(temp, real)
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(temp)
+        if isinstance(exc, OSError):  # name the target, not the temporary file
+            raise OSError(exc.errno, exc.strerror, target) from None
         raise
 
 
@@ -507,6 +479,21 @@ def summary_lines(report: dict) -> list[str]:
     return lines
 
 
+def _circuit_count(text: str) -> int:
+    """--n's value; argparse prefixes a rejection with 'argument --n: '."""
+    try:
+        return _read_int(text, "circuit count")
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _path(text: str) -> str:
+    """A path argument, which no file name allows to hold a NUL."""
+    if "\0" in text:
+        raise argparse.ArgumentTypeError(f"NUL character in path {text!r}")
+    return text
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that raises instead of exiting, so main() owns exit codes."""
 
@@ -524,11 +511,21 @@ def _build_parser() -> _Parser:
     simulate = commands.add_parser("simulate", help="run one circuit through both pathways")
     sweep = commands.add_parser("sweep", help="cross-check pathways on seeded random circuits")
     for sub in (simulate, sweep):
-        sub.add_argument("--config", required=True, help="path to a key = value config file")
-        sub.add_argument("--output", help="report file path (overrides output_path)")
+        sub.add_argument(
+            "--config", type=_path, required=True, help="path to a key = value config file"
+        )
+        sub.add_argument("--output", type=_path, help="report file path (overrides output_path)")
         sub.add_argument("--summary", action="store_true", help="print a short verdict")
-    sweep.add_argument("--n", type=int, required=True, help="number of random circuits")
+    sweep.add_argument("--n", type=_circuit_count, required=True, help="number of random circuits")
     return parser
+
+
+def _print_error(prefix: str, exc: BaseException) -> None:
+    """One stderr line of at most ERROR_CAP characters, whatever exc holds."""
+    line = " ".join(f"{prefix}{exc}".splitlines())
+    if len(line) > ERROR_CAP:
+        line = line[: ERROR_CAP - 3] + "..."
+    print(line, file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -543,17 +540,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.summary:
             print("\n".join(summary_lines(report)))
         return 0
-    except (UsageError, ConfigError, CircuitParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UsageError, ConfigError, CircuitParseError, OSError) as exc:
+        _print_error("error: ", exc)
         return 1
     except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
+        _print_error("validation error: ", exc)
         return 2
     except (np.linalg.LinAlgError, MemoryError) as exc:
-        print(f"numeric error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _print_error(f"numeric error: {type(exc).__name__}: ", exc)
         return 2
 
 

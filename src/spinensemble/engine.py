@@ -77,6 +77,11 @@ class PathwayResult:
         object.__setattr__(self, "per_state_values", arr)
 
 
+def _pathway_tolerance(ensemble: ThermalEnsemble) -> float:
+    """The bound |sum - trace| is held to: PATHWAY_TOL * molecule_count."""
+    return PATHWAY_TOL * ensemble.molecule_count
+
+
 def _checked(observable) -> PauliSum:
     """The observable, which must be a PauliSum; a PauliSum checked itself
     when built."""

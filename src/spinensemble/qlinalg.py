@@ -6,6 +6,9 @@ supposed to play (Hermitian, normalized state, density operator) and hold
 the few kernels the entanglement reports share: a Hermitian spectrum that
 skips the eigendecomposition for a diagonal matrix, the partial transpose
 across a bipartition, and a thread-count-independent inner product.
+Every integer and real the package reads from text (config values,
+circuit tokens, cut spins, command-line counts) goes through _read_int
+or _read_real, which raise ValidationError.
 
 Conventions, fixed once for the whole package:
 
@@ -19,6 +22,7 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +45,28 @@ for _m in (PAULI_X, PAULI_Y, PAULI_Z):
 
 class ValidationError(ValueError):
     """A numeric contract was violated (non-Hermitian, non-unitary, ...)."""
+
+
+def _read_int(text: str, what: str) -> int:
+    """An integer written in ASCII digits only, so nonnegative; every integer
+    read from a config, circuit, cut or command line comes through here."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValidationError(f"{what} must be an integer of digits 0-9, got {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        raise ValidationError(f"{what} of {len(text)} digits is too long") from None
+
+
+def _read_real(text: str, what: str) -> float:
+    """A finite float; every real read from a config or circuit comes through here."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValidationError(f"{what} must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{what} must be finite, got {text!r}")
+    return value
 
 
 def _require_spin_count(n_spins: int) -> None:
@@ -169,11 +195,7 @@ class BipartitionSpec:
                 tokens = [t for t in half.replace(",", " ").split() if t]
             else:
                 tokens = list(half)
-            try:
-                indices = tuple(int(t) for t in tokens)
-            except ValueError:
-                raise ValidationError(f"bipartition side {half!r} is not a spin list") from None
-            sides.append(indices)
+            sides.append(tuple(_read_int(t, "bipartition spin") for t in tokens))
         spec = cls(sides[0], sides[1])
         if spec.n_spins != n_spins:
             raise ValidationError(

@@ -97,10 +97,11 @@ class TestParse:
             ("CNOT 1 1", "distinct"),
             ("RX 1", "one spin and one angle"),
             ("RX 1 2 3", "one spin and one angle"),
-            ("RX 1 abc", "malformed angle"),
+            ("RX 1 abc", "RX angle must be a number"),
             ("RX 1 inf", "finite"),
-            ("H 1.5", "malformed spin index"),
-            ("H +1", "malformed spin index"),
+            ("H 1.5", "spin index must be an integer of digits 0-9"),
+            ("H +1", "spin index must be an integer of digits 0-9"),
+            ("H \u0661", "spin index must be an integer of digits 0-9"),
             ("H 0", "out of range"),
             ("FROB 1", "unknown gate name"),
         ],

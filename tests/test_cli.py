@@ -14,6 +14,7 @@ from spinensemble import cli as cli_module
 from spinensemble import engine as engine_module
 from spinensemble.circuit import CircuitParseError, format_circuit, random_circuit
 from spinensemble.cli import (
+    ERROR_CAP,
     ConfigError,
     UsageError,
     load_config,
@@ -121,7 +122,8 @@ class TestLoadConfig:
             ("n_spins = 2", "duplicate key"),
             ("just some words", "expected key = value"),
             ("seed =", "empty value"),
-            ("seed = -3", "seed must be nonnegative"),
+            ("seed = -3", "seed must be an integer of digits 0-9"),
+            ("seed = +2", "seed must be an integer of digits 0-9"),
         ],
     )
     def test_bad_extra_line(self, tmp_path, mutation, fragment):
@@ -132,10 +134,12 @@ class TestLoadConfig:
         "old,new,fragment",
         [
             ("n_spins = 2", "n_spins = two", "must be an integer"),
+            ("n_spins = 2", "n_spins = +2", "n_spins must be an integer of digits 0-9"),
+            ("n_spins = 2", "n_spins = 1_2", "n_spins must be an integer of digits 0-9"),
             ("n_spins = 2", "n_spins = 0", "1..12"),
             ("n_spins = 2", "n_spins = 13", "1..12"),
             ("larmor = 2.0, 1.0          # spin 1 fast, spin 2 slow", "larmor = 2.0", "needs 2 entries"),
-            ("larmor = 2.0, 1.0          # spin 1 fast, spin 2 slow", "larmor = a, b", "list of numbers"),
+            ("larmor = 2.0, 1.0          # spin 1 fast, spin 2 slow", "larmor = a, b", "larmor entry must be a number"),
             ("temperature = 3.0e5", "temperature = -1", "must be positive"),
             ("temperature = 3.0e5", "temperature = inf", "must be finite"),
             ("molecule_count = 1.0e6", "molecule_count = 0", "must be positive"),
@@ -170,7 +174,7 @@ class TestLoadConfig:
             "n_spins = 1\nlarmor = 2.0\ntemperature = 1e5\n"
             "molecule_count = 10\nbipartition = 1|2\n"
         )
-        with pytest.raises(ConfigError, match="at least 2 spins"):
+        with pytest.raises(ConfigError, match="covers 2 spins, expected 1"):
             load_config(str(path))
 
     def test_observable_checked_without_building_it(self, tmp_path, monkeypatch):
@@ -896,24 +900,58 @@ class TestMainExitCodes:
             ("observable", "observable spin of 5000 digits is too long"),
             ("circuit", "line 1: spin index of 5000 digits is too long"),
             ("output_path", "run.cfg:8: NUL character in value for 'output_path'"),
+            ("n_spins", "error: n_spins of 5000 digits is too long"),
+            ("seed", "error: seed of 5000 digits is too long"),
+            ("bipartition", "error: bipartition spin of 5000 digits is too long"),
+            ("--n", "error: argument --n: circuit count of 5000 digits is too long"),
         ],
     )
     def test_unconvertible_value_exits_1_with_one_line(self, tmp_path, capsys, where, fragment):
-        """A spin index of more digits than the interpreter converts to an
-        int, in the observable or in the circuit, and an output path that
-        holds a NUL character are input errors, not tracebacks."""
-        text, circuit = BASE_CONFIG, BELL_TEXT
-        if where == "observable":
-            text = BASE_CONFIG.replace("observable = x", "observable = x@" + "1" * 5000)
-        elif where == "circuit":
-            circuit = "H " + "1" * 5000 + "\n"
-        else:
-            text = BASE_CONFIG.replace("output_path = report.json", "output_path = re\0port.json")
-        assert main(["simulate", "--config", write_config(tmp_path, text, circuit)]) == 1
+        """An integer of more digits than the interpreter converts, wherever
+        one is read, and an output path that holds a NUL character are input
+        errors, not tracebacks, and the one line they print is short."""
+        digits = "1" * 5000
+        text = {
+            "observable": BASE_CONFIG.replace("observable = x", "observable = x@" + digits),
+            "output_path": BASE_CONFIG.replace("= report.json", "= re\0port.json"),
+            "n_spins": BASE_CONFIG.replace("n_spins = 2", "n_spins = " + digits),
+            "seed": BASE_CONFIG + "seed = " + digits + "\n",
+            "bipartition": BASE_CONFIG.replace("bipartition = 1|2", "bipartition = 1|2, " + digits),
+        }.get(where, BASE_CONFIG + "seed = 7\n")
+        circuit = "H " + digits + "\n" if where == "circuit" else BELL_TEXT
+        argv = ["sweep", "--n", digits] if where == "--n" else ["simulate"]
+        assert main([*argv, "--config", write_config(tmp_path, text, circuit)]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert len(err) <= ERROR_CAP + 1
         assert fragment in err and "Traceback" not in err
         assert not list(tmp_path.glob("*.json"))
+
+    @pytest.mark.parametrize(
+        "option,name,fragment",
+        [
+            ("--config", "a\0b", "error: argument --config: NUL character in path"),
+            ("--output", "r\0.json", "error: argument --output: NUL character in path"),
+            ("--config", "a\nb", "error: cannot read config "),
+        ],
+    )
+    def test_path_argument_exits_1_with_one_line(self, tmp_path, capsys, option, name, fragment):
+        """A NUL character, which no path holds, and a newline, which the
+        message would otherwise carry onto a second line."""
+        argv = ["simulate", "--config", write_config(tmp_path)]
+        argv += [option, str(tmp_path / name)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and len(err) <= ERROR_CAP + 1
+        assert err.startswith(fragment) and "Traceback" not in err
+        assert not list(tmp_path.glob("*.json"))
+
+    def test_long_message_is_cut_to_the_cap(self, tmp_path, capsys):
+        text = BASE_CONFIG.replace("temperature = 3.0e5", "temperature = " + "warm" * 500)
+        assert main(["simulate", "--config", write_config(tmp_path, text)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: temperature must be a number, got 'warmwarm")
+        assert err.endswith("...\n") and len(err) == ERROR_CAP + 1
 
     def test_non_unitary_gate_exits_2(self, tmp_path, capsys, monkeypatch):
         skewed = np.array([[1, 1], [0, 1]], dtype=complex)
@@ -1079,6 +1117,14 @@ class TestReportReplacement:
         assert link.is_symlink()
         assert json.loads(real.read_text())["pathways"]["within_tolerance"] is True
         assert sorted(os.listdir(real.parent)) == ["real.json"]
+
+    def test_failed_write_names_the_target(self, tmp_path, capsys):
+        """Not the temporary file beside it, whose name holds the process id."""
+        target = tmp_path / "missing" / "r.json"
+        assert main(["simulate", "--config", write_config(tmp_path), "--output", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+        assert sorted(os.listdir(tmp_path)) == ["bell.qc", "run.cfg"]
 
 
 OUTPUT = "temperature = 3.0e5\nmolecule_count = 1.0e6\noutput_path = report.json\n"

@@ -18,6 +18,8 @@ from spinensemble.qlinalg import (
     BipartitionSpec,
     ValidationError,
     _partial_transpose,
+    _read_int,
+    _read_real,
     _spectrum,
     as_matrix,
     density_matrix,
@@ -114,6 +116,43 @@ class TestBipartitionSpec:
     def test_parse_rejects_malformed(self, text, n):
         with pytest.raises(ValidationError):
             BipartitionSpec.parse(text, n)
+
+
+class TestReaders:
+    """The one reader for each kind of number the package reads from text."""
+
+    @pytest.mark.parametrize("text,value", [("0", 0), ("7", 7), ("0012", 12)])
+    def test_int_accepts_ascii_digits(self, text, value):
+        assert _read_int(text, "n_spins") == value
+
+    @pytest.mark.parametrize("text", ["+1", "-3", "1_2", "1.5", "\u00b2", "\u0661", "", " 1", "x"])
+    def test_int_rejects_anything_else(self, text):
+        with pytest.raises(ValidationError, match="^n_spins must be an integer of digits 0-9"):
+            _read_int(text, "n_spins")
+
+    def test_int_names_an_unconvertible_length(self):
+        with pytest.raises(ValidationError) as err:
+            _read_int("1" * 5000, "seed")
+        assert str(err.value) == "seed of 5000 digits is too long"
+
+    @pytest.mark.parametrize("text,value", [("3.0e5", 3.0e5), ("-1", -1.0), ("0.7", 0.7)])
+    def test_real_accepts_finite_floats(self, text, value):
+        assert _read_real(text, "temperature") == value
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("nan", "temperature must be finite, got 'nan'"),
+            ("inf", "temperature must be finite, got 'inf'"),
+            ("-inf", "temperature must be finite, got '-inf'"),
+            ("1e999", "temperature must be finite, got '1e999'"),
+            ("warm", "temperature must be a number, got 'warm'"),
+        ],
+    )
+    def test_real_rejects_non_finite_and_non_numbers(self, text, message):
+        with pytest.raises(ValidationError) as err:
+            _read_real(text, "temperature")
+        assert str(err.value) == message
 
 
 class TestHermitianEigenvalues:
