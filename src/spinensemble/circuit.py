@@ -27,12 +27,15 @@ kernel for its kind and the arguments that kernel needs (a one-spin
 gate's axis and 2x2 matrix; a two-spin gate's slice index and the rows
 it negates).  Compiling checks every gate matrix unitary, and every 4x4
 a signed permutation, so a composed propagator is unitary by
-construction and is never checked as a K x K matrix.  The sum pathway's
-blocks of evolved eigenstates, both passes of the trace pathway and
-compose_propagator run the same plan.  Gates act on row axes only, so a
-pass runs in place over blocks of columns: each block's gates write
-alternately to it and to one spare block, and a pass holds its operand
-and two blocks of at most max(1, K/1024) MiB however many gates it runs.
+construction and is never checked as a K x K matrix.  Compiling also
+builds the daggered plan, of U^dagger: the steps in reverse order, each
+2x2 replaced by its conjugate transpose and each 4x4 signed permutation
+by its transpose.  The sum pathway's blocks of evolved eigenstates,
+compose_propagator and the trace pathway run the plan; the trace pathway
+runs the daggered plan first.  Gates act on row axes only, so a pass runs
+in place over blocks of columns: each block's gates write alternately to
+it and to one spare block, and a pass holds its operand and two blocks of
+at most max(1, K/1024) MiB however many gates it runs.
 """
 
 from __future__ import annotations
@@ -135,8 +138,9 @@ class Circuit:
         return 2**self.n_spins
 
     @functools.cached_property
-    def _plan(self) -> tuple:
-        """The gates compiled for _apply_gates, built and checked on first use."""
+    def _plans(self) -> tuple[tuple, tuple]:
+        """The gates compiled for _apply_gates, built and checked on first
+        use: the plan of U and the daggered plan of U^dagger."""
         return _compile(self.gates)
 
 
@@ -226,10 +230,16 @@ def _apply_gate(state: np.ndarray, matrix: np.ndarray, axes: tuple[int, ...]) ->
     return out
 
 
-def _compile(gates) -> tuple:
-    """Each gate's kernel and arguments, in order, after checking every
-    matrix unitary: one vectorised test per matrix size, so what the gates
-    compose is unitary by construction and no K x K product is checked."""
+def _compile(gates) -> tuple[tuple, tuple]:
+    """Each gate's kernel and arguments, in order, and the same for each
+    gate's inverse in reverse order, after checking every matrix unitary:
+    one vectorised test per matrix size, so what the gates compose is
+    unitary by construction and no K x K product is checked.
+
+    A unitary 2x2's inverse is its conjugate transpose.  A 4x4 is a signed
+    permutation with real entries (_pair_arguments refuses any other), so
+    its inverse is its transpose; CNOT, CZ and SWAP are symmetric, so their
+    inverses hit the forward steps' _pair_arguments entries."""
     matrices = [_gate_matrix(gate) for gate in gates]
     for size in (2, 4):
         stack = [matrix for matrix in matrices if matrix.shape[0] == size]
@@ -239,9 +249,11 @@ def _compile(gates) -> tuple:
             dev = np.max(np.abs(products - np.eye(size)))
             if not dev <= UNITARY_TOL:  # also rejects NaN
                 raise ValidationError(f"matrix is not unitary: max |U^dagger U - I| = {dev:.3e}")
-    return tuple(
-        _step(matrix, tuple(t - 1 for t in gate.targets)) for matrix, gate in zip(matrices, gates)
-    )
+    axes = [tuple(t - 1 for t in gate.targets) for gate in gates]
+    plan = tuple(_step(matrix, gate_axes) for matrix, gate_axes in zip(matrices, axes))
+    inverses = (matrix.conj().T if matrix.shape[0] == 2 else matrix.T for matrix in matrices)
+    dagger = tuple(_step(matrix, gate_axes) for matrix, gate_axes in zip(inverses, axes))
+    return plan, dagger[::-1]
 
 
 def _step(matrix: np.ndarray, axes: tuple[int, ...]) -> tuple:
@@ -330,6 +342,17 @@ def _block_width(dim: int) -> int:
     return min(dim, max(64, 2**16 // dim))
 
 
+def _run_plan(block: np.ndarray, spare: np.ndarray, plan) -> tuple[np.ndarray, np.ndarray]:
+    """Run a plan on the rows of block, a C-contiguous complex (K, w)
+    array, its gates writing alternately to spare, an array of the same
+    shape, and to block.  Returns (result, other): whichever of the two
+    holds the result, then the other, free for the next pass."""
+    for kernel, arguments in plan:
+        kernel(block, spare, *arguments)
+        block, spare = spare, block
+    return block, spare
+
+
 def _apply_gates(state: np.ndarray, plan) -> np.ndarray:
     """Run a circuit's plan, gate by gate, on the row axes of a K x c
     operand, c a power of two: a K x K operator or a block of its columns.
@@ -354,9 +377,7 @@ def _apply_gates(state: np.ndarray, plan) -> np.ndarray:
     for start in range(0, columns, width):
         if blocked:
             np.copyto(block, state[:, start : start + width])
-        for kernel, arguments in plan:
-            kernel(block, spare, *arguments)
-            block, spare = spare, block
+        block, spare = _run_plan(block, spare, plan)
         if blocked:
             np.copyto(state[:, start : start + width], block)
     return state if blocked else block
@@ -372,7 +393,7 @@ def compose_propagator(circuit: Circuit) -> np.ndarray:
     it: the sum pathway runs the same plan on blocks of identity columns
     (engine._eigenstate_blocks), which give these columns bit for bit.
     """
-    return _apply_gates(np.eye(circuit.dim, dtype=complex), circuit._plan)
+    return _apply_gates(np.eye(circuit.dim, dtype=complex), circuit._plans[0])
 
 
 def random_circuit(n_spins: int, rng: np.random.Generator, min_depth: int = 1, max_depth: int = 20) -> Circuit:

@@ -4,32 +4,35 @@ Pathway A ("sum") mirrors the physical picture of C_k molecules starting
 in eigenstate k: evolve each computational eigenstate separately under
 the propagator, take its expectation value of the observable, and form
 the population-weighted sum over initial states.  Pathway B ("trace")
-builds the equilibrium density matrix once, evolves it as
-rho' = U (U rho)^dagger in two passes of the gate list over its rows, and
-reads M * tr(rho' * obs).  Neither pathway composes the propagator:
-the two share only the gate list, compiled once per circuit into the
-plan both run, so a defect in how either evolves its operand shows up as
-a disagreement instead of cancelling out.  Their agreement is the
-package's central consistency check, so a result where they disagree
-hands both numbers back instead of hiding one.
+evolves the equilibrium density matrix P = diag(p) one block of columns
+at a time, as rho' E_J = U P U^dagger E_J: the circuit's daggered plan
+runs on the identity block E_J, the rows are scaled by p, and the plan
+runs on the result.  It reads M * tr(rho' * obs) off each block as it
+goes.  Neither pathway composes the propagator: the two share only the
+gate list, compiled once per circuit into the plans both run, so a defect
+in how either evolves its operand, or in the daggered plan, shows up as a
+disagreement instead of cancelling out.  Their agreement is the package's
+central consistency check, so a result where they disagree hands both
+numbers back instead of hiding one.
 
 The two run as separate halves whose outputs one combiner pairs.  The
-trace half evolves rho' and reads each observable's trace value.  The sum
-half runs the plan on one block of identity columns at a time, so each
-block of eigenstates U|k> is evolved on its own, as each molecule is, and
-reads per-state values and weighted sums off it.  Every gate pass runs in
-place over column blocks (circuit._apply_gates), and rho' is
-conjugate-transposed in place between its two passes, so rho' is the one
-K x K complex array either half holds, with block-sized work arrays
-beside it.
+trace half reads each block of rho' once, for every observable, and for
+the distance to I/K and the purity the separability report needs, then
+drops it; two block-sized buffers serve every block.  The sum half runs
+the plan on one block of identity columns at a time, so each block of
+eigenstates U|k> is evolved on its own, as each molecule is, and reads
+per-state values and weighted sums off it.  Every gate pass runs in place
+over column blocks (circuit._run_plan), so neither half holds a K x K
+array: only the exact separability report, outside the separable ball,
+has the blocks of rho' copied into one (_assembled).
 
 An observable is a PauliSum (spin_system), such as the collective
 magnetisation, and the engine accepts nothing else.  It is read term by
 term and never built as a matrix: the sum pathway takes O(N K^2) row-pair
-reductions of the evolved eigenstates, the trace pathway reads each
-spin's reduced 2x2 block of rho' in O(N K).  Every reduction runs in
-numpy's own loops, not in BLAS, so its bits do not depend on the BLAS
-thread count.
+reductions of the evolved eigenstates, the trace pathway gathers each
+spin's reduced 2x2 block of rho' in O(N K) over all blocks.  Every
+reduction runs in numpy's own loops, not in BLAS, so its bits do not
+depend on the BLAS thread count.
 
 Per-state expectation values depend only on the initial eigenstate index,
 never on which physical molecule carries it; no molecule index exists
@@ -41,13 +44,15 @@ return a silently contaminated number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, _apply_gates, _block_width
+from .circuit import Circuit, _apply_gates, _block_width, _run_plan
+from .entanglement import _distance_sums
 from .qlinalg import ValidationError
-from .spin_system import _PAULI_BY_AXIS, PauliSum, ThermalEnsemble, equilibrium_density_matrix
+from .spin_system import _PAULI_BY_AXIS, PauliSum, ThermalEnsemble
 
 IMAG_TOL = 1e-10
 PATHWAY_TOL = 1e-10  # |sum - trace| <= PATHWAY_TOL * molecule_count
@@ -80,6 +85,11 @@ class PathwayResult:
 def _pathway_tolerance(ensemble: ThermalEnsemble) -> float:
     """The bound |sum - trace| is held to: PATHWAY_TOL * molecule_count."""
     return PATHWAY_TOL * ensemble.molecule_count
+
+
+def _within_tolerance(difference: float, ensemble: ThermalEnsemble) -> bool:
+    """Whether a pathway difference |sum - trace| meets _pathway_tolerance."""
+    return difference <= _pathway_tolerance(ensemble)
 
 
 def _checked(observable) -> PauliSum:
@@ -135,55 +145,65 @@ def _weighted_sum(populations: np.ndarray, per_state: np.ndarray) -> float:
     return float(np.cumsum(populations * per_state)[-1]) + 0.0
 
 
-def _evolved_density_matrix(circuit: Circuit, ensemble: ThermalEnsemble) -> np.ndarray:
-    """U rho U^dagger from the gate list, without U, in two row passes.
+def _evolved_blocks(circuit: Circuit, ensemble: ThermalEnsemble):
+    """Each column block of rho' = U P U^dagger, P = diag(p), with its
+    first index: columns start .. start + w - 1, w = _block_width(K).
 
-    rho is real and diagonal, so rho U^dagger = (U rho)^dagger: the
-    circuit's plan runs on the rows of rho, the result is
-    conjugate-transposed, and the plan runs on its rows again.  The first
-    pass runs on diag(p) itself, and the transpose and the second pass
-    overwrite that same array, so one K x K array is alive here beside
-    each pass's two column blocks.
+    For columns J, rho' E_J = U P U^dagger E_J: the daggered plan runs on
+    the identity block E_J, the rows are scaled by p, and the plan runs on
+    the result.  Two (K, w) buffers serve every block, so a block is
+    overwritten when the next is drawn: a reader reads it, or copies it,
+    before asking for more.  While K <= 256 the one block is all of rho'.
     """
-    rho = _apply_gates(equilibrium_density_matrix(ensemble), circuit._plan)
-    _conjugate_transpose(rho)
-    return _apply_gates(rho, circuit._plan)
+    plan, dagger = circuit._plans
+    dim = circuit.dim
+    width = _block_width(dim)
+    populations = ensemble.probabilities[:, None]
+    block = np.empty((dim, width), dtype=complex)
+    spare = np.empty_like(block)
+    for start in range(0, dim, width):
+        block.fill(0.0)
+        np.fill_diagonal(block[start : start + width], 1.0)
+        block, spare = _run_plan(block, spare, dagger)
+        block *= populations
+        block, spare = _run_plan(block, spare, plan)
+        yield start, block
 
 
-def _conjugate_transpose(a: np.ndarray) -> None:
-    """Overwrite a square C-contiguous complex array with its conjugate
-    transpose, bit for bit as np.conjugate(a.T).
+def _assembled(blocks, rho: np.ndarray):
+    """Each (start, block) of blocks, after copying block into rho's
+    columns, so rho holds every block once blocks is spent."""
+    for start, block in blocks:
+        rho[:, start : start + block.shape[1]] = block
+        yield start, block
 
-    Tiles of 64 x 64 entries swap across the diagonal through one held
-    tile, and one contiguous pass then conjugates every entry.  Entries
-    only move and change sign, so the result is exact; copies between
-    strided views and a ufunc on a contiguous array need no buffers.
+
+def _reduced_blocks(block: np.ndarray, start: int, shifts: np.ndarray) -> np.ndarray:
+    """One column block's share of each spin's reduced 2x2 block of rho'.
+
+    shifts lists each spin's bit position, N - spin.  Entry [r, t] of spin
+    j's reduced block sums rho'[row, column] over the columns whose bit j
+    is t, at the row equal to the column but for bit j, which is r.  So
+    each column gives two entries per spin, gathered at once for every
+    spin and summed against 0/1 weights in numpy's own loops.
     """
-    dim = a.shape[0]
-    tile = min(dim, 64)
-    held = np.empty((tile, tile), dtype=complex)
-    for i in range(0, dim, tile):
-        for j in range(i, dim, tile):
-            upper, lower = a[i : i + tile, j : j + tile], a[j : j + tile, i : i + tile]
-            np.copyto(held, lower.T)
-            if j > i:
-                np.copyto(lower, upper.T)
-            np.copyto(upper, held)
-    np.conjugate(a, out=a)
+    width = block.shape[1]
+    columns = np.arange(start, start + width)
+    masks = (1 << shifts)[:, None]
+    cleared = columns & ~masks
+    rows = np.stack([cleared, cleared | masks], axis=1)
+    bits = (columns & masks) != 0
+    weights = np.stack([~bits, bits], axis=1).astype(float)
+    return np.einsum("srl,stl->srt", block[rows, np.arange(width)], weights)
 
 
-def _trace_value(rho: np.ndarray, obs: PauliSum, molecule_count: float) -> float:
-    """M * tr(rho obs) from each listed spin's reduced 2x2 block of rho, O(N K).
-
-    The block of spin j sums rho over equal row and column indices of
-    every other spin; tr(block sigma) / 2 is that spin's term.
-    """
+def _trace_value(reduced: dict, obs: PauliSum, molecule_count: float) -> float:
+    """M * tr(rho' obs) from each listed spin's reduced 2x2 block of rho'
+    in reduced: tr(block sigma) / 2 is that spin's term."""
     pauli = _PAULI_BY_AXIS[obs.axis]
     raw = 0j
     for spin in obs.spins:
-        outer, inner = 2 ** (spin - 1), 2 ** (obs.n_spins - spin)
-        block = np.einsum("asbatb->st", rho.reshape(outer, 2, inner, outer, 2, inner))
-        raw += np.einsum("st,ts->", block, pauli) / 2
+        raw += np.einsum("st,ts->", reduced[spin], pauli) / 2
     if abs(raw.imag) > IMAG_TOL:
         raise ValidationError(f"trace expectation has imaginary residual {raw.imag:.3e}")
     return float(molecule_count * raw.real)
@@ -195,23 +215,40 @@ def compare_pathways(
     """Run both pathways for each observable and report both numbers.
 
     Each observable is a PauliSum.  The trace half evolves the density
-    matrix from the circuit's gate list in two row passes and reads it for
-    every observable; the sum half evolves the eigenstates block by block
-    from the same gate list.  Neither composes the propagator.
+    matrix from the circuit's gate list one column block at a time and
+    reads each block for every observable; the sum half evolves the
+    eigenstates block by block from the same gate list.  Neither composes
+    the propagator.
     """
     checked = [_checked(obs) for obs in observables]
     _require_dim(ensemble.system.dim, circuit, *checked)
-    traces = _trace_side(circuit, ensemble, checked)[0]
+    traces = _trace_side(_evolved_blocks(circuit, ensemble), ensemble, checked)[0]
     return _pathway_results(_sum_side(_eigenstate_blocks(circuit), ensemble, checked), traces)
 
 
 def _trace_side(
-    circuit: Circuit, ensemble: ThermalEnsemble, observables
-) -> tuple[list[float], np.ndarray]:
-    """The trace half of compare_pathways: each observable's M tr(rho' obs),
-    and rho' itself, evolved from the gate list, for the caller to keep."""
-    rho = _evolved_density_matrix(circuit, ensemble)
-    return [_trace_value(rho, obs, ensemble.molecule_count) for obs in observables], rho
+    blocks, ensemble: ThermalEnsemble, observables
+) -> tuple[list[float], float, float]:
+    """The trace half of compare_pathways: each observable's M tr(rho'
+    obs), then rho''s Frobenius distance to I/K and its purity, read off
+    blocks, an iterable of (start, block) such as _evolved_blocks.
+
+    Each block is read and dropped: its share of every listed spin's
+    reduced 2x2 block, read once for all observables, then its share of
+    the distance and purity, which shifts its diagonal in place.
+    """
+    spins = sorted({spin for obs in observables for spin in obs.spins})
+    shifts = ensemble.system.n_spins - np.array(spins, dtype=int)
+    reduced = np.zeros((len(spins), 2, 2), dtype=complex)
+    purity = square = 0.0
+    for start, block in blocks:
+        reduced += _reduced_blocks(block, start, shifts)
+        block_purity, block_square = _distance_sums(block, start)
+        purity += block_purity
+        square += block_square
+    by_spin = dict(zip(spins, reduced))
+    traces = [_trace_value(by_spin, obs, ensemble.molecule_count) for obs in observables]
+    return traces, math.sqrt(square), purity
 
 
 def _eigenstate_blocks(circuit: Circuit):
@@ -223,7 +260,7 @@ def _eigenstate_blocks(circuit: Circuit):
     dim = circuit.dim
     width = _block_width(dim)
     for start in range(0, dim, width):
-        yield start, _apply_gates(np.eye(dim, width, -start, dtype=complex), circuit._plan)
+        yield start, _apply_gates(np.eye(dim, width, -start, dtype=complex), circuit._plans[0])
 
 
 def _sum_side(blocks, ensemble: ThermalEnsemble, observables) -> list[tuple[np.ndarray, float]]:

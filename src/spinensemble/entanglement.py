@@ -30,7 +30,6 @@ from .qlinalg import (
     PSD_TOL,
     BipartitionSpec,
     ValidationError,
-    _inner,
     _partial_transpose,
     _spectrum,
     density_matrix,
@@ -150,12 +149,23 @@ def entanglement_report(state: np.ndarray, part: BipartitionSpec) -> Entanglemen
     return EntanglementReport(part, coefficients[0], float(entropies[0]), rank, rank == 1)
 
 
-def _distance_fields(rho: np.ndarray) -> tuple[float, float]:
-    """Distance to I/K and purity of a density matrix the caller owns; its
-    diagonal is shifted by -1/K in place instead of copying rho."""
-    purity = _inner(rho, rho).real  # tr(rho^2) = sum |rho_ij|^2 for Hermitian rho
-    rho.flat[:: rho.shape[0] + 1] -= 1.0 / rho.shape[0]
-    return math.sqrt(_inner(rho, rho).real), purity
+def _distance_sums(block: np.ndarray, start: int) -> tuple[float, float]:
+    """sum |b_ij|^2 and sum |b_ij - delta_ij / K|^2 over a C-contiguous
+    (K, w) block b of columns start .. start + w - 1 of a K x K matrix.
+
+    Added over a Hermitian rho's column blocks, the first is its purity
+    tr(rho^2) and the second the square of its Frobenius distance to I/K.
+    The block's diagonal entries are shifted by -1/K in place, so the caller
+    must own it.  Each is one sum by numpy's own loops over the block's
+    float view: BLAS dot products split long sums across threads, so their
+    last bits depend on the thread count, and these give the same bits at
+    any count.
+    """
+    dim, width = block.shape
+    parts = block.reshape(-1).view(np.float64)
+    purity = float(np.einsum("i,i->", parts, parts))
+    block[start : start + width].flat[:: width + 1] -= 1.0 / dim
+    return purity, float(np.einsum("i,i->", parts, parts))
 
 
 def _in_separable_ball(distance: float, dim: int) -> bool:
@@ -164,56 +174,67 @@ def _in_separable_ball(distance: float, dim: int) -> bool:
 
 def ppt_report(rho: np.ndarray, part: BipartitionSpec) -> SeparabilityReport:
     """Peres test across one bipartition, plus the mixedness diagnostics."""
-    return _ppt_report(density_matrix(rho), part)
+    rho = density_matrix(rho)
+    purity, square = _distance_sums(rho.copy(), 0)
+    return _ppt_report(rho, part, math.sqrt(square), purity)
 
 
-def _ppt_report(rho: np.ndarray, part: BipartitionSpec) -> SeparabilityReport:
-    """ppt_report on a density matrix the caller vouches for and owns,
-    unchecked; rho is overwritten.  A partial transpose only permutes
-    rho's entries, so it is exactly as Hermitian as rho."""
+def _ppt_report(
+    rho: np.ndarray, part: BipartitionSpec, distance: float, purity: float
+) -> SeparabilityReport:
+    """ppt_report on a density matrix the caller vouches for, unchecked,
+    given its distance to I/K and purity.  A partial transpose only
+    permutes rho's entries, so it is exactly as Hermitian as rho."""
     eigs = _spectrum(_partial_transpose(rho, part))
     # sum |eig| >= |trace| = 1, so a negative value here is rounding noise
     negativity = max(float((np.abs(eigs).sum() - 1.0) / 2.0), 0.0)
     min_eig = float(eigs[0])
-    dist, purity = _distance_fields(rho)
     return SeparabilityReport(
         min_pt_eigenvalue=min_eig,
         negativity=negativity,
         ppt_holds=min_eig >= -PSD_TOL,
         ppt_conclusive=part.n_spins == 2,
-        certified_separable=_in_separable_ball(dist, rho.shape[0]),
-        frobenius_to_mixed=dist,
+        certified_separable=_in_separable_ball(distance, rho.shape[0]),
+        frobenius_to_mixed=distance,
         purity=purity,
     )
 
 
-def _ensemble_reports(
-    probabilities: np.ndarray, rho: np.ndarray, part: BipartitionSpec | None
-) -> tuple[SeparabilityReport, SeparabilityReport]:
-    """Reports on diag(p) and on rho = U diag(p) U^dagger, U unitary.
-
-    diag(p) and its partial transpose are diagonal in the product basis,
-    so diag(p) is separable and its report is read off p in O(K).  rho has
-    spectrum p too, so it lies at the same distance d from I/K.  Inside the
-    separable ball rho is separable across every cut: PPT holds and the
-    negativity is 0 with no eigendecomposition, and purity and distance
-    are read off rho in O(K^2) (which overwrites it), independently of p.
-    Outside the ball the exact report runs on rho unchecked: an evolved
-    diag(p) is Hermitian with spectrum p by construction, so
-    density_matrix's copy, Hermitian test and Cholesky factorization
-    would prove nothing.  Without a cut both reports carry the distances
-    only.
-    """
+def _initial_report(
+    probabilities: np.ndarray, part: BipartitionSpec | None
+) -> SeparabilityReport:
+    """The report on diag(p), read off p in O(K): diag(p) and its partial
+    transpose are diagonal in the product basis, so diag(p) is separable.
+    Without a cut the report carries the distances only."""
     shifted = probabilities - 1.0 / probabilities.shape[0]
     dist = math.sqrt(np.einsum("i,i->", shifted, shifted))
     purity = float(np.einsum("i,i->", probabilities, probabilities))
     if part is None:
-        initial = SeparabilityReport(None, None, None, None, None, dist, purity)
-        return initial, SeparabilityReport(None, None, None, None, None, *_distance_fields(rho))
+        return SeparabilityReport(None, None, None, None, None, dist, purity)
     conclusive = part.n_spins == 2
-    initial = SeparabilityReport(
+    return SeparabilityReport(
         float(probabilities.min()), 0.0, True, conclusive, True, dist, purity
     )
-    if not _in_separable_ball(dist, probabilities.shape[0]):
-        return initial, _ppt_report(rho, part)
-    return initial, SeparabilityReport(None, 0.0, True, conclusive, True, *_distance_fields(rho))
+
+
+def _evolved_report(
+    part: BipartitionSpec | None, distance: float, purity: float, rho: np.ndarray | None
+) -> SeparabilityReport:
+    """The report on rho = U diag(p) U^dagger, U unitary, given rho's
+    distance to I/K and purity, summed as rho was evolved.
+
+    rho has spectrum p, so it lies as far from I/K as diag(p) does, and
+    whether that is inside the separable ball is known before evolving.
+    Inside, rho is separable across every cut: PPT holds and the
+    negativity is 0 with no eigendecomposition, and the caller passes no
+    rho.  Outside, the caller assembles rho and the exact report runs on
+    it unchecked: an evolved diag(p) is Hermitian with spectrum p by
+    construction, so density_matrix's copy, Hermitian test and Cholesky
+    factorization would prove nothing.  Without a cut the report carries
+    the distances only.
+    """
+    if part is None:
+        return SeparabilityReport(None, None, None, None, None, distance, purity)
+    if rho is None:
+        return SeparabilityReport(None, 0.0, True, part.n_spins == 2, True, distance, purity)
+    return _ppt_report(rho, part, distance, purity)

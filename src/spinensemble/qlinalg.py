@@ -4,8 +4,8 @@ Everything in this package works on plain ``numpy`` arrays of dtype
 complex128.  The functions here validate the roles a matrix or vector is
 supposed to play (Hermitian, normalized state, density operator) and hold
 the few kernels the entanglement reports share: a Hermitian spectrum that
-skips the eigendecomposition for a diagonal matrix, the partial transpose
-across a bipartition, and a thread-count-independent inner product.
+skips the eigendecomposition for a diagonal matrix, and the partial
+transpose across a bipartition.
 Every integer and real the package reads from text (config values,
 circuit tokens, cut spins, command-line counts) goes through _read_int
 or _read_real, which raise ValidationError.
@@ -59,8 +59,12 @@ def _read_int(text: str, what: str) -> int:
 
 
 def _read_real(text: str, what: str) -> float:
-    """A finite float; every real read from a config or circuit comes through here."""
+    """A finite float written in ASCII without '_', as integers are read in
+    ASCII digits only (float() alone also takes '1_0' and other scripts'
+    digits); every real read from a config or circuit comes through here."""
     try:
+        if not text.isascii() or "_" in text:
+            raise ValueError
         value = float(text)
     except ValueError:
         raise ValidationError(f"{what} must be a number, got {text!r}") from None
@@ -169,9 +173,7 @@ class BipartitionSpec:
             raise ValidationError("both sides of a bipartition must be non-empty")
         n = len(left) + len(right)
         if set(left) | set(right) != set(range(1, n + 1)) or set(left) & set(right):
-            raise ValidationError(
-                f"bipartition sides {left}|{right} must be disjoint and cover 1..{n}"
-            )
+            raise ValidationError(f"bipartition sides must be disjoint and cover 1..{n}")
 
     @property
     def n_spins(self) -> int:
@@ -183,11 +185,15 @@ class BipartitionSpec:
 
         Each side is a comma- or space-separated list of spin indices; a
         side with neither commas nor spaces is read one digit per spin
-        (only valid while all indices are single digits).
+        (only valid while all indices are single digits).  The spin count
+        is checked before the spec is built, and no rejection repeats the
+        text or the sides, so a long cut gets a short message.
         """
         halves = text.split("|")
         if len(halves) != 2:
-            raise ValidationError(f"bipartition {text!r} must contain exactly one '|'")
+            raise ValidationError(
+                f"bipartition must contain exactly one '|', got {len(halves) - 1}"
+            )
         sides = []
         for half in halves:
             half = half.strip()
@@ -196,12 +202,10 @@ class BipartitionSpec:
             else:
                 tokens = list(half)
             sides.append(tuple(_read_int(t, "bipartition spin") for t in tokens))
-        spec = cls(sides[0], sides[1])
-        if spec.n_spins != n_spins:
-            raise ValidationError(
-                f"bipartition {text!r} covers {spec.n_spins} spins, expected {n_spins}"
-            )
-        return spec
+        count = len(sides[0]) + len(sides[1])
+        if count != n_spins:
+            raise ValidationError(f"bipartition covers {count} spins, expected {n_spins}")
+        return cls(sides[0], sides[1])
 
     def __str__(self) -> str:
         if self.n_spins <= 9:
@@ -232,16 +236,3 @@ def _partial_transpose(rho: np.ndarray, part: BipartitionSpec) -> np.ndarray:
         ax = spin - 1
         perm[ax], perm[n + ax] = perm[n + ax], perm[ax]
     return t.transpose(perm).reshape(rho.shape)
-
-
-def _inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """sum_ij conj(a_ij) b_ij, summed by numpy's own loops over float views.
-
-    BLAS dot products split long sums across threads, so their last bits
-    depend on the thread count; these sums give the same bits at any count.
-    """
-    x = np.ravel(a).view(np.float64)
-    y = np.ravel(b).view(np.float64)
-    real = np.einsum("i,i->", x, y)
-    imag = np.einsum("i,i->", x[::2], y[1::2]) - np.einsum("i,i->", x[1::2], y[::2])
-    return complex(real, imag)

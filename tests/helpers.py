@@ -76,6 +76,18 @@ def row_passes(circuit, state):
     return state
 
 
+def dagger_row_passes(circuit, state):
+    """Reference pass of U^dagger: each gate's inverse by _apply_gate on the
+    rows of the whole operand, last gate first.  The inverse of a 2x2 is
+    its conjugate transpose, of a real 4x4 signed permutation its
+    transpose."""
+    for gate in reversed(circuit.gates):
+        matrix = _gate_matrix(gate)
+        inverse = matrix.conj().T if matrix.shape[0] == 2 else matrix.T
+        state = _apply_gate(state, inverse, tuple(t - 1 for t in gate.targets))
+    return state
+
+
 def every_kind_circuit(n_spins, rng, extra):
     """Each of the twelve gate kinds at least once over five or more spins
     (the two-spin kinds on distant and reversed pairs): 14 gates, then

@@ -4,7 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import bell_state, every_kind_circuit, row_passes, unitarity_deviation
+from helpers import (
+    bell_state,
+    dagger_row_passes,
+    every_kind_circuit,
+    row_passes,
+    unitarity_deviation,
+)
 from spinensemble import circuit as circuit_module
 from spinensemble.circuit import (
     Circuit,
@@ -98,6 +104,8 @@ class TestParse:
             ("RX 1", "one spin and one angle"),
             ("RX 1 2 3", "one spin and one angle"),
             ("RX 1 abc", "RX angle must be a number"),
+            ("RX 1 0_7", "RX angle must be a number, got '0_7'"),
+            ("RX 1 \u0660.7", "RX angle must be a number"),
             ("RX 1 inf", "finite"),
             ("H 1.5", "spin index must be an integer of digits 0-9"),
             ("H +1", "spin index must be an integer of digits 0-9"),
@@ -397,7 +405,7 @@ class TestLocalGateApplication:
                 circuit = random_circuit(n_spins, rng)
                 shape = (circuit.dim, circuit.dim)
                 state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-                cases.append((circuit._plan, state, row_passes(circuit, state)))
+                cases.append((circuit._plans[0], state, row_passes(circuit, state)))
 
         def refuse(*args, **kwargs):
             raise AssertionError("a compiled plan inspected a gate matrix")
@@ -416,10 +424,11 @@ class TestLocalGateApplication:
     def test_circuits_share_each_fixed_pair_compilation(self):
         """A fixed two-spin kind on one axis pair compiles once per process,
         whatever the spin count, and the shared index cannot be written."""
-        first = parse_circuit("CNOT 1 3\nH 2", 3)._plan[0]
-        second = parse_circuit("X 4\nCNOT 1 3", 4)._plan[1]
-        assert first[0] is second[0] is circuit_module._permute_pair
-        assert first[1] is second[1]
+        first = parse_circuit("CNOT 1 3\nH 2", 3)._plans[0][0]
+        plan, dagger = parse_circuit("X 4\nCNOT 1 3", 4)._plans
+        second = plan[1]
+        assert first[0] is second[0] is dagger[0][0] is circuit_module._permute_pair
+        assert first[1] is second[1] is dagger[0][1]  # CNOT is its own inverse
         index = first[1][2]
         with pytest.raises(ValueError, match="read-only"):
             index[0] = 0
@@ -429,7 +438,7 @@ class TestLocalGateApplication:
         matrix itself: on axes a plan has compiled CZ for, another matrix
         is checked and applied as itself, and a rejected one is rejected
         every time."""
-        parse_circuit("CZ 1 2", 2)._plan
+        parse_circuit("CZ 1 2", 2)._plans[0]
         hadamard = _gate_matrix(Gate("H", (1,)))
         for _ in range(2):
             with pytest.raises(ValidationError, match="permute"):
@@ -447,6 +456,35 @@ class TestLocalGateApplication:
         _apply_gate(state, _gate_matrix(Gate("H", (1,))), (0,))
         _apply_gate(state, _gate_matrix(Gate("CNOT", (2, 1))), (1, 0))
         np.testing.assert_array_equal(state, before)
+
+
+class TestDaggeredPlan:
+    """Compiling also builds the plan of U^dagger: the gates' inverses, last
+    gate first."""
+
+    @pytest.mark.parametrize("n_spins", range(1, 11))
+    def test_daggered_plan_is_the_inverse(self, n_spins):
+        """On the identity it gives U^dagger, bit for bit the inverses run
+        gate by gate on the whole operand (from N = 9 over several column
+        blocks), within 1e-15 of conj(U).T; on U it gives I.  From N = 5
+        every gate kind takes part, and RX, RY, RZ, S and T differ from
+        their inverses."""
+        rng = np.random.default_rng(100 + n_spins)
+        if n_spins >= 5:
+            circuit = every_kind_circuit(n_spins, rng, 7)
+        else:
+            circuit = random_circuit(n_spins, rng, 20, 20)
+        dagger = circuit._plans[1]
+        identity = np.eye(circuit.dim, dtype=complex)
+        expected = dagger_row_passes(circuit, identity)
+        u_dagger = _apply_gates(identity.copy(), dagger)  # a pass overwrites its operand
+        assert u_dagger.tobytes() == expected.tobytes()
+        u = compose_propagator(circuit)
+        assert np.max(np.abs(u_dagger - u.conj().T)) <= 1e-15
+        assert np.max(np.abs(_apply_gates(u, dagger) - identity)) <= 1e-14
+
+    def test_empty_circuit_has_empty_plans(self):
+        assert Circuit(3)._plans == ((), ())
 
 
 class TestColumnBlocks:
@@ -473,7 +511,7 @@ class TestColumnBlocks:
         n_spins = 10
         dim = 2**n_spins
         circuit = every_kind_circuit(n_spins, np.random.default_rng(96), 7)
-        plan = circuit._plan
+        plan = circuit._plans[0]
         rng = np.random.default_rng(97)
         state = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         expected = row_passes(circuit, state)

@@ -142,6 +142,9 @@ class TestLoadConfig:
             ("larmor = 2.0, 1.0          # spin 1 fast, spin 2 slow", "larmor = a, b", "larmor entry must be a number"),
             ("temperature = 3.0e5", "temperature = -1", "must be positive"),
             ("temperature = 3.0e5", "temperature = inf", "must be finite"),
+            ("temperature = 3.0e5", "temperature = 1_0", "temperature must be a number"),
+            ("temperature = 3.0e5", "temperature = \u0661\u0660", "temperature must be a number"),
+            ("molecule_count = 1.0e6", "molecule_count = 1_000", "molecule_count must be a number"),
             ("molecule_count = 1.0e6", "molecule_count = 0", "must be positive"),
             ("bipartition = 1|2", "bipartition = 1|1", "bipartition"),
             ("observable = x", "observable = q", "axis must be x, y, or z"),
@@ -837,15 +840,16 @@ class TestMainExitCodes:
         report = tmp_path / "report.json"
         before = report.read_bytes()
         capsys.readouterr()
-        original = engine_module._evolved_density_matrix
+        original = engine_module._evolved_blocks
 
         def skewed(circuit, ensemble):
-            rho = original(circuit, ensemble)
-            rho[0, 1] += 1e-9j  # with rho[1, 0], tr(rho' x) gains 1e-9 i
-            rho[1, 0] += 1e-9j
-            return rho
+            for start, block in original(circuit, ensemble):
+                if start == 0:
+                    block[0, 1] += 1e-9j  # with rho[1, 0], tr(rho' x) gains 1e-9 i
+                    block[1, 0] += 1e-9j
+                yield start, block
 
-        monkeypatch.setattr(engine_module, "_evolved_density_matrix", skewed)
+        monkeypatch.setattr(cli_module, "_evolved_blocks", skewed)
         assert main(["simulate", "--config", path]) == 2
         err = capsys.readouterr().err
         message = "validation error: trace expectation has imaginary residual 1.000e-09"
@@ -944,6 +948,23 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and len(err) <= ERROR_CAP + 1
         assert err.startswith(fragment) and "Traceback" not in err
+        assert not list(tmp_path.glob("*.json"))
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("temperature = 3.0e5", "temperature = 1_0", "temperature must be a number, got '1_0'"),
+            ("larmor = 2.0, 1.0", "larmor = 2.0, \u0661", "larmor entry must be a number, got '\u0661'"),
+        ],
+    )
+    def test_real_outside_ascii_or_with_underscore_exits_1(
+        self, tmp_path, capsys, old, new, message
+    ):
+        """float() reads '1_0' as 10.0 and Arabic-Indic digits as digits;
+        a config real is refused as an integer would be."""
+        text = BASE_CONFIG.replace(old, new)
+        assert main(["simulate", "--config", write_config(tmp_path, text)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: " + message]
         assert not list(tmp_path.glob("*.json"))
 
     def test_long_message_is_cut_to_the_cap(self, tmp_path, capsys):

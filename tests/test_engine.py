@@ -14,6 +14,7 @@ import pytest
 
 from helpers import (
     conjugate_gate_by_gate,
+    dagger_row_passes,
     dense_observable,
     dense_per_state_values,
     dense_trace_value,
@@ -34,10 +35,7 @@ from spinensemble.engine import (
     PATHWAY_TOL,
     PathwayResult,
     compare_pathways,
-    _conjugate_transpose,
-    _evolved_density_matrix,
     _per_state_values,
-    _trace_value,
     _weighted_sum,
 )
 from spinensemble.qlinalg import ValidationError, hermitian
@@ -76,10 +74,34 @@ def ensemble_sum(u, ensemble, obs):
 
 
 def trace_pathway(circuit, ensemble, obs):
-    """The trace pathway alone; rho' is read through the module, so a
-    monkeypatched _evolved_density_matrix takes effect."""
-    rho = engine._evolved_density_matrix(circuit, ensemble)
-    return _trace_value(rho, obs, ensemble.molecule_count)
+    """The trace pathway alone; rho''s blocks are read through the module,
+    so a monkeypatched _evolved_blocks takes effect."""
+    blocks = engine._evolved_blocks(circuit, ensemble)
+    return engine._trace_side(blocks, ensemble, [obs])[0][0]
+
+
+def evolved_density_matrix(circuit, ensemble):
+    """rho' assembled from the block stream, as simulate assembles it for
+    the exact report outside the separable ball."""
+    rho = np.empty((circuit.dim, circuit.dim), dtype=complex)
+    for _ in engine._assembled(engine._evolved_blocks(circuit, ensemble), rho):
+        pass
+    return rho
+
+
+EVOLVED_BLOCKS = engine._evolved_blocks
+
+
+def skewed_blocks(skew):
+    """A stand-in for engine._evolved_blocks that adds skew's columns to
+    each block of rho'."""
+
+    def blocks(circuit, ensemble):
+        for start, block in EVOLVED_BLOCKS(circuit, ensemble):
+            block += skew[:, start : start + block.shape[1]]
+            yield start, block
+
+    return blocks
 
 
 class TestEvolveEigenstate:
@@ -148,7 +170,7 @@ class TestPerStateExpectations:
             raise AssertionError("a pathway ran before the observable was checked")
 
         monkeypatch.setattr(engine, "_eigenstate_blocks", refuse)
-        monkeypatch.setattr(engine, "_evolved_density_matrix", refuse)
+        monkeypatch.setattr(engine, "_evolved_blocks", refuse)
         ens = zeeman_ensemble(1)
         for matrix in (bad, hermitian_matrix):
             with pytest.raises(ValidationError, match="must be a PauliSum, got ndarray"):
@@ -167,7 +189,7 @@ class TestPauliSum:
             for axis in "xyz":
                 observables = [PauliSum.collective(n_spins, axis), PauliSum(n_spins, axis, (1,))]
                 observables.append(PauliSum(n_spins, axis, (n_spins,)))
-                rho = _evolved_density_matrix(circuit, ens)
+                rho = evolved_density_matrix(circuit, ens)
                 for pauli in observables:
                     dense = dense_observable(pauli)
                     np.testing.assert_allclose(
@@ -176,7 +198,7 @@ class TestPauliSum:
                         rtol=0,
                         atol=1e-12,
                     )
-                    local = _trace_value(rho, pauli, ens.molecule_count)
+                    local = trace_pathway(circuit, ens, pauli)
                     reference = dense_trace_value(rho, dense, ens.molecule_count)
                     assert abs(local - reference) <= PATHWAY_TOL * ens.molecule_count
 
@@ -371,6 +393,24 @@ class TestPathwayIndependence:
         scaled_trace = 2.25 * result.expectation_trace
         assert abs(result.expectation_sum - scaled_trace) <= PATHWAY_TOL * ens.molecule_count
 
+    def test_wrong_daggered_plan_shows_as_disagreement(self):
+        """Only the trace pathway runs the daggered plan: a dagger whose 2x2
+        steps are transposed but not conjugated shows in the trace alone."""
+        ens = zeeman_ensemble(2, temperature=1.0)  # a signal far above the budget
+        circuit = parse_circuit("RX 1 0.7\nCNOT 1 2\nRY 2 0.4\nS 2", 2)
+        obs = PauliSum.collective(2, "y")
+        (honest,) = run_compare(circuit, ens, obs)
+        plan, dagger = circuit._plans
+        unconjugated = tuple(
+            (kernel, (args[0], args[1].conj())) if len(args) == 2 else (kernel, args)
+            for kernel, args in dagger
+        )
+        circuit.__dict__["_plans"] = (plan, unconjugated)
+        (result,) = run_compare(circuit, ens, obs)
+        assert result.expectation_sum == honest.expectation_sum
+        assert honest.abs_difference <= PATHWAY_TOL * ens.molecule_count
+        assert result.abs_difference > PATHWAY_TOL * ens.molecule_count
+
     def test_several_observables_match_single_pathway_calls(self):
         rng = np.random.default_rng(49)
         ens = zeeman_ensemble(3)
@@ -417,12 +457,9 @@ class TestTraceImaginaryResidual:
         ens = zeeman_ensemble(3)
         circuit = random_circuit(3, np.random.default_rng(54), min_depth=20, max_depth=20)
         obs = PauliSum.collective(3, axis)
-        original = engine._evolved_density_matrix
         for share in (0.5, 2.0):
             skew = 1j * share * IMAG_TOL / (8 * 3 / 4) * dense_observable(obs)
-            monkeypatch.setattr(
-                engine, "_evolved_density_matrix", lambda c, e: original(c, e) + skew
-            )
+            monkeypatch.setattr(engine, "_evolved_blocks", skewed_blocks(skew))
             if share < 1:
                 trace_pathway(circuit, ens, obs)
                 run_compare(circuit, ens, obs)
@@ -434,20 +471,28 @@ class TestTraceImaginaryResidual:
 
 
 class TestRowPassDensityMatrix:
-    """rho' = U (U rho)^dagger in two row passes, against gate-by-gate
+    """rho' = U P U^dagger one column block at a time: for columns J, the
+    daggered plan runs on the rows of the identity block E_J, the rows are
+    scaled by p, and the plan runs on them.  Checked against gate-by-gate
     conjugation with G on the rows and conj(G) on the columns."""
 
     @pytest.mark.parametrize("temperature", [3.0e5, 1.0])
     def test_matches_gate_by_gate_conjugation(self, temperature):
+        """N = 1..10; from N = 5 on every_kind_circuit, whose RX, RY, RZ, S
+        and T have daggers that differ from themselves, and from N = 9 over
+        several blocks."""
         rng = np.random.default_rng(51)
-        for n_spins in range(1, 9):
+        for n_spins in range(1, 11):
             ens = zeeman_ensemble(n_spins, temperature=temperature)
-            for _ in range(3):
-                circuit = random_circuit(n_spins, rng, min_depth=20, max_depth=20)
-                if n_spins >= 2:
-                    tail = f"CZ {n_spins} 1\nSWAP 1 {n_spins}\nCNOT 2 1"
-                    circuit = Circuit(n_spins, circuit.gates + parse_circuit(tail, n_spins).gates)
-                rho = _evolved_density_matrix(circuit, ens)
+            if n_spins >= 5:
+                circuits = [every_kind_circuit(n_spins, rng, 7)]
+            else:
+                circuits = [random_circuit(n_spins, rng, 20, 20) for _ in range(3)]
+            if 2 <= n_spins < 5:
+                tail = parse_circuit(f"CZ {n_spins} 1\nSWAP 1 {n_spins}\nCNOT 2 1", n_spins)
+                circuits = [Circuit(n_spins, c.gates + tail.gates) for c in circuits]
+            for circuit in circuits:
+                rho = evolved_density_matrix(circuit, ens)
                 reference = conjugate_gate_by_gate(circuit, equilibrium_density_matrix(ens))
                 assert np.max(np.abs(rho - reference)) <= 1e-15
                 hermitian(rho)
@@ -456,65 +501,91 @@ class TestRowPassDensityMatrix:
     @pytest.mark.parametrize("n_spins", [9, 10])
     @pytest.mark.parametrize("extra", [0, 7])  # 14 and 21 gates
     def test_column_blocks_match_whole_operand_row_passes(self, n_spins, extra):
-        """From N = 9 each pass runs over several column blocks: rho' is
-        bit for bit the two whole-operand passes around np.conjugate(a.T),
-        and within 1e-15 of gate-by-gate conjugation (which rounds in
-        another order)."""
+        """From N = 9 the stream runs over several column blocks: rho' is
+        bit for bit the whole operand's passes, each gate's inverse on the
+        rows of the identity, the rows scaled by p, then each gate, and
+        within 1e-15 of gate-by-gate conjugation (which rounds in another
+        order)."""
         ens = zeeman_ensemble(n_spins, temperature=1.0)
         circuit = every_kind_circuit(n_spins, np.random.default_rng(53 + extra), extra)
-        half = row_passes(circuit, equilibrium_density_matrix(ens))
-        expected = row_passes(circuit, np.conjugate(half.T))
-        rho = _evolved_density_matrix(circuit, ens)
+        u_dagger = dagger_row_passes(circuit, np.eye(circuit.dim, dtype=complex))
+        expected = row_passes(circuit, ens.probabilities[:, None] * u_dagger)
+        rho = evolved_density_matrix(circuit, ens)
         assert rho.tobytes() == expected.tobytes()
         reference = conjugate_gate_by_gate(circuit, equilibrium_density_matrix(ens))
         assert np.max(np.abs(rho - reference)) <= 1e-15
 
-    def test_holds_two_operands_at_a_time(self):
-        """At N = 8 one column block is the whole operand, so each pass
-        writes to it and one spare array: the peak is two K x K arrays,
-        not one per gate or three."""
-        n_spins = 8
+    @staticmethod
+    def trace_side_peak(n_spins, assemble):
+        """tracemalloc's peak, in K x K complex arrays, over one trace side
+        on collective x, with rho' assembled or not."""
         operand = 16 * 4**n_spins
         ens = zeeman_ensemble(n_spins)
         circuit = random_circuit(n_spins, np.random.default_rng(52), min_depth=20, max_depth=20)
-        circuit._plan  # compiled outside the measurement
+        circuit._plans  # compiled outside the measurement
+        observables = [PauliSum.collective(n_spins, "x")]
         tracemalloc.start()
         try:
-            rho = _evolved_density_matrix(circuit, ens)
+            blocks = engine._evolved_blocks(circuit, ens)
+            if assemble:
+                rho = np.empty((circuit.dim, circuit.dim), dtype=complex)
+                blocks = engine._assembled(blocks, rho)
+            engine._trace_side(blocks, ens, observables)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rho.nbytes == operand
-        assert peak < 2.5 * operand
+        return peak / operand
+
+    def test_holds_two_operands_at_a_time(self):
+        """At N = 8 one column block is the whole operand, so the stream
+        holds its two buffers, two K x K arrays, and not one per gate."""
+        assert self.trace_side_peak(8, assemble=False) < 2.5
 
     def test_holds_one_operand_beside_two_blocks(self):
-        """diag(p) is the first pass's own operand, and the transpose and
-        the second pass overwrite it: at N = 10 the peak is one K x K array,
-        two 1 MiB column blocks (an eighth of it) and one 64 x 64 tile."""
-        n_spins = 10
-        operand = 16 * 4**n_spins
-        ens = zeeman_ensemble(n_spins)
-        circuit = random_circuit(n_spins, np.random.default_rng(52), min_depth=20, max_depth=20)
-        circuit._plan  # compiled outside the measurement
-        tracemalloc.start()
-        try:
-            rho = _evolved_density_matrix(circuit, ens)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rho.nbytes == operand
-        assert peak < 1.15 * operand
+        """Outside the separable ball, at N = 10, the stream holds the
+        assembled rho', one K x K array, beside its two 1 MiB buffers (an
+        eighth of one): no more than the two row passes held."""
+        assert self.trace_side_peak(10, assemble=True) < 1.15
+
+    def test_certified_trace_side_holds_no_operand(self):
+        """Inside the ball nothing assembles rho': at N = 10 the trace side
+        holds its two 1 MiB buffers, an eighth of a K x K array, and no
+        K x K array at all."""
+        assert self.trace_side_peak(10, assemble=False) < 0.25
 
     def test_empty_circuit_leaves_rho_alone(self):
+        """With no gates the one block at N = 3 is the identity scaled by p:
+        rho' is diag(p) bit for bit."""
         ens = zeeman_ensemble(3)
-        np.testing.assert_array_equal(
-            _evolved_density_matrix(Circuit(3), ens), equilibrium_density_matrix(ens)
-        )
+        rho = evolved_density_matrix(Circuit(3), ens)
+        assert rho.tobytes() == equilibrium_density_matrix(ens).tobytes()
 
     def test_empty_circuit_over_several_blocks_conjugates_only(self):
+        """Over sixteen column blocks at N = 10 an empty circuit only scales
+        identity blocks by p, and nothing is conjugated: rho' is diag(p) bit
+        for bit, its imaginary zeros +0.0 and not the -0.0 a conjugation
+        would leave."""
         ens = zeeman_ensemble(10)
-        rho = _evolved_density_matrix(Circuit(10), ens)
-        assert rho.tobytes() == np.conjugate(equilibrium_density_matrix(ens)).tobytes()
+        rho = evolved_density_matrix(Circuit(10), ens)
+        assert rho.tobytes() == equilibrium_density_matrix(ens).tobytes()
+        assert not np.signbit(rho.imag).any()
+
+    def test_reduced_blocks_are_read_once_for_every_observable(self, monkeypatch):
+        """Each block's reduced 2x2 blocks are gathered once, for all
+        observables and spins: one reduction per block, not one per
+        observable and spin."""
+        circuit = every_kind_circuit(10, np.random.default_rng(56), 0)
+        observables = [PauliSum.collective(10, axis) for axis in "xyz"]
+        calls = []
+        original = engine._reduced_blocks
+
+        def counting(block, start, shifts):
+            calls.append(start)
+            return original(block, start, shifts)
+
+        monkeypatch.setattr(engine, "_reduced_blocks", counting)
+        compare_pathways(circuit, zeeman_ensemble(10), observables)
+        assert calls == list(range(0, 2**10, _block_width(2**10)))
 
 
 def test_sum_side_over_column_blocks_matches_whole_propagator():
@@ -554,26 +625,6 @@ def test_sum_side_over_column_blocks_matches_whole_propagator():
             whole = _per_state_values(u, obs)
             assert per_state.tobytes() == whole.tobytes()
             assert total == _weighted_sum(ens.populations, whole)
-
-
-@pytest.mark.parametrize("n_spins", range(11))
-def test_conjugate_transpose_in_place_is_exact(n_spins):
-    """The tile swaps and the one conjugating pass give np.conjugate(a.T)
-    bit for bit, signed zeros included, beside one 64 x 64 tile."""
-    dim = 2**n_spins
-    rng = np.random.default_rng(54 + n_spins)
-    parts = rng.choice([0.0, -0.0, 1.5, -2.25, 0.3], size=(dim, dim, 2))
-    parts[..., 0] += rng.normal(size=(dim, dim)) * (rng.random(size=(dim, dim)) < 0.5)
-    a = np.ascontiguousarray(parts).view(complex).reshape(dim, dim)
-    expected = np.conjugate(a.T).tobytes()
-    tracemalloc.start()
-    try:
-        _conjugate_transpose(a)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert a.tobytes() == expected
-    assert peak <= 16 * 64 * 64 + 4096
 
 
 class TestLinearity:

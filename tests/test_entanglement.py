@@ -13,18 +13,23 @@ from helpers import (
     schmidt_reference,
 )
 from spinensemble import entanglement as entanglement_module
+from spinensemble.cli import _trace_side_and_reports
 from spinensemble.circuit import Circuit, compose_propagator, parse_circuit, random_circuit
 from spinensemble.entanglement import (
     EntanglementReport,
     SeparabilityReport,
-    _ensemble_reports,
     _entropies,
     _schmidt_table,
     entanglement_report,
     ppt_report,
 )
 from spinensemble.qlinalg import BipartitionSpec, ValidationError
-from spinensemble.spin_system import SpinSystem, ThermalEnsemble, equilibrium_density_matrix
+from spinensemble.spin_system import (
+    PauliSum,
+    SpinSystem,
+    ThermalEnsemble,
+    equilibrium_density_matrix,
+)
 
 CUT_12 = BipartitionSpec((1,), (2,))
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -431,11 +436,23 @@ class TestMixednessReport:
 
 
 
+BELL_CIRCUIT = parse_circuit("H 1\nCNOT 1 2", 2)
+
+
 def bell_orbit(probabilities):
     """U diag(p) U^dagger for the circuit H 1; CNOT 1 2, which maps the
     computational basis onto the Bell basis, |00> onto Phi+."""
-    u = compose_propagator(parse_circuit("H 1\nCNOT 1 2", 2))
+    u = compose_propagator(BELL_CIRCUIT)
     return (u * probabilities) @ u.conj().T
+
+
+def simulate_reports(probabilities, circuit, part):
+    """The initial and evolved reports as simulate makes them, for one
+    molecule whose populations p are evolved by circuit."""
+    system = SpinSystem.zeeman([1.0] * circuit.n_spins)
+    ensemble = ThermalEnsemble(system, 1.0, 1.0, populations=probabilities)
+    observable = PauliSum.collective(circuit.n_spins, "z")
+    return _trace_side_and_reports(circuit, ensemble, observable, part)[1:]
 
 
 def werner_spectrum(weight):
@@ -458,7 +475,7 @@ class TestSeparableBall:
         """The Werner state at weight 1/3 is at d = 1/sqrt(12), the K = 4
         radius, and is the last PPT one: the ball is tight there."""
         probs = werner_spectrum(1.0 / 3.0)
-        initial, evolved = _ensemble_reports(probs, bell_orbit(probs), CUT_12)
+        initial, evolved = simulate_reports(probs, BELL_CIRCUIT, CUT_12)
         assert math.isclose(initial.frobenius_to_mixed, 1.0 / math.sqrt(12.0), rel_tol=1e-15)
         assert initial.certified_separable is True and initial.min_pt_eigenvalue == probs.min()
         assert evolved.certified_separable is True and evolved.ppt_holds is True
@@ -468,7 +485,7 @@ class TestSeparableBall:
     def test_werner_state_just_outside_is_npt(self):
         weight = 1.0 / 3.0 + 1e-9
         probs = werner_spectrum(weight)
-        _, evolved = _ensemble_reports(probs, bell_orbit(probs), CUT_12)
+        _, evolved = simulate_reports(probs, BELL_CIRCUIT, CUT_12)
         assert evolved.certified_separable is False
         assert evolved.ppt_holds is False
         assert abs(evolved.min_pt_eigenvalue - (1.0 - 3.0 * weight) / 4.0) < 1e-15
@@ -490,7 +507,8 @@ class TestSeparableBall:
             probs = 1.0 / dim + scale * direction
             u = random_unitary(rng, dim)
             rho = (u * probs) @ u.conj().T
-            initial, evolved = _ensemble_reports(probs, rho.copy(), next(cuts(n_spins)))
+            circuit = random_circuit(n_spins, np.random.default_rng(70 + trial), 20, 20)
+            initial, evolved = simulate_reports(probs, circuit, next(cuts(n_spins)))
             assert evolved.certified_separable is True
             bound = max(1.0 / dim - initial.frobenius_to_mixed, 0.0)
             for cut in cuts(n_spins):

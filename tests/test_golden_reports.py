@@ -71,28 +71,25 @@ SWEEPS = {
     "sweep-n9": ("2.9, 2.6, 2.3, 2.0, 1.7, 1.4, 1.1, 0.8, 0.5", 45, 3),
 }
 
-# Taken when the trace pathway moved to two row passes of the gate list.
+# Taken when the trace pathway moved to one stream of column blocks of rho'.
 PINNED_SHA256 = {
-    "simulate-n1-x": "a0139fe32bd646f36e12baf78c2e11008acfe48615f2be5447770a8c77522bf0",
-    "simulate-n1-y@1": "6f8cbf3385b1440c3a1679518dd7c558050be423506f3a026989fc94d336ee10",
-    "simulate-n1-z": "f67212adb3346951ee6e72b2bcad8f902ca8ddb4e181b2f0ea438c355f1a8726",
-    "simulate-n2-x": "ec4de6a404af220fd51eaaacfe7c06e8083126cf9c5157d360705b1c877696c7",
-    "simulate-n2-y@1": "1fd822cf2259b106b19daedeffa59e4eedde0e9bf33db642f62716fad45be438",
-    "simulate-n2-z": "90655f543a8632a2f490452da05a66631e54691df1e380060e61b16aa4cb63f1",
-    "simulate-n3-x": "0baf0ff3e07a11b5db21bc0fcc4c284473fa4ab211c2b2645b3033887e856a04",
-    "simulate-n3-y@1": "22ce3c16a37394e9c45f631086eeedbdf66a165900f1201f0a25be100d023da6",
-    "simulate-n3-z": "bd7fd4a010fecdd90f924a7fb48ea632b43490c686ebb6fa4f369f8776b6ec1a",
-    "simulate-n5-x": "4e0093e03bd9507e2d8cca09081534aa647a1066f76414a1c9f0e81782c75c4d",
-    "simulate-n5-y@1": "48a8a7b9560836cb347bd38071e1b25feab0ca0613f06bb97968d1014447ea0a",
-    "simulate-n5-z": "5874d60bca190af5dd3b3df373a05418c65921bd839a9a2b974c8aab3b4a4b8c",
-    "sweep-n2": "7ec4955df2a306031b3b1f71cf0f8e186fea5812f3f6cd4b7429219d73d8ef57",
-    "sweep-n4": "185a1c95cf3018adca4d48f3a682cc8752ba4b50057603ba768dfe0f727dc8ff",
-    # Taken while every gate pass still ran on the whole operand, before
-    # passes ran over column blocks.
-    "simulate-n10-x": "f34226bfacba1432ee0f4759adec8b111c164a8e5c02d45f55ef3af4cc4a2ee2",
-    "sweep-n9": "3018efbe465bc5bd098b8f0afc14f10fe6613b2096d7ee39ab15aceb6e257300",
-    # Taken while the exact report still checked rho' as a density matrix.
-    "simulate-n4-cold-x": "1cab35c8fee4439e233bdb97baea7428d87e127a46fc080bf1b25685374969de",
+    "simulate-n1-x": "641cdec0e806d5ad6c0266f384479cb72f32a0167c7021ade987eceedc55611c",
+    "simulate-n1-y@1": "4ca18b70e0ba7bc14458a2a6ac4ad152760fb425bc7a4ef54ed9a3ec81e0863b",
+    "simulate-n1-z": "f91e50983b43eb8990cb963f953de1a8e4f0a6bfafdf3fb893041c398fe92484",
+    "simulate-n2-x": "9fda5f556a7ac5c45dfa39d751890719049b559e008e51a822774e1f01f81c6c",
+    "simulate-n2-y@1": "ed4c0804d939d795d0a2235a29095f85a459804447d5d075fd3d31d9da106d6b",
+    "simulate-n2-z": "38f8453a4540b903f47339b41b9f6327c1d5b037fe2db41a6958230e900eb4cf",
+    "simulate-n3-x": "eeec82b0f83d6f263ff33bc8c5651a0dd8c97a4bb6f948885165f34be1984451",
+    "simulate-n3-y@1": "277257c8f43c79b6442b804666523ff51a38eea8336858a1b9e6026d6098f538",
+    "simulate-n3-z": "bd3fea4df836f6c7f74513447d8b5f82b93f7f0f819efedd0fbb10df2a06d5b3",
+    "simulate-n5-x": "1931cb36cf94c6ec9538928f766a56715140fa7f51616a91376d57b23da96932",
+    "simulate-n5-y@1": "f59b05894146437714718666be2bc90a31792664c68a88f19a8f2ada292e0b7b",
+    "simulate-n5-z": "fa5af291d923fe3db6cfd55b1dab20154e3bb99f050e8372ff454d7a03e855d2",
+    "sweep-n2": "c745599965d02bcf40ac997fd603c73612079152563f630274dca4500e40a6f3",
+    "sweep-n4": "a5c191f95901fd7c39c9a67ae893e17dba9dec9d067cbdab0c0fe0d2700740cd",
+    "simulate-n10-x": "e2c501ab198ed13e0eb121af1cf55ff8d517dd70591df7b93dd0103c80ded9c8",
+    "sweep-n9": "a948fdc6562677da77a00467c5791981f14cf136a5dd9c32ecfaaf0c3355b383",
+    "simulate-n4-cold-x": "d80d9b813055eff82e01d63cdcdb675f012b5b2322d0773725ba271ec918fb45",
 }
 
 RUNNER = """\

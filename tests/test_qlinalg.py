@@ -117,6 +117,23 @@ class TestBipartitionSpec:
         with pytest.raises(ValidationError):
             BipartitionSpec.parse(text, n)
 
+    @pytest.mark.parametrize(
+        "n,message",
+        [
+            (2, "bipartition covers 5001 spins, expected 2"),
+            (5001, "bipartition sides must be disjoint and cover 1..5001"),
+        ],
+    )
+    def test_long_cut_is_rejected_in_a_short_message(self, n, message):
+        """A cut of 5001 spins is counted before a spec is built, and no
+        rejection echoes the text or the sides."""
+        with pytest.raises(ValidationError) as err:
+            BipartitionSpec.parse("1|" + "2" * 5000, n)
+        assert str(err.value) == message and len(message) < 400
+        with pytest.raises(ValidationError) as err:
+            BipartitionSpec.parse("1|2|" + "2" * 5000, 2)
+        assert str(err.value) == "bipartition must contain exactly one '|', got 2"
+
 
 class TestReaders:
     """The one reader for each kind of number the package reads from text."""
@@ -147,6 +164,12 @@ class TestReaders:
             ("-inf", "temperature must be finite, got '-inf'"),
             ("1e999", "temperature must be finite, got '1e999'"),
             ("warm", "temperature must be a number, got 'warm'"),
+            # float() takes these, but a real is read as integers are: ASCII, no '_'
+            ("1_0", "temperature must be a number, got '1_0'"),
+            ("1e1_0", "temperature must be a number, got '1e1_0'"),
+            ("\u0661\u0660", "temperature must be a number, got '\u0661\u0660'"),
+            ("\uff11.5", "temperature must be a number, got '\uff11.5'"),
+            ("\u20031.5", "temperature must be a number, got '\\u20031.5'"),
         ],
     )
     def test_real_rejects_non_finite_and_non_numbers(self, text, message):
