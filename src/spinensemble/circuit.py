@@ -32,10 +32,11 @@ builds the daggered plan, of U^dagger: the steps in reverse order, each
 2x2 replaced by its conjugate transpose and each 4x4 signed permutation
 by its transpose.  The sum pathway's blocks of evolved eigenstates,
 compose_propagator and the trace pathway run the plan; the trace pathway
-runs the daggered plan first.  Gates act on row axes only, so a pass runs
-in place over blocks of columns: each block's gates write alternately to
-it and to one spare block, and a pass holds its operand and two blocks of
-at most max(1, K/1024) MiB however many gates it runs.
+runs the daggered plan and a row scaling by p (_scale_rows) before it.
+Gates act on row axes only, so every plan runs on the identity one block
+of columns at a time (_column_blocks), holding a result block and one
+spare while a block is built and one block while it is read: blocks of
+at most max(1, K/1024) MiB, however many gates run.
 """
 
 from __future__ import annotations
@@ -139,8 +140,8 @@ class Circuit:
 
     @functools.cached_property
     def _plans(self) -> tuple[tuple, tuple]:
-        """The gates compiled for _apply_gates, built and checked on first
-        use: the plan of U and the daggered plan of U^dagger."""
+        """The gates compiled into steps for _run_plan, built and checked on
+        first use: the plan of U and the daggered plan of U^dagger."""
         return _compile(self.gates)
 
 
@@ -337,63 +338,65 @@ def _permute_pair(
 
 
 def _block_width(dim: int) -> int:
-    """Columns per block of a K x K pass: max(64, 2**16 // K) columns,
+    """Columns per block of _column_blocks: max(64, 2**16 // K) columns,
     1 MiB of complex entries while K <= 1024, and all K when K <= 256."""
     return min(dim, max(64, 2**16 // dim))
 
 
-def _run_plan(block: np.ndarray, spare: np.ndarray, plan) -> tuple[np.ndarray, np.ndarray]:
+def _run_plan(block: np.ndarray, spare: np.ndarray, plan) -> np.ndarray:
     """Run a plan on the rows of block, a C-contiguous complex (K, w)
-    array, its gates writing alternately to spare, an array of the same
-    shape, and to block.  Returns (result, other): whichever of the two
-    holds the result, then the other, free for the next pass."""
+    array, its steps writing alternately to spare, an array of the same
+    shape, and to block.  Returns whichever of the two holds the result."""
     for kernel, arguments in plan:
         kernel(block, spare, *arguments)
         block, spare = spare, block
-    return block, spare
+    return block
 
 
-def _apply_gates(state: np.ndarray, plan) -> np.ndarray:
-    """Run a circuit's plan, gate by gate, on the row axes of a K x c
-    operand, c a power of two: a K x K operator or a block of its columns.
+def _scale_rows(state: np.ndarray, out: np.ndarray, scale: np.ndarray) -> None:
+    """Row i of state times scale[i], a real, written to ``out``: diag(scale)
+    applied as one step of a plan."""
+    np.multiply(state, scale[:, None], out=out)
 
-    Gates act on row axes only, so columns never mix, and the plan runs
-    on one block of at most _block_width(K) columns at a time: the block
-    is copied into a contiguous (K, w) buffer, the gates write alternately
-    to it and to one spare of the same size, and the result is copied
-    back.  When w = c the operand is its own one block and nothing is
-    copied.  The operand is overwritten when it is already a C-contiguous
-    complex array, and the pass allocates two blocks beside it (one spare
-    when w = c), so no second operand is alive however many gates run.
-    Returns the operand, or for one block whichever of it and its spare
-    holds the result.
-    """
-    state = np.ascontiguousarray(state, dtype=complex)
-    dim, columns = state.shape
-    width = min(columns, _block_width(dim))
-    blocked = width < columns
-    block = np.empty((dim, width), dtype=complex) if blocked else state
-    spare = np.empty((dim, width), dtype=complex)
-    for start in range(0, columns, width):
-        if blocked:
-            np.copyto(block, state[:, start : start + width])
-        block, spare = _run_plan(block, spare, plan)
-        if blocked:
-            np.copyto(state[:, start : start + width], block)
-    return state if blocked else block
+
+def _column_blocks(dim: int, plan):
+    """Each column block of the product a plan applies to the K x K
+    identity, with its first index: columns start .. start + w - 1, w =
+    _block_width(K).  Each block is built where the one before it was
+    read, its steps writing alternately to that buffer and to a fresh
+    spare, and only the one holding the result is kept: a reader reads a
+    block, or copies it, before drawing the next."""
+    width = _block_width(dim)
+    block = np.empty((dim, width), dtype=complex)
+    for start in range(0, dim, width):
+        block.fill(0.0)
+        np.fill_diagonal(block[start : start + width], 1.0)
+        block = _run_plan(block, np.empty_like(block), plan)
+        yield start, block
+
+
+def _assembled(blocks, whole: np.ndarray):
+    """Each (start, block) of blocks, after copying block into whole's
+    columns, so whole holds every block once blocks is spent."""
+    for start, block in blocks:
+        whole[:, start : start + block.shape[1]] = block
+        yield start, block
 
 
 def compose_propagator(circuit: Circuit) -> np.ndarray:
     """Product of the gate unitaries, first listed gate applied first.
 
-    The circuit's plan runs on the rows of the identity.  Returns the
-    identity for an empty circuit.  Each gate matrix is checked unitary
-    when the plan is compiled, before any is applied, so the product is
-    unitary up to rounding and is not checked again.  No command composes
-    it: the sum pathway runs the same plan on blocks of identity columns
-    (engine._eigenstate_blocks), which give these columns bit for bit.
+    The circuit's plan runs on the identity one column block at a time,
+    each copied into the K x K result; an empty circuit gives the
+    identity.  Each gate matrix is checked unitary when the plan is
+    compiled, so the product is unitary up to rounding and is not checked
+    again.  No command composes it: the sum pathway reads the same blocks
+    one at a time (engine._eigenstate_blocks).
     """
-    return _apply_gates(np.eye(circuit.dim, dtype=complex), circuit._plans[0])
+    u = np.empty((circuit.dim, circuit.dim), dtype=complex)
+    for _ in _assembled(_column_blocks(circuit.dim, circuit._plans[0]), u):
+        pass
+    return u
 
 
 def random_circuit(n_spins: int, rng: np.random.Generator, min_depth: int = 1, max_depth: int = 20) -> Circuit:

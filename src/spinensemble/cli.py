@@ -38,9 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitParseError, format_circuit, parse_circuit, random_circuit
+from .circuit import CircuitParseError, _assembled, format_circuit, parse_circuit, random_circuit
 from .engine import (
-    _assembled,
     _eigenstate_blocks,
     _evolved_blocks,
     _pathway_results,
@@ -305,7 +304,6 @@ def _with_schmidt_rows(blocks, part, per_state: list):
                 }
             )
         yield start, block
-        del block  # else held while blocks builds the next block
 
 
 def run_sweep(config: RunConfig, n_circuits: int, output_path: str | None = None) -> dict:

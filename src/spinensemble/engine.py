@@ -5,26 +5,27 @@ in eigenstate k: evolve each computational eigenstate separately under
 the propagator, take its expectation value of the observable, and form
 the population-weighted sum over initial states.  Pathway B ("trace")
 evolves the equilibrium density matrix P = diag(p) one block of columns
-at a time, as rho' E_J = U P U^dagger E_J: the circuit's daggered plan
-runs on the identity block E_J, the rows are scaled by p, and the plan
-runs on the result.  It reads M * tr(rho' * obs) off each block as it
-goes.  Neither pathway composes the propagator: the two share only the
-gate list, compiled once per circuit into the plans both run, so a defect
-in how either evolves its operand, or in the daggered plan, shows up as a
-disagreement instead of cancelling out.  Their agreement is the package's
-central consistency check, so a result where they disagree hands both
-numbers back instead of hiding one.
+at a time, as rho' E_J = U P U^dagger E_J: on the identity block E_J run
+the circuit's daggered plan, a scaling of the rows by p, and the plan.
+It reads M * tr(rho' * obs) off each block as it goes.  Neither pathway
+composes the propagator: the two share only the gate list, compiled once
+per circuit into the plans both run, so a defect in how either evolves
+its operand, or in the daggered plan, shows up as a disagreement instead
+of cancelling out.  Their agreement is the package's central
+consistency check, so a result where they disagree hands both numbers
+back instead of hiding one.
 
 The two run as separate halves whose outputs one combiner pairs.  The
 trace half reads each block of rho' once, for every observable, and for
 the distance to I/K and the purity the separability report needs, then
-drops it; two block-sized buffers serve every block.  The sum half runs
-the plan on one block of identity columns at a time, so each block of
-eigenstates U|k> is evolved on its own, as each molecule is, and reads
-per-state values and weighted sums off it.  Every gate pass runs in place
-over column blocks (circuit._run_plan), so neither half holds a K x K
-array: only the exact separability report, outside the separable ball,
-has the blocks of rho' copied into one (_assembled).
+drops it.  The sum half runs the plan on one block of identity columns at
+a time, so each block of eigenstates U|k> is evolved on its own, as each
+molecule is, and reads per-state values and weighted sums off it.  Both
+halves draw their blocks from one stream, circuit._column_blocks, which
+holds a result block and one spare while a block is built and one block
+while it is read, so neither half holds a K x K array: only the exact
+separability report, outside the separable ball, has the blocks of rho'
+copied into one (circuit._assembled).
 
 An observable is a PauliSum (spin_system), such as the collective
 magnetisation, and the engine accepts nothing else.  It is read term by
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, _apply_gates, _block_width, _run_plan
+from .circuit import Circuit, _column_blocks, _scale_rows
 from .entanglement import _distance_sums
 from .qlinalg import ValidationError
 from .spin_system import _PAULI_BY_AXIS, PauliSum, ThermalEnsemble
@@ -147,35 +148,11 @@ def _weighted_sum(populations: np.ndarray, per_state: np.ndarray) -> float:
 
 def _evolved_blocks(circuit: Circuit, ensemble: ThermalEnsemble):
     """Each column block of rho' = U P U^dagger, P = diag(p), with its
-    first index: columns start .. start + w - 1, w = _block_width(K).
-
-    For columns J, rho' E_J = U P U^dagger E_J: the daggered plan runs on
-    the identity block E_J, the rows are scaled by p, and the plan runs on
-    the result.  Two (K, w) buffers serve every block, so a block is
-    overwritten when the next is drawn: a reader reads it, or copies it,
-    before asking for more.  While K <= 256 the one block is all of rho'.
-    """
+    first index, from circuit._column_blocks: rho' E_J = U P U^dagger E_J
+    is the daggered plan, a row scaling by p and the plan on E_J."""
     plan, dagger = circuit._plans
-    dim = circuit.dim
-    width = _block_width(dim)
-    populations = ensemble.probabilities[:, None]
-    block = np.empty((dim, width), dtype=complex)
-    spare = np.empty_like(block)
-    for start in range(0, dim, width):
-        block.fill(0.0)
-        np.fill_diagonal(block[start : start + width], 1.0)
-        block, spare = _run_plan(block, spare, dagger)
-        block *= populations
-        block, spare = _run_plan(block, spare, plan)
-        yield start, block
-
-
-def _assembled(blocks, rho: np.ndarray):
-    """Each (start, block) of blocks, after copying block into rho's
-    columns, so rho holds every block once blocks is spent."""
-    for start, block in blocks:
-        rho[:, start : start + block.shape[1]] = block
-        yield start, block
+    scaling = (_scale_rows, (ensemble.probabilities,))
+    return _column_blocks(circuit.dim, dagger + (scaling,) + plan)
 
 
 def _reduced_blocks(block: np.ndarray, start: int, shifts: np.ndarray) -> np.ndarray:
@@ -252,15 +229,9 @@ def _trace_side(
 
 
 def _eigenstate_blocks(circuit: Circuit):
-    """Each block of evolved eigenstates with its first index: the columns
-    U|k>, k = start .. start + w - 1, from the circuit's plan run on w =
-    _block_width(K) columns of the identity.  Each block's pass allocates
-    the identity block and one spare; while K <= 256 the one block is all
-    of U."""
-    dim = circuit.dim
-    width = _block_width(dim)
-    for start in range(0, dim, width):
-        yield start, _apply_gates(np.eye(dim, width, -start, dtype=complex), circuit._plans[0])
+    """Each block of evolved eigenstates with its first index, from
+    circuit._column_blocks: the columns U|k>, k = start .. start + w - 1."""
+    return _column_blocks(circuit.dim, circuit._plans[0])
 
 
 def _sum_side(blocks, ensemble: ThermalEnsemble, observables) -> list[tuple[np.ndarray, float]]:
@@ -276,7 +247,6 @@ def _sum_side(blocks, ensemble: ThermalEnsemble, observables) -> list[tuple[np.n
         pairs = {}
         for per_state, obs in zip(per_states, observables):
             per_state[start : start + block.shape[1]] = _per_state_values(block, obs, pairs)
-        del block, pairs  # else held while blocks builds the next block
     return [(per_state, _weighted_sum(ensemble.populations, per_state)) for per_state in per_states]
 
 

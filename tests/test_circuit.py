@@ -17,8 +17,8 @@ from spinensemble.circuit import (
     CircuitParseError,
     Gate,
     _apply_gate,
-    _apply_gates,
     _gate_matrix,
+    _run_plan,
     compose_propagator,
     format_circuit,
     parse_circuit,
@@ -396,8 +396,9 @@ class TestLocalGateApplication:
                 np.testing.assert_array_equal(got.reshape(-1), expected.reshape(-1))
 
     def test_compiled_plan_matches_gate_by_gate(self, monkeypatch):
-        """A circuit's plan runs each gate as _apply_gate does, bit for bit,
-        and reads no gate matrix's nonzero pattern while it runs."""
+        """A circuit's plan, run on the whole operand, applies each gate as
+        _apply_gate does, bit for bit, and reads no gate matrix's nonzero
+        pattern while it runs."""
         rng = np.random.default_rng(83)
         cases = []
         for n_spins in range(1, 7):
@@ -413,7 +414,8 @@ class TestLocalGateApplication:
         for name in ("nonzero", "flatnonzero", "sort", "argsort"):
             monkeypatch.setattr(np, name, refuse)
         for plan, state, expected in cases:
-            np.testing.assert_array_equal(_apply_gates(state, plan), expected)
+            result = _run_plan(state, np.empty_like(state), plan)
+            np.testing.assert_array_equal(result, expected)
 
     def test_rejects_a_two_spin_matrix_that_is_not_a_signed_permutation(self):
         state = np.eye(4, dtype=complex)
@@ -464,11 +466,10 @@ class TestDaggeredPlan:
 
     @pytest.mark.parametrize("n_spins", range(1, 11))
     def test_daggered_plan_is_the_inverse(self, n_spins):
-        """On the identity it gives U^dagger, bit for bit the inverses run
-        gate by gate on the whole operand (from N = 9 over several column
-        blocks), within 1e-15 of conj(U).T; on U it gives I.  From N = 5
-        every gate kind takes part, and RX, RY, RZ, S and T differ from
-        their inverses."""
+        """Run on the whole identity it gives U^dagger, bit for bit the
+        inverses applied gate by gate, within 1e-15 of conj(U).T; on U it
+        gives I.  From N = 5 every gate kind takes part, and RX, RY, RZ, S
+        and T differ from their inverses."""
         rng = np.random.default_rng(100 + n_spins)
         if n_spins >= 5:
             circuit = every_kind_circuit(n_spins, rng, 7)
@@ -477,20 +478,20 @@ class TestDaggeredPlan:
         dagger = circuit._plans[1]
         identity = np.eye(circuit.dim, dtype=complex)
         expected = dagger_row_passes(circuit, identity)
-        u_dagger = _apply_gates(identity.copy(), dagger)  # a pass overwrites its operand
+        u_dagger = _run_plan(identity.copy(), np.empty_like(identity), dagger)
         assert u_dagger.tobytes() == expected.tobytes()
         u = compose_propagator(circuit)
         assert np.max(np.abs(u_dagger - u.conj().T)) <= 1e-15
-        assert np.max(np.abs(_apply_gates(u, dagger) - identity)) <= 1e-14
+        assert np.max(np.abs(_run_plan(u, np.empty_like(u), dagger) - identity)) <= 1e-14
 
     def test_empty_circuit_has_empty_plans(self):
         assert Circuit(3)._plans == ((), ())
 
 
 class TestColumnBlocks:
-    """A pass runs the plan over blocks of columns, in place.  From N = 9
-    there are several blocks, and the result must still equal the whole
-    operand's, gate by gate, bit for bit (signed zeros included)."""
+    """A plan runs on the identity one block of columns at a time.  From
+    N = 9 there are several blocks, and the result must still equal the
+    whole operand's, gate by gate, bit for bit (signed zeros included)."""
 
     @pytest.mark.parametrize("n_spins", [9, 10])
     @pytest.mark.parametrize("extra", [0, 7, 8])  # 14, 21 and 22 gates
@@ -505,27 +506,23 @@ class TestColumnBlocks:
         identity = np.eye(2**10, dtype=complex)
         assert compose_propagator(Circuit(10)).tobytes() == identity.tobytes()
 
-    def test_pass_runs_in_place_beside_two_blocks(self):
-        """Beside its operand, a pass allocates two blocks and no more
-        whatever its gates, where a K x K spare would be sixteen."""
+    def test_compose_holds_its_result_beside_two_blocks(self):
+        """Beside the K x K result, composing allocates one block and its
+        spare and no more whatever its gates, where a K x K spare would be
+        sixteen blocks."""
         n_spins = 10
         dim = 2**n_spins
         circuit = every_kind_circuit(n_spins, np.random.default_rng(96), 7)
-        plan = circuit._plans[0]
-        rng = np.random.default_rng(97)
-        state = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        expected = row_passes(circuit, state)
+        circuit._plans  # compiled outside the measurement
         tracemalloc.start()
         try:
-            result = _apply_gates(state, plan)
+            u = compose_propagator(circuit)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert result is state
-        assert result.tobytes() == expected.tobytes()
+        assert u.tobytes() == row_passes(circuit, np.eye(dim, dtype=complex)).tobytes()
         block = 16 * dim * circuit_module._block_width(dim)
-        assert peak <= 2 * block + 16384  # two blocks, and small views
-
+        assert peak <= 16 * dim * dim + 2 * block + 16384  # and small views
 
     @pytest.mark.parametrize("shape", [(1024, 64), (256, 256)])
     def test_negation_is_exact_and_allocates_nothing(self, shape):

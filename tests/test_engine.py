@@ -24,7 +24,9 @@ from helpers import (
 )
 from spinensemble.circuit import (
     Circuit,
+    _assembled,
     _block_width,
+    _scale_rows,
     compose_propagator,
     parse_circuit,
     random_circuit,
@@ -84,7 +86,7 @@ def evolved_density_matrix(circuit, ensemble):
     """rho' assembled from the block stream, as simulate assembles it for
     the exact report outside the separable ball."""
     rho = np.empty((circuit.dim, circuit.dim), dtype=complex)
-    for _ in engine._assembled(engine._evolved_blocks(circuit, ensemble), rho):
+    for _ in _assembled(engine._evolved_blocks(circuit, ensemble), rho):
         pass
     return rho
 
@@ -110,7 +112,7 @@ class TestEvolveEigenstate:
 
     @staticmethod
     def columns(circuit):
-        return np.hstack([block for _, block in engine._eigenstate_blocks(circuit)])
+        return np.hstack([block.copy() for _, block in engine._eigenstate_blocks(circuit)])
 
     def test_identity_returns_basis_vector(self):
         np.testing.assert_array_equal(self.columns(Circuit(2))[:, 2], [0, 0, 1, 0])
@@ -124,15 +126,26 @@ class TestEvolveEigenstate:
         norms = np.linalg.norm(self.columns(circuit), axis=0)
         assert np.all(np.abs(norms - 1.0) < 1e-12)
 
-    def test_returns_independent_copy(self):
-        """Each block is an array of its own, so blocks kept together still
-        hold their own columns: U's, bit for bit."""
+    @pytest.mark.parametrize("stream", ["eigenstates", "evolved"])
+    def test_each_draw_overwrites_the_block_before_it(self, stream):
+        """Both streams build each block where the last one was read, so a
+        held block is overwritten by the next draw, and a reader that keeps
+        blocks copies them: copies taken before each draw are U, or the
+        assembled rho', bit for bit, over sixteen blocks at N = 10."""
         circuit = random_circuit(10, np.random.default_rng(42), 20, 20)
-        blocks = [block for _, block in engine._eigenstate_blocks(circuit)]
-        assert len(blocks) == 2**10 // _block_width(2**10)
-        for i, block in enumerate(blocks):
-            assert not any(np.shares_memory(block, other) for other in blocks[i + 1 :])
-        assert np.hstack(blocks).tobytes() == compose_propagator(circuit).tobytes()
+        ens = zeeman_ensemble(10, temperature=1.0)
+        if stream == "eigenstates":
+            blocks, whole = engine._eigenstate_blocks(circuit), compose_propagator(circuit)
+        else:
+            blocks, whole = engine._evolved_blocks(circuit, ens), evolved_density_matrix(circuit, ens)
+        copies, held = [], None
+        for _, block in blocks:
+            if held is not None:
+                assert held.tobytes() != copies[-1].tobytes()
+            copies.append(block.copy())
+            held = block
+        assert len(copies) == 2**10 // _block_width(2**10)
+        assert np.hstack(copies).tobytes() == whole.tobytes()
 
 
 class TestPerStateExpectations:
@@ -529,7 +542,7 @@ class TestRowPassDensityMatrix:
             blocks = engine._evolved_blocks(circuit, ens)
             if assemble:
                 rho = np.empty((circuit.dim, circuit.dim), dtype=complex)
-                blocks = engine._assembled(blocks, rho)
+                blocks = _assembled(blocks, rho)
             engine._trace_side(blocks, ens, observables)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -538,19 +551,20 @@ class TestRowPassDensityMatrix:
 
     def test_holds_two_operands_at_a_time(self):
         """At N = 8 one column block is the whole operand, so the stream
-        holds its two buffers, two K x K arrays, and not one per gate."""
-        assert self.trace_side_peak(8, assemble=False) < 2.5
+        holds two K x K arrays while it builds rho' and not one per gate,
+        and rho' alone while the trace side reads it."""
+        assert self.trace_side_peak(8, assemble=False) < 2.16
 
     def test_holds_one_operand_beside_two_blocks(self):
         """Outside the separable ball, at N = 10, the stream holds the
-        assembled rho', one K x K array, beside its two 1 MiB buffers (an
-        eighth of one): no more than the two row passes held."""
+        assembled rho', one K x K array, beside a 1 MiB block and its spare
+        (an eighth of one): no more than the two row passes held."""
         assert self.trace_side_peak(10, assemble=True) < 1.15
 
     def test_certified_trace_side_holds_no_operand(self):
         """Inside the ball nothing assembles rho': at N = 10 the trace side
-        holds its two 1 MiB buffers, an eighth of a K x K array, and no
-        K x K array at all."""
+        holds a 1 MiB block and its spare, an eighth of a K x K array, and
+        no K x K array at all."""
         assert self.trace_side_peak(10, assemble=False) < 0.25
 
     def test_empty_circuit_leaves_rho_alone(self):
@@ -569,6 +583,18 @@ class TestRowPassDensityMatrix:
         rho = evolved_density_matrix(Circuit(10), ens)
         assert rho.tobytes() == equilibrium_density_matrix(ens).tobytes()
         assert not np.signbit(rho.imag).any()
+
+    def test_scaling_step_rounds_like_an_in_place_product(self):
+        """The plan's row scaling by p writes the bits of block *= p[:, None],
+        signed zeros included."""
+        rng = np.random.default_rng(57)
+        parts = rng.choice([0.0, -0.0, 1.5, -2.25, 0.3], size=(64, 32, 2))
+        block = np.ascontiguousarray(parts).view(complex).reshape(64, 32)
+        scale = rng.choice([0.0, 1e-300, 0.125, 0.7], size=64)
+        out = np.empty_like(block)
+        _scale_rows(block, out, scale)
+        block *= scale[:, None]
+        assert out.tobytes() == block.tobytes()
 
     def test_reduced_blocks_are_read_once_for_every_observable(self, monkeypatch):
         """Each block's reduced 2x2 blocks are gathered once, for all
