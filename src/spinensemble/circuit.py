@@ -375,14 +375,6 @@ def _column_blocks(dim: int, plan):
         yield start, block
 
 
-def _assembled(blocks, whole: np.ndarray):
-    """Each (start, block) of blocks, after copying block into whole's
-    columns, so whole holds every block once blocks is spent."""
-    for start, block in blocks:
-        whole[:, start : start + block.shape[1]] = block
-        yield start, block
-
-
 def compose_propagator(circuit: Circuit) -> np.ndarray:
     """Product of the gate unitaries, first listed gate applied first.
 
@@ -394,8 +386,8 @@ def compose_propagator(circuit: Circuit) -> np.ndarray:
     one at a time (engine._eigenstate_blocks).
     """
     u = np.empty((circuit.dim, circuit.dim), dtype=complex)
-    for _ in _assembled(_column_blocks(circuit.dim, circuit._plans[0]), u):
-        pass
+    for start, block in _column_blocks(circuit.dim, circuit._plans[0]):
+        u[:, start : start + block.shape[1]] = block
     return u
 
 

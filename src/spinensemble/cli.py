@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitParseError, _assembled, format_circuit, parse_circuit, random_circuit
+from .circuit import CircuitParseError, format_circuit, parse_circuit, random_circuit
 from .engine import (
     _eigenstate_blocks,
     _evolved_blocks,
@@ -49,7 +49,7 @@ from .engine import (
     _within_tolerance,
     compare_pathways,
 )
-from .entanglement import _evolved_report, _in_separable_ball, _initial_report, _schmidt_table
+from .entanglement import _schmidt_table, _with_separability
 from .qlinalg import BipartitionSpec, ValidationError, _read_int, _read_real
 from .spin_system import (
     PauliSum,
@@ -235,14 +235,17 @@ def run_simulate(config: RunConfig, output_path: str | None = None) -> dict:
     ensemble = config._ensemble
     observable, part = config._observable, config._bipartition
 
-    trace_value, initial_rep, evolved_rep = _trace_side_and_reports(
-        circuit, ensemble, observable, part
+    separability = []
+    blocks = _with_separability(
+        _evolved_blocks(circuit, ensemble), ensemble.probabilities, part, separability
     )
+    traces = _trace_side(blocks, ensemble, [observable])
+    initial, evolved = map(dataclasses.asdict, separability)
     per_state = []
     blocks = _eigenstate_blocks(circuit)
     if part is not None:
         blocks = _with_schmidt_rows(blocks, part, per_state)
-    (result,) = _pathway_results(_sum_side(blocks, ensemble, [observable]), [trace_value])
+    (result,) = _pathway_results(_sum_side(blocks, ensemble, [observable]), traces)
     tolerance = _pathway_tolerance(ensemble)
     entanglement = None if part is None else {"bipartition": str(part), "per_state": per_state}
 
@@ -259,33 +262,11 @@ def run_simulate(config: RunConfig, output_path: str | None = None) -> dict:
             "within_tolerance": _within_tolerance(result.abs_difference, ensemble),
         },
         "entanglement": entanglement,
-        "separability": {
-            "initial": dataclasses.asdict(initial_rep),
-            "evolved": dataclasses.asdict(evolved_rep),
-        },
+        "separability": {"initial": initial, "evolved": evolved},
         "sweep": None,
     }
     _write_report(report, config, output_path)
     return report
-
-
-def _trace_side_and_reports(circuit, ensemble: ThermalEnsemble, observable, part):
-    """The trace side's value for observable, and the initial and evolved
-    separability reports, from one stream of rho''s column blocks.
-
-    The evolved state lies as far from I/K as diag(p), so whether it is
-    outside the separable ball is known before evolving.  Only then, and
-    only with a cut, are the blocks copied into a K x K rho' for the exact
-    report, and rho' is dropped when this returns, before the sum side.
-    """
-    initial = _initial_report(ensemble.probabilities, part)
-    blocks, rho = _evolved_blocks(circuit, ensemble), None
-    dim = ensemble.system.dim
-    if part is not None and not _in_separable_ball(initial.frobenius_to_mixed, dim):
-        rho = np.empty((dim, dim), dtype=complex)
-        blocks = _assembled(blocks, rho)
-    (trace_value,), distance, purity = _trace_side(blocks, ensemble, [observable])
-    return trace_value, initial, _evolved_report(part, distance, purity, rho)
 
 
 def _with_schmidt_rows(blocks, part, per_state: list):

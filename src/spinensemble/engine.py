@@ -16,16 +16,17 @@ consistency check, so a result where they disagree hands both numbers
 back instead of hiding one.
 
 The two run as separate halves whose outputs one combiner pairs.  The
-trace half reads each block of rho' once, for every observable, and for
-the distance to I/K and the purity the separability report needs, then
-drops it.  The sum half runs the plan on one block of identity columns at
-a time, so each block of eigenstates U|k> is evolved on its own, as each
-molecule is, and reads per-state values and weighted sums off it.  Both
-halves draw their blocks from one stream, circuit._column_blocks, which
-holds a result block and one spare while a block is built and one block
-while it is read, so neither half holds a K x K array: only the exact
-separability report, outside the separable ball, has the blocks of rho'
-copied into one (circuit._assembled).
+trace half reads each block of rho' once, for every observable, then
+drops it; it reads observables only.  The sum half runs the plan on one
+block of identity columns at a time, so each block of eigenstates U|k> is
+evolved on its own, as each molecule is, and reads per-state values and
+weighted sums off it.  Both halves draw their blocks from one stream,
+circuit._column_blocks, which holds a result block and one spare while a
+block is built and one block while it is read, so neither half holds a
+K x K array.  The separability reports are no part of either half:
+simulate passes rho''s blocks through entanglement._with_separability
+on their way to the trace half, as it passes the eigenstates through
+its Schmidt table on their way to the sum half.
 
 An observable is a PauliSum (spin_system), such as the collective
 magnetisation, and the engine accepts nothing else.  It is read term by
@@ -45,13 +46,11 @@ return a silently contaminated number.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import Circuit, _column_blocks, _scale_rows
-from .entanglement import _distance_sums
 from .qlinalg import ValidationError
 from .spin_system import _PAULI_BY_AXIS, PauliSum, ThermalEnsemble
 
@@ -199,33 +198,25 @@ def compare_pathways(
     """
     checked = [_checked(obs) for obs in observables]
     _require_dim(ensemble.system.dim, circuit, *checked)
-    traces = _trace_side(_evolved_blocks(circuit, ensemble), ensemble, checked)[0]
+    traces = _trace_side(_evolved_blocks(circuit, ensemble), ensemble, checked)
     return _pathway_results(_sum_side(_eigenstate_blocks(circuit), ensemble, checked), traces)
 
 
-def _trace_side(
-    blocks, ensemble: ThermalEnsemble, observables
-) -> tuple[list[float], float, float]:
+def _trace_side(blocks, ensemble: ThermalEnsemble, observables) -> list[float]:
     """The trace half of compare_pathways: each observable's M tr(rho'
-    obs), then rho''s Frobenius distance to I/K and its purity, read off
-    blocks, an iterable of (start, block) such as _evolved_blocks.
+    obs), read off blocks, an iterable of (start, block) such as
+    _evolved_blocks.
 
-    Each block is read and dropped: its share of every listed spin's
-    reduced 2x2 block, read once for all observables, then its share of
-    the distance and purity, which shifts its diagonal in place.
+    Each block is read once, for its share of every listed spin's reduced
+    2x2 block, which all observables share, and dropped.
     """
     spins = sorted({spin for obs in observables for spin in obs.spins})
     shifts = ensemble.system.n_spins - np.array(spins, dtype=int)
     reduced = np.zeros((len(spins), 2, 2), dtype=complex)
-    purity = square = 0.0
     for start, block in blocks:
         reduced += _reduced_blocks(block, start, shifts)
-        block_purity, block_square = _distance_sums(block, start)
-        purity += block_purity
-        square += block_square
     by_spin = dict(zip(spins, reduced))
-    traces = [_trace_value(by_spin, obs, ensemble.molecule_count) for obs in observables]
-    return traces, math.sqrt(square), purity
+    return [_trace_value(by_spin, obs, ensemble.molecule_count) for obs in observables]
 
 
 def _eigenstate_blocks(circuit: Circuit):

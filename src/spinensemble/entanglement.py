@@ -16,6 +16,12 @@ bipartition.  Unitary evolution keeps the spectrum, and with it that
 distance, so an evolved thermal state is certified from its populations
 alone, for every circuit, with no eigendecomposition.  Full N-party
 separability is not certified.
+
+One reader, _with_separability, makes both ensemble reports: it sits in
+the stream of the evolved state's column blocks, decides from p alone
+whether the state lies outside the ball, reads each block's purity and
+distance to I/K as it passes, and only outside the ball, with a cut,
+copies the blocks into the matrix the Peres test needs.
 """
 
 from __future__ import annotations
@@ -155,17 +161,22 @@ def _distance_sums(block: np.ndarray, start: int) -> tuple[float, float]:
 
     Added over a Hermitian rho's column blocks, the first is its purity
     tr(rho^2) and the second the square of its Frobenius distance to I/K.
-    The block's diagonal entries are shifted by -1/K in place, so the caller
-    must own it.  Each is one sum by numpy's own loops over the block's
-    float view: BLAS dot products split long sums across threads, so their
-    last bits depend on the thread count, and these give the same bits at
-    any count.
+    The block's w diagonal entries are shifted by -1/K in place for the
+    second sum and then written back, so the block is left bit for bit as
+    it was.  Each is one sum by numpy's own loops over the block's float
+    view: BLAS dot products split long sums across threads, so their last
+    bits depend on the thread count, and these give the same bits at any
+    count.
     """
     dim, width = block.shape
     parts = block.reshape(-1).view(np.float64)
     purity = float(np.einsum("i,i->", parts, parts))
-    block[start : start + width].flat[:: width + 1] -= 1.0 / dim
-    return purity, float(np.einsum("i,i->", parts, parts))
+    diagonal = block[start : start + width].reshape(-1)[:: width + 1]
+    held = diagonal.copy()
+    diagonal -= 1.0 / dim
+    square = float(np.einsum("i,i->", parts, parts))
+    diagonal[...] = held
+    return purity, square
 
 
 def _in_separable_ball(distance: float, dim: int) -> bool:
@@ -175,7 +186,7 @@ def _in_separable_ball(distance: float, dim: int) -> bool:
 def ppt_report(rho: np.ndarray, part: BipartitionSpec) -> SeparabilityReport:
     """Peres test across one bipartition, plus the mixedness diagnostics."""
     rho = density_matrix(rho)
-    purity, square = _distance_sums(rho.copy(), 0)
+    purity, square = _distance_sums(rho, 0)
     return _ppt_report(rho, part, math.sqrt(square), purity)
 
 
@@ -200,41 +211,53 @@ def _ppt_report(
     )
 
 
-def _initial_report(
-    probabilities: np.ndarray, part: BipartitionSpec | None
+def _separable_report(
+    part: BipartitionSpec | None, distance: float, purity: float, min_eig: float | None
 ) -> SeparabilityReport:
-    """The report on diag(p), read off p in O(K): diag(p) and its partial
-    transpose are diagonal in the product basis, so diag(p) is separable.
+    """The report on a state proven separable across every cut with no
+    eigendecomposition: PPT holds, the negativity is 0 and the smallest
+    partial-transpose eigenvalue is min_eig, or None when unknown.
     Without a cut the report carries the distances only."""
-    shifted = probabilities - 1.0 / probabilities.shape[0]
-    dist = math.sqrt(np.einsum("i,i->", shifted, shifted))
-    purity = float(np.einsum("i,i->", probabilities, probabilities))
-    if part is None:
-        return SeparabilityReport(None, None, None, None, None, dist, purity)
-    conclusive = part.n_spins == 2
-    return SeparabilityReport(
-        float(probabilities.min()), 0.0, True, conclusive, True, dist, purity
-    )
-
-
-def _evolved_report(
-    part: BipartitionSpec | None, distance: float, purity: float, rho: np.ndarray | None
-) -> SeparabilityReport:
-    """The report on rho = U diag(p) U^dagger, U unitary, given rho's
-    distance to I/K and purity, summed as rho was evolved.
-
-    rho has spectrum p, so it lies as far from I/K as diag(p) does, and
-    whether that is inside the separable ball is known before evolving.
-    Inside, rho is separable across every cut: PPT holds and the
-    negativity is 0 with no eigendecomposition, and the caller passes no
-    rho.  Outside, the caller assembles rho and the exact report runs on
-    it unchecked: an evolved diag(p) is Hermitian with spectrum p by
-    construction, so density_matrix's copy, Hermitian test and Cholesky
-    factorization would prove nothing.  Without a cut the report carries
-    the distances only.
-    """
     if part is None:
         return SeparabilityReport(None, None, None, None, None, distance, purity)
+    return SeparabilityReport(min_eig, 0.0, True, part.n_spins == 2, True, distance, purity)
+
+
+def _with_separability(
+    blocks, probabilities: np.ndarray, part: BipartitionSpec | None, reports: list
+):
+    """Each (start, block) of blocks, the column blocks of rho' = U diag(p)
+    U^dagger such as engine._evolved_blocks, after reading its share of
+    rho''s purity and distance to I/K; once blocks is spent, the reports on
+    diag(p) and on rho' are appended to reports.
+
+    diag(p) is diagonal, and so is its partial transpose, so its report is
+    read off p in O(K).  rho' has spectrum p, so it lies as far from I/K as
+    diag(p), and whether it is inside the separable ball is decided once,
+    before any block is read.  Inside, rho' is separable across every cut
+    with no eigendecomposition.  Outside, and only with a cut, each block is
+    also copied into a K x K rho' for the exact report, which runs on it
+    unchecked: an evolved diag(p) is Hermitian with spectrum p by
+    construction.  rho' is dropped when the stream is spent.
+    """
+    dim = probabilities.shape[0]
+    shifted = probabilities - 1.0 / dim
+    distance = math.sqrt(np.einsum("i,i->", shifted, shifted))
+    purity = float(np.einsum("i,i->", probabilities, probabilities))
+    initial = _separable_report(part, distance, purity, float(probabilities.min()))
+    rho = None
+    if part is not None and not _in_separable_ball(distance, dim):
+        rho = np.empty((dim, dim), dtype=complex)
+    purity = square = 0.0
+    for start, block in blocks:
+        block_purity, block_square = _distance_sums(block, start)
+        purity += block_purity
+        square += block_square
+        if rho is not None:
+            rho[:, start : start + block.shape[1]] = block
+        yield start, block
+    distance = math.sqrt(square)
     if rho is None:
-        return SeparabilityReport(None, 0.0, True, part.n_spins == 2, True, distance, purity)
-    return _ppt_report(rho, part, distance, purity)
+        reports += [initial, _separable_report(part, distance, purity, None)]
+    else:
+        reports += [initial, _ppt_report(rho, part, distance, purity)]

@@ -10,6 +10,7 @@ of to +-1 molecule.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +98,8 @@ class ThermalEnsemble:
             raise ValidationError(f"temperature must be positive, got {self.temperature}")
         if self.molecule_count <= 0:
             raise ValidationError(f"molecule_count must be positive, got {self.molecule_count}")
+        if self.molecule_count < sys.float_info.min:  # else p = C / M keeps only 5e-324 / M
+            raise ValidationError(f"molecule_count {self.molecule_count} is subnormal")
         pops = np.array(self.populations, dtype=float)
         object.__setattr__(self, "populations", pops)
         if pops.shape != (self.system.dim,):

@@ -12,6 +12,7 @@ import pytest
 from spinensemble import circuit as circuit_module
 from spinensemble import cli as cli_module
 from spinensemble import engine as engine_module
+from spinensemble import entanglement as entanglement_module
 from spinensemble.circuit import CircuitParseError, format_circuit, random_circuit
 from spinensemble.cli import (
     ERROR_CAP,
@@ -24,6 +25,7 @@ from spinensemble.cli import (
     run_sweep,
     summary_lines,
 )
+from spinensemble.engine import compare_pathways
 from spinensemble.qlinalg import ValidationError
 from spinensemble.spin_system import PauliSum
 
@@ -656,6 +658,23 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match="nonnegative"):
             run_sweep(self.make_config(tmp_path), -1)
 
+    def test_sweep_reads_no_separability(self, tmp_path, monkeypatch):
+        """Only simulate reports separability: neither compare_pathways nor
+        a sweep sums rho''s purity or distance, and the engine holds no
+        reference to the sums."""
+
+        def refuse(block, start):
+            raise AssertionError("separability sums read outside simulate")
+
+        monkeypatch.setattr(entanglement_module, "_distance_sums", refuse)
+        assert not hasattr(engine_module, "_distance_sums")
+        config = self.make_config(tmp_path)
+        circuit = random_circuit(2, np.random.default_rng(3), 20, 20)
+        observables = [PauliSum.collective(2, axis) for axis in "xyz"]
+        results = compare_pathways(circuit, config._ensemble, observables)
+        assert all(r.abs_difference <= 1e-10 * 1.0e6 for r in results)
+        assert run_sweep(config, 3)["sweep"]["within_tolerance"] is True
+
     def test_empty_sweep(self, tmp_path):
         report = run_sweep(self.make_config(tmp_path), 0)
         sweep = report["sweep"]
@@ -774,6 +793,18 @@ class TestMainExitCodes:
             argv = ["simulate", "--config", write_config(tmp_path), "--ball-radius", "-1"]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_subnormal_molecule_count_exits_1(self, tmp_path, capsys):
+        """At M = 5e-324 the populations are [5e-324, 0, 0, 0]: p would
+        describe a pure |00> and the report a distance of 0.866, where M = 1
+        gives 0.479.  The run is refused instead."""
+        text = BASE_CONFIG.replace("temperature = 3.0e5", "temperature = 1")
+        text = text.replace("molecule_count = 1.0e6", "molecule_count = 5e-324")
+        path = write_config(tmp_path, text)
+        assert main(["simulate", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: molecule_count 5e-324 is subnormal\n"
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("radius", ["nan", "inf", "0", "-1"])
     @pytest.mark.parametrize("source", ["flag", "config"])

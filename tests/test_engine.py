@@ -6,6 +6,7 @@ gate. They share only the gate list, not the propagator, so agreement is
 evidence, not tautology.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -24,7 +25,6 @@ from helpers import (
 )
 from spinensemble.circuit import (
     Circuit,
-    _assembled,
     _block_width,
     _scale_rows,
     compose_propagator,
@@ -40,7 +40,8 @@ from spinensemble.engine import (
     _per_state_values,
     _weighted_sum,
 )
-from spinensemble.qlinalg import ValidationError, hermitian
+from spinensemble.entanglement import _with_separability
+from spinensemble.qlinalg import BipartitionSpec, ValidationError, hermitian
 from spinensemble.spin_system import (
     PauliSum,
     SpinSystem,
@@ -79,15 +80,15 @@ def trace_pathway(circuit, ensemble, obs):
     """The trace pathway alone; rho''s blocks are read through the module,
     so a monkeypatched _evolved_blocks takes effect."""
     blocks = engine._evolved_blocks(circuit, ensemble)
-    return engine._trace_side(blocks, ensemble, [obs])[0][0]
+    return engine._trace_side(blocks, ensemble, [obs])[0]
 
 
 def evolved_density_matrix(circuit, ensemble):
-    """rho' assembled from the block stream, as simulate assembles it for
-    the exact report outside the separable ball."""
+    """rho' copied from the block stream, as simulate copies it for the
+    exact report outside the separable ball."""
     rho = np.empty((circuit.dim, circuit.dim), dtype=complex)
-    for _ in _assembled(engine._evolved_blocks(circuit, ensemble), rho):
-        pass
+    for start, block in engine._evolved_blocks(circuit, ensemble):
+        rho[:, start : start + block.shape[1]] = block
     return rho
 
 
@@ -531,19 +532,23 @@ class TestRowPassDensityMatrix:
     @staticmethod
     def trace_side_peak(n_spins, assemble):
         """tracemalloc's peak, in K x K complex arrays, over one trace side
-        on collective x, with rho' assembled or not."""
+        on collective x read through simulate's separability reader with a
+        half|half cut: at T = 0.3, outside the separable ball, the reader
+        copies rho', and at T = 3e5 it does not.  The reader's stream is cut
+        after its last block, so the exact report does not run."""
         operand = 16 * 4**n_spins
-        ens = zeeman_ensemble(n_spins)
+        ens = zeeman_ensemble(n_spins, temperature=0.3 if assemble else 3.0e5)
+        half = n_spins // 2
+        part = BipartitionSpec(tuple(range(1, half + 1)), tuple(range(half + 1, n_spins + 1)))
         circuit = random_circuit(n_spins, np.random.default_rng(52), min_depth=20, max_depth=20)
         circuit._plans  # compiled outside the measurement
         observables = [PauliSum.collective(n_spins, "x")]
+        count = circuit.dim // _block_width(circuit.dim)
         tracemalloc.start()
         try:
-            blocks = engine._evolved_blocks(circuit, ens)
-            if assemble:
-                rho = np.empty((circuit.dim, circuit.dim), dtype=complex)
-                blocks = _assembled(blocks, rho)
-            engine._trace_side(blocks, ens, observables)
+            stream = engine._evolved_blocks(circuit, ens)
+            reader = _with_separability(stream, ens.probabilities, part, [])
+            engine._trace_side(itertools.islice(reader, count), ens, observables)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -556,8 +561,8 @@ class TestRowPassDensityMatrix:
         assert self.trace_side_peak(8, assemble=False) < 2.16
 
     def test_holds_one_operand_beside_two_blocks(self):
-        """Outside the separable ball, at N = 10, the stream holds the
-        assembled rho', one K x K array, beside a 1 MiB block and its spare
+        """Outside the separable ball, at N = 10, the reader holds its copy
+        of rho', one K x K array, beside a 1 MiB block and its spare
         (an eighth of one): no more than the two row passes held."""
         assert self.trace_side_peak(10, assemble=True) < 1.15
 

@@ -13,19 +13,20 @@ from helpers import (
     schmidt_reference,
 )
 from spinensemble import entanglement as entanglement_module
-from spinensemble.cli import _trace_side_and_reports
 from spinensemble.circuit import Circuit, compose_propagator, parse_circuit, random_circuit
+from spinensemble.engine import _evolved_blocks
 from spinensemble.entanglement import (
     EntanglementReport,
     SeparabilityReport,
+    _distance_sums,
     _entropies,
     _schmidt_table,
+    _with_separability,
     entanglement_report,
     ppt_report,
 )
 from spinensemble.qlinalg import BipartitionSpec, ValidationError
 from spinensemble.spin_system import (
-    PauliSum,
     SpinSystem,
     ThermalEnsemble,
     equilibrium_density_matrix,
@@ -391,11 +392,33 @@ class TestPptReport:
                 ppt_report(entries.astype(complex), CUT_12)
 
     def test_input_is_left_as_it_was(self):
-        """The distance is taken on a private copy shifted by -I/K in place."""
+        """The distance is taken on ppt_report's own checked copy."""
         rho = random_density(np.random.default_rng(58), 4)
         before = rho.copy()
         ppt_report(rho, CUT_12)
         assert rho.tobytes() == before.tobytes()
+
+
+class TestDistanceSums:
+    """_distance_sums reads a block before the trace side does."""
+
+    def test_leaves_each_block_bit_for_bit(self):
+        """At N = 10, over sixteen (1024, 64) blocks whose diagonals hold
+        signed zeros, the shifted diagonal is written back exactly: undoing
+        the shift by adding 1/K back would turn -0.0 into +0.0 and round
+        other entries."""
+        rng = np.random.default_rng(59)
+        dim, width = 1024, 64
+        values = [0.0, -0.0, 1.0 / dim, -1e-17, 0.3, 1e-300]
+        for start in range(0, dim, width):
+            parts = rng.choice(values, size=(dim, width, 2)) * rng.uniform(0.5, 2.0)
+            block = np.ascontiguousarray(parts).view(complex).reshape(dim, width)
+            diagonal = block[start : start + width].reshape(-1)[:: width + 1]
+            signs = rng.choice([0.0, -0.0], size=(width, 2))
+            diagonal[:] = np.ascontiguousarray(signs).view(complex)[:, 0]
+            before = block.copy()
+            _distance_sums(block, start)
+            assert block.tobytes() == before.tobytes()
 
 
 class TestMixednessReport:
@@ -451,8 +474,11 @@ def simulate_reports(probabilities, circuit, part):
     molecule whose populations p are evolved by circuit."""
     system = SpinSystem.zeeman([1.0] * circuit.n_spins)
     ensemble = ThermalEnsemble(system, 1.0, 1.0, populations=probabilities)
-    observable = PauliSum.collective(circuit.n_spins, "z")
-    return _trace_side_and_reports(circuit, ensemble, observable, part)[1:]
+    reports = []
+    blocks = _evolved_blocks(circuit, ensemble)
+    for _ in _with_separability(blocks, ensemble.probabilities, part, reports):
+        pass
+    return reports
 
 
 def werner_spectrum(weight):

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -146,10 +147,27 @@ class TestThermalEnsemble:
             ThermalEnsemble(system, 1.0, 10.0, np.array([5.0, 6.0]))
 
     def test_population_sum_error_prints_plain_floats(self):
+        """numpy floats in, plain Python floats out: no np.float64(...)."""
         system = SpinSystem.zeeman([2.0, 1.0])
+        populations = np.array([0.5, 0.25, 0.125, 0.0])
         with pytest.raises(ValidationError) as caught:
-            ThermalEnsemble.boltzmann(system, 3.0e5, 5e-324)
-        assert str(caught.value) == "populations sum to 0.0, expected molecule_count 5e-324"
+            ThermalEnsemble(system, 3.0e5, np.float64(1.0), populations)
+        assert str(caught.value) == "populations sum to 0.875, expected molecule_count 1.0"
+
+    @pytest.mark.parametrize(
+        "molecule_count", [5e-324, 1e-310, np.nextafter(sys.float_info.min, 0.0)]
+    )
+    def test_rejects_subnormal_molecule_count(self, molecule_count):
+        """Populations are held to an absolute 5e-324, so below the smallest
+        normal float p = C / M would be only as good as 5e-324 / M."""
+        system = SpinSystem.zeeman([2.0, 1.0])
+        with pytest.raises(ValidationError, match="is subnormal"):
+            ThermalEnsemble.boltzmann(system, 1.0, molecule_count)
+
+    def test_accepts_the_smallest_normal_molecule_count(self):
+        system = SpinSystem.zeeman([2.0, 1.0])
+        ens = ThermalEnsemble.boltzmann(system, 1.0, sys.float_info.min)
+        assert ens.molecule_count == sys.float_info.min
 
     @pytest.mark.parametrize("temperature", [0.0, -1.0])
     def test_boltzmann_rejects_temperature_once_without_warning(self, temperature):
