@@ -208,13 +208,15 @@ def _trace_side(blocks, ensemble: ThermalEnsemble, observables) -> list[float]:
     _evolved_blocks.
 
     Each block is read once, for its share of every listed spin's reduced
-    2x2 block, which all observables share, and dropped.
+    2x2 block, which all observables share, and dropped before the next
+    draw, in which a reader of the stream may finish.
     """
     spins = sorted({spin for obs in observables for spin in obs.spins})
     shifts = ensemble.system.n_spins - np.array(spins, dtype=int)
     reduced = np.zeros((len(spins), 2, 2), dtype=complex)
     for start, block in blocks:
         reduced += _reduced_blocks(block, start, shifts)
+        del block
     by_spin = dict(zip(spins, reduced))
     return [_trace_value(by_spin, obs, ensemble.molecule_count) for obs in observables]
 

@@ -161,22 +161,17 @@ def _distance_sums(block: np.ndarray, start: int) -> tuple[float, float]:
 
     Added over a Hermitian rho's column blocks, the first is its purity
     tr(rho^2) and the second the square of its Frobenius distance to I/K.
-    The block's w diagonal entries are shifted by -1/K in place for the
-    second sum and then written back, so the block is left bit for bit as
-    it was.  Each is one sum by numpy's own loops over the block's float
-    view: BLAS dot products split long sums across threads, so their last
-    bits depend on the thread count, and these give the same bits at any
-    count.
+    The block's diagonal entries are shifted by -1/K in place, so it is
+    read last.  Each is one sum by numpy's own loops over the block's
+    float view: BLAS dot products split long sums across threads, so their
+    last bits depend on the thread count, and these give the same bits at
+    any count.
     """
     dim, width = block.shape
     parts = block.reshape(-1).view(np.float64)
     purity = float(np.einsum("i,i->", parts, parts))
-    diagonal = block[start : start + width].reshape(-1)[:: width + 1]
-    held = diagonal.copy()
-    diagonal -= 1.0 / dim
-    square = float(np.einsum("i,i->", parts, parts))
-    diagonal[...] = held
-    return purity, square
+    block[start : start + width].flat[:: width + 1] -= 1.0 / dim
+    return purity, float(np.einsum("i,i->", parts, parts))
 
 
 def _in_separable_ball(distance: float, dim: int) -> bool:
@@ -186,7 +181,7 @@ def _in_separable_ball(distance: float, dim: int) -> bool:
 def ppt_report(rho: np.ndarray, part: BipartitionSpec) -> SeparabilityReport:
     """Peres test across one bipartition, plus the mixedness diagnostics."""
     rho = density_matrix(rho)
-    purity, square = _distance_sums(rho, 0)
+    purity, square = _distance_sums(rho.copy(), 0)
     return _ppt_report(rho, part, math.sqrt(square), purity)
 
 
@@ -227,9 +222,10 @@ def _with_separability(
     blocks, probabilities: np.ndarray, part: BipartitionSpec | None, reports: list
 ):
     """Each (start, block) of blocks, the column blocks of rho' = U diag(p)
-    U^dagger such as engine._evolved_blocks, after reading its share of
-    rho''s purity and distance to I/K; once blocks is spent, the reports on
-    diag(p) and on rho' are appended to reports.
+    U^dagger such as engine._evolved_blocks, read for its share of rho''s
+    purity and distance to I/K when the consumer draws the next; once
+    blocks is spent, the reports on diag(p) and on rho' are appended to
+    reports.
 
     diag(p) is diagonal, and so is its partial transpose, so its report is
     read off p in O(K).  rho' has spectrum p, so it lies as far from I/K as
@@ -237,8 +233,8 @@ def _with_separability(
     before any block is read.  Inside, rho' is separable across every cut
     with no eigendecomposition.  Outside, and only with a cut, each block is
     also copied into a K x K rho' for the exact report, which runs on it
-    unchecked: an evolved diag(p) is Hermitian with spectrum p by
-    construction.  rho' is dropped when the stream is spent.
+    unchecked, with no block held: an evolved diag(p) is Hermitian with
+    spectrum p by construction.
     """
     dim = probabilities.shape[0]
     shifted = probabilities - 1.0 / dim
@@ -250,12 +246,13 @@ def _with_separability(
         rho = np.empty((dim, dim), dtype=complex)
     purity = square = 0.0
     for start, block in blocks:
-        block_purity, block_square = _distance_sums(block, start)
-        purity += block_purity
-        square += block_square
         if rho is not None:
             rho[:, start : start + block.shape[1]] = block
         yield start, block
+        block_purity, block_square = _distance_sums(block, start)
+        purity += block_purity
+        square += block_square
+    del block
     distance = math.sqrt(square)
     if rho is None:
         reports += [initial, _separable_report(part, distance, purity, None)]

@@ -623,6 +623,16 @@ class TestRunSimulate:
         assert evolved["certified_separable"] is False and evolved["ppt_holds"] is False
         assert peak <= 2.5
 
+    def test_exact_report_runs_with_no_block_held(self, tmp_path):
+        """The exact report runs once the stream is spent, after the trace
+        side and the reader have dropped the last block: at N = 9, where a
+        block is a quarter of an array, rho' and its partial transpose
+        are the peak (2.26 arrays with the last block still held)."""
+        suffix = "H 1\nCNOT 1 9\n"
+        peak, evolved = self.simulate_peak(tmp_path, 9, "x", temperature="0.3", suffix=suffix)
+        assert evolved["certified_separable"] is False
+        assert peak < 2.1
+
     def test_low_temperature_bell_average_is_npt(self, tmp_path):
         """H 1; CNOT 1 2 maps the eigenstates onto the Bell states, so the
         evolved state is Bell-diagonal with weights p_k; its partial

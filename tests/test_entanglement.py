@@ -18,7 +18,6 @@ from spinensemble.engine import _evolved_blocks
 from spinensemble.entanglement import (
     EntanglementReport,
     SeparabilityReport,
-    _distance_sums,
     _entropies,
     _schmidt_table,
     _with_separability,
@@ -398,27 +397,13 @@ class TestPptReport:
         ppt_report(rho, CUT_12)
         assert rho.tobytes() == before.tobytes()
 
-
-class TestDistanceSums:
-    """_distance_sums reads a block before the trace side does."""
-
-    def test_leaves_each_block_bit_for_bit(self):
-        """At N = 10, over sixteen (1024, 64) blocks whose diagonals hold
-        signed zeros, the shifted diagonal is written back exactly: undoing
-        the shift by adding 1/K back would turn -0.0 into +0.0 and round
-        other entries."""
-        rng = np.random.default_rng(59)
-        dim, width = 1024, 64
-        values = [0.0, -0.0, 1.0 / dim, -1e-17, 0.3, 1e-300]
-        for start in range(0, dim, width):
-            parts = rng.choice(values, size=(dim, width, 2)) * rng.uniform(0.5, 2.0)
-            block = np.ascontiguousarray(parts).view(complex).reshape(dim, width)
-            diagonal = block[start : start + width].reshape(-1)[:: width + 1]
-            signs = rng.choice([0.0, -0.0], size=(width, 2))
-            diagonal[:] = np.ascontiguousarray(signs).view(complex)[:, 0]
-            before = block.copy()
-            _distance_sums(block, start)
-            assert block.tobytes() == before.tobytes()
+    def test_fortran_ordered_input_gives_the_same_report(self):
+        """The distance is summed over a C-ordered copy: on a Fortran-ordered
+        rho a flat view would be a copy, and the -1/K shift would miss it."""
+        for rho in (maximally_mixed(4), random_density(np.random.default_rng(62), 4)):
+            assert ppt_report(np.asfortranarray(rho), CUT_12) == ppt_report(rho, CUT_12)
+        report = ppt_report((np.eye(4, dtype=complex) / 4).T, CUT_12)
+        assert report.frobenius_to_mixed == 0.0 and report.certified_separable is True
 
 
 class TestMixednessReport:
@@ -492,6 +477,29 @@ def cuts(n_spins):
     for mask in range(2 ** (n_spins - 1) - 1):
         left = (1, *(s for i, s in enumerate(others) if mask >> i & 1))
         yield BipartitionSpec(left, tuple(s for s in others if s not in left))
+
+
+class TestSeparabilityReader:
+    """_with_separability reads each block after its consumer has."""
+
+    def test_consumer_reads_each_block_as_drawn(self):
+        """At N = 9, over four column blocks and outside the ball with a
+        cut (so rho' is copied too), the consumer reads each block bit for
+        bit as the bare stream draws it: the -1/K shift of the distance sum
+        comes after it."""
+        system = SpinSystem.zeeman([2.0 / (1 + j) for j in range(9)])
+        ensemble = ThermalEnsemble.boltzmann(system, 0.3, 1.0e6)
+        circuit = random_circuit(9, np.random.default_rng(63), 20, 20)
+        part = BipartitionSpec((1, 2, 3, 4), (5, 6, 7, 8, 9))
+        bare = [block.copy() for _, block in _evolved_blocks(circuit, ensemble)]
+        reports = []
+        reader = _with_separability(
+            _evolved_blocks(circuit, ensemble), ensemble.probabilities, part, reports
+        )
+        read = [block.copy() for _, block in reader]
+        assert len(read) == 4
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(read, bare))
+        assert reports[1].certified_separable is False
 
 
 class TestSeparableBall:
