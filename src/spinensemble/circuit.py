@@ -212,25 +212,6 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
     return _FIXED_1Q[gate.kind]
 
 
-def _apply_gate(state: np.ndarray, matrix: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Left-multiply a gate matrix onto 0-based axes of a (2,)*n tensor.
-
-    ``state`` holds 2**n entries in big-endian axis order, in any shape: a
-    K x K operator is a (2,)*2N tensor whose first N axes index its rows.
-    A 2x2 matrix multiplies each (2, width) slice of its axis, which
-    rounds like the dense Kronecker-embedded product it replaces.  For a
-    4x4 matrix, which must be a signed permutation, ``axes`` lists the
-    axes of its first and second basis factor, in either order.  Returns a
-    new complex array of state's shape and leaves state as it was.  This
-    compiles the one gate as a circuit's plan does and runs it on the
-    whole operand, as the plan would on each block.
-    """
-    kernel, arguments = _step(matrix, axes)
-    out = np.empty(np.shape(state), dtype=complex)
-    kernel(np.array(state, dtype=complex), out, *arguments)
-    return out
-
-
 def _compile(gates) -> tuple[tuple, tuple]:
     """Each gate's kernel and arguments, in order, and the same for each
     gate's inverse in reverse order, after checking every matrix unitary:

@@ -42,10 +42,8 @@ from .circuit import CircuitParseError, format_circuit, parse_circuit, random_ci
 from .engine import (
     _eigenstate_blocks,
     _evolved_blocks,
-    _pathway_results,
     _pathway_tolerance,
-    _sum_side,
-    _trace_side,
+    _pathways,
     _within_tolerance,
     compare_pathways,
 )
@@ -69,15 +67,6 @@ class ConfigError(ValueError):
 
 class UsageError(ValueError):
     """Bad command line; maps to exit code 1."""
-
-
-@contextlib.contextmanager
-def _config_values():
-    """Report a library type's rejection of a config value as a ConfigError."""
-    try:
-        yield
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -169,7 +158,7 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError(f"{path}: missing required key {key!r}")
 
     larmor_tokens = entries["larmor"].replace(",", " ").split()
-    with _config_values():
+    try:
         config = RunConfig(
             n_spins=_read_int(entries["n_spins"], "n_spins"),
             larmor=tuple(_read_real(tok, "larmor entry") for tok in larmor_tokens),
@@ -191,6 +180,8 @@ def load_config(path: str) -> RunConfig:
         config._ensemble  # checks larmor, temperature and molecule_count
         config._observable
         config._bipartition
+    except ValidationError as exc:  # a library type's rejection of a value
+        raise ConfigError(str(exc)) from None
     return config
 
 
@@ -208,15 +199,10 @@ def _config_echo(config: RunConfig) -> dict:
 
 
 def _ensemble_section(ensemble: ThermalEnsemble) -> dict:
-    eps = epsilon_report(ensemble)
     return {
         "dim": ensemble.system.dim,
         "level_energies": list(ensemble.system.level_energies),
-        "epsilon_report": {
-            "delta_e": eps.delta_e,
-            "epsilon": eps.epsilon,
-            "max_population_spread": eps.max_population_spread,
-        },
+        "epsilon_report": dataclasses.asdict(epsilon_report(ensemble)),
         "populations": ensemble.populations.tolist(),
     }
 
@@ -235,17 +221,15 @@ def run_simulate(config: RunConfig, output_path: str | None = None) -> dict:
     ensemble = config._ensemble
     observable, part = config._observable, config._bipartition
 
-    separability = []
-    blocks = _with_separability(
+    separability, per_state = [], []
+    rho_blocks = _with_separability(
         _evolved_blocks(circuit, ensemble), ensemble.probabilities, part, separability
     )
-    traces = _trace_side(blocks, ensemble, [observable])
-    initial, evolved = map(dataclasses.asdict, separability)
-    per_state = []
-    blocks = _eigenstate_blocks(circuit)
+    eigenstates = _eigenstate_blocks(circuit)
     if part is not None:
-        blocks = _with_schmidt_rows(blocks, part, per_state)
-    (result,) = _pathway_results(_sum_side(blocks, ensemble, [observable]), traces)
+        eigenstates = _with_schmidt_rows(eigenstates, part, per_state)
+    (result,) = _pathways(rho_blocks, eigenstates, ensemble, [observable])
+    initial, evolved = map(dataclasses.asdict, separability)
     tolerance = _pathway_tolerance(ensemble)
     entanglement = None if part is None else {"bipartition": str(part), "per_state": per_state}
 

@@ -15,18 +15,21 @@ of cancelling out.  Their agreement is the package's central
 consistency check, so a result where they disagree hands both numbers
 back instead of hiding one.
 
-The two run as separate halves whose outputs one combiner pairs.  The
-trace half reads each block of rho' once, for every observable, then
-drops it; it reads observables only.  The sum half runs the plan on one
-block of identity columns at a time, so each block of eigenstates U|k> is
-evolved on its own, as each molecule is, and reads per-state values and
-weighted sums off it.  Both halves draw their blocks from one stream,
-circuit._column_blocks, which holds a result block and one spare while a
-block is built and one block while it is read, so neither half holds a
-K x K array.  The separability reports are no part of either half:
-simulate passes rho''s blocks through entanglement._with_separability
-on their way to the trace half, as it passes the eigenstates through
-its Schmidt table on their way to the sum half.
+One function, _pathways, runs the two halves for every caller, and in
+one order.  The trace half runs first: it reads each block of rho' once,
+for every observable, then drops it, and it reads observables only.
+Only once rho''s stream is spent does the sum half draw its first block:
+it runs the plan on one block of identity columns at a time, so each
+block of eigenstates U|k> is evolved on its own, as each molecule is, and
+reads per-state values and weighted sums off it.  Both halves draw their
+blocks from one stream, circuit._column_blocks, which holds a result
+block and one spare while a block is built and one block while it is
+read, so neither half holds a K x K array.  The separability reports are
+no part of either half: simulate hands _pathways rho''s blocks through
+entanglement._with_separability, which finishes, and runs any exact
+report on its copy of rho', before an eigenstate block exists, and the
+eigenstates through its Schmidt table.  compare_pathways hands it the
+bare streams.
 
 An observable is a PauliSum (spin_system), such as the collective
 magnetisation, and the engine accepts nothing else.  It is read term by
@@ -74,12 +77,7 @@ class PathwayResult:
     per_state_values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "expectation_sum", float(self.expectation_sum))
-        object.__setattr__(self, "expectation_trace", float(self.expectation_trace))
-        object.__setattr__(self, "abs_difference", float(self.abs_difference))
-        arr = np.asarray(self.per_state_values, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "per_state_values", arr)
+        self.per_state_values.setflags(write=False)
 
 
 def _pathway_tolerance(ensemble: ThermalEnsemble) -> float:
@@ -90,23 +88,6 @@ def _pathway_tolerance(ensemble: ThermalEnsemble) -> float:
 def _within_tolerance(difference: float, ensemble: ThermalEnsemble) -> bool:
     """Whether a pathway difference |sum - trace| meets _pathway_tolerance."""
     return difference <= _pathway_tolerance(ensemble)
-
-
-def _checked(observable) -> PauliSum:
-    """The observable, which must be a PauliSum; a PauliSum checked itself
-    when built."""
-    if not isinstance(observable, PauliSum):
-        raise ValidationError(f"observable must be a PauliSum, got {type(observable).__name__}")
-    return observable
-
-
-def _require_dim(dim: int, *operands) -> None:
-    """Each operand, a PauliSum or a Circuit, must act on dim levels."""
-    for op in operands:
-        if op.dim != dim:
-            raise ValidationError(
-                f"{type(op).__name__} shape {(op.dim, op.dim)} does not match dimension {dim}"
-            )
 
 
 def _per_state_values(u: np.ndarray, obs: PauliSum, pairs: dict | None = None) -> np.ndarray:
@@ -190,22 +171,48 @@ def compare_pathways(
 ) -> tuple[PathwayResult, ...]:
     """Run both pathways for each observable and report both numbers.
 
-    Each observable is a PauliSum.  The trace half evolves the density
-    matrix from the circuit's gate list one column block at a time and
-    reads each block for every observable; the sum half evolves the
-    eigenstates block by block from the same gate list.  Neither composes
-    the propagator.
+    Each observable is a PauliSum acting on the ensemble's levels, as the
+    circuit must; both are checked before any block is evolved.  The
+    pathways then run as _pathways runs them, from the circuit's gate list
+    alone: neither composes the propagator.
     """
-    checked = [_checked(obs) for obs in observables]
-    _require_dim(ensemble.system.dim, circuit, *checked)
-    traces = _trace_side(_evolved_blocks(circuit, ensemble), ensemble, checked)
-    return _pathway_results(_sum_side(_eigenstate_blocks(circuit), ensemble, checked), traces)
+    observables = list(observables)
+    for obs in observables:
+        if not isinstance(obs, PauliSum):
+            raise ValidationError(f"observable must be a PauliSum, got {type(obs).__name__}")
+    dim = ensemble.system.dim
+    for op in (circuit, *observables):
+        if op.dim != dim:
+            raise ValidationError(
+                f"{type(op).__name__} shape {(op.dim, op.dim)} does not match dimension {dim}"
+            )
+    return _pathways(
+        _evolved_blocks(circuit, ensemble), _eigenstate_blocks(circuit), ensemble, observables
+    )
+
+
+def _pathways(
+    evolved, eigenstates, ensemble: ThermalEnsemble, observables
+) -> tuple[PathwayResult, ...]:
+    """One PathwayResult per observable.  The trace half drains evolved,
+    the (start, block) stream of rho' such as _evolved_blocks, and only
+    then the sum half draws the first of eigenstates, such as
+    _eigenstate_blocks.  So a reader in rho''s stream finishes, and drops
+    what it held, before any eigenstate block exists: simulate's
+    separability reader runs its exact report there, on its copy of rho',
+    with no block held.
+    """
+    traces = _trace_side(evolved, ensemble, observables)
+    sums = _sum_side(eigenstates, ensemble, observables)
+    return tuple(
+        PathwayResult(total, trace, abs(total - trace), per_state)
+        for (per_state, total), trace in zip(sums, traces, strict=True)
+    )
 
 
 def _trace_side(blocks, ensemble: ThermalEnsemble, observables) -> list[float]:
-    """The trace half of compare_pathways: each observable's M tr(rho'
-    obs), read off blocks, an iterable of (start, block) such as
-    _evolved_blocks.
+    """The trace half of _pathways: each observable's M tr(rho' obs), read
+    off blocks, an iterable of (start, block) such as _evolved_blocks.
 
     Each block is read once, for its share of every listed spin's reduced
     2x2 block, which all observables share, and dropped before the next
@@ -228,9 +235,9 @@ def _eigenstate_blocks(circuit: Circuit):
 
 
 def _sum_side(blocks, ensemble: ThermalEnsemble, observables) -> list[tuple[np.ndarray, float]]:
-    """The sum half of compare_pathways: each observable's per-state values
-    and their population-weighted sum, read off blocks, an iterable of
-    (start, block) such as _eigenstate_blocks.
+    """The sum half of _pathways: each observable's per-state values and
+    their population-weighted sum, read off blocks, an iterable of (start,
+    block) such as _eigenstate_blocks.
 
     A column's values read that column only, so every temporary is
     block-sized.
@@ -241,16 +248,3 @@ def _sum_side(blocks, ensemble: ThermalEnsemble, observables) -> list[tuple[np.n
         for per_state, obs in zip(per_states, observables):
             per_state[start : start + block.shape[1]] = _per_state_values(block, obs, pairs)
     return [(per_state, _weighted_sum(ensemble.populations, per_state)) for per_state in per_states]
-
-
-def _pathway_results(sums, traces) -> tuple[PathwayResult, ...]:
-    """One PathwayResult per observable from the two halves' outputs."""
-    return tuple(
-        PathwayResult(
-            expectation_sum=total,
-            expectation_trace=trace_value,
-            abs_difference=abs(total - trace_value),
-            per_state_values=per_state,
-        )
-        for (per_state, total), trace_value in zip(sums, traces, strict=True)
-    )

@@ -17,7 +17,11 @@ Conventions, fixed once for the whole package:
 * At most MAX_SPINS spins, so dimensions are capped at DIM_CAP =
   2**MAX_SPINS: this is a dense, desk-scale library, not a tensor-network
   one.
-* All operations are pure functions; nothing mutates its inputs.
+* Every public function leaves its inputs as they were.  Some private
+  kernels of the run path do not: circuit._permute_pair spends its input,
+  entanglement._distance_sums shifts its block's diagonal in place, and
+  circuit._column_blocks builds each block in the buffer the last one was
+  read from.
 """
 
 from __future__ import annotations

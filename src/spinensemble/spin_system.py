@@ -10,6 +10,7 @@ of to +-1 molecule.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -37,8 +38,8 @@ class SpinSystem:
         object.__setattr__(self, "level_energies", energies)
         if len(energies) != k:
             raise ValidationError(f"expected {k} level energies, got {len(energies)}")
-        if not all(np.isfinite(energies)):
-            raise ValidationError("level energies must be finite")
+        if not (all(np.isfinite(energies)) and math.isfinite(max(energies) - min(energies))):
+            raise ValidationError("level energies and their spread max - min must be finite")
 
     @property
     def dim(self) -> int:
@@ -69,8 +70,9 @@ def default_energies(n_spins: int, larmor) -> list[float]:
         raise ValidationError(
             f"larmor needs {n_spins} entries, one per spin: expected {n_spins}, got {len(larmor)}"
         )
-    if not all(np.isfinite(larmor)):
-        raise ValidationError("larmor frequencies must be finite")
+    spread = sum(abs(w) for w in larmor)  # max - min of the energies below
+    if not math.isfinite(spread):
+        raise ValidationError(f"larmor frequencies and sum |w| must be finite, got {spread!r}")
     index = np.arange(2**n_spins)
     energies = np.zeros(2**n_spins)
     for j, w in enumerate(larmor):  # in spin order, as a per-level sum would add them
@@ -94,12 +96,17 @@ class ThermalEnsemble:
     populations: np.ndarray
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValidationError(f"temperature must be positive, got {self.temperature}")
-        if self.molecule_count <= 0:
-            raise ValidationError(f"molecule_count must be positive, got {self.molecule_count}")
+        positive = (("temperature", self.temperature), ("molecule_count", self.molecule_count))
+        for name, value in positive:
+            if not 0 < value < math.inf:  # also rejects NaN
+                raise ValidationError(f"{name} must be positive and finite, got {value}")
         if self.molecule_count < sys.float_info.min:  # else p = C / M keeps only 5e-324 / M
             raise ValidationError(f"molecule_count {self.molecule_count} is subnormal")
+        # a Python float division overflows to inf quietly, where numpy's warns
+        if not math.isfinite(self.system.spectral_width / float(self.temperature)):
+            raise ValidationError(
+                f"temperature {self.temperature} is too small: epsilon = spread / T overflows"
+            )
         pops = np.array(self.populations, dtype=float)
         object.__setattr__(self, "populations", pops)
         if pops.shape != (self.system.dim,):
@@ -127,9 +134,10 @@ class ThermalEnsemble:
         normalization.  __post_init__ checks T and M.
         """
         e = np.asarray(system.level_energies, dtype=float)
-        # At extreme E/T the exponent overflows to -inf, whose weight 0 is the
-        # correct limit; no warning is due.  A temperature that is not positive
-        # gives nan or inf here, quietly: __post_init__ rejects it.
+        # At extreme E/T the weight underflows to 0, the correct limit; no
+        # warning is due.  A temperature that is not positive and finite, or
+        # so small that epsilon overflows, gives nan or inf here, quietly:
+        # __post_init__ rejects it.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             weights = np.exp(-(e - e.min()) / temperature)
             pops = molecule_count * weights / weights.sum()

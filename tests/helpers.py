@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from spinensemble.circuit import Circuit, Gate, _apply_gate, _gate_matrix, random_circuit
+from spinensemble.circuit import Circuit, Gate, _gate_matrix, _step, random_circuit
 from spinensemble.qlinalg import PAULI_X, PAULI_Y, PAULI_Z
 
 
@@ -57,34 +57,53 @@ def entropy_reference(coefficients):
     return value if value > 0.0 else 0.0
 
 
+def apply_gate(state, matrix, axes):
+    """Left-multiply a gate matrix onto 0-based axes of a (2,)*n tensor, as
+    a compiled plan applies one gate: the same kernel (circuit._step), so
+    the same bits.
+
+    ``state`` holds 2**n entries in big-endian axis order, in any shape: a
+    K x K operator is a (2,)*2N tensor whose first N axes index its rows,
+    and its last N its columns.  A 2x2 matrix multiplies each (2, width)
+    slice of its axis.  A 4x4 matrix must be a signed permutation, and
+    ``axes`` lists the axes of its first and second basis factor, in
+    either order.  Returns a new complex array of state's shape and leaves
+    state as it was.
+    """
+    kernel, arguments = _step(matrix, axes)
+    out = np.empty(np.shape(state), dtype=complex)
+    kernel(np.array(state, dtype=complex), out, *arguments)
+    return out
+
+
 def conjugate_gate_by_gate(circuit, rho):
     """Reference G rho G^dagger for each gate in order: G on the row axes
     of the (2,)*2N tensor of rho, conj(G) on its column axes."""
     n_spins = circuit.n_spins
     for gate in circuit.gates:
         matrix = _gate_matrix(gate)
-        rho = _apply_gate(rho, matrix, tuple(t - 1 for t in gate.targets))
-        rho = _apply_gate(rho, matrix.conj(), tuple(n_spins + t - 1 for t in gate.targets))
+        rho = apply_gate(rho, matrix, tuple(t - 1 for t in gate.targets))
+        rho = apply_gate(rho, matrix.conj(), tuple(n_spins + t - 1 for t in gate.targets))
     return rho
 
 
 def row_passes(circuit, state):
-    """Reference pass: each gate by _apply_gate on the rows of the whole
+    """Reference pass: each gate by apply_gate on the rows of the whole
     operand, in order."""
     for gate in circuit.gates:
-        state = _apply_gate(state, _gate_matrix(gate), tuple(t - 1 for t in gate.targets))
+        state = apply_gate(state, _gate_matrix(gate), tuple(t - 1 for t in gate.targets))
     return state
 
 
 def dagger_row_passes(circuit, state):
-    """Reference pass of U^dagger: each gate's inverse by _apply_gate on the
+    """Reference pass of U^dagger: each gate's inverse by apply_gate on the
     rows of the whole operand, last gate first.  The inverse of a 2x2 is
     its conjugate transpose, of a real 4x4 signed permutation its
     transpose."""
     for gate in reversed(circuit.gates):
         matrix = _gate_matrix(gate)
         inverse = matrix.conj().T if matrix.shape[0] == 2 else matrix.T
-        state = _apply_gate(state, inverse, tuple(t - 1 for t in gate.targets))
+        state = apply_gate(state, inverse, tuple(t - 1 for t in gate.targets))
     return state
 
 

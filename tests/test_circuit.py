@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    apply_gate,
     bell_state,
     dagger_row_passes,
     every_kind_circuit,
@@ -16,7 +17,6 @@ from spinensemble.circuit import (
     Circuit,
     CircuitParseError,
     Gate,
-    _apply_gate,
     _gate_matrix,
     _run_plan,
     compose_propagator,
@@ -368,7 +368,7 @@ class TestLocalGateApplication:
             m = _gate_matrix(gate)
             for axis in range(10):
                 expected = np.kron(np.kron(np.eye(2**axis), m), np.eye(2 ** (9 - axis)))
-                got = _apply_gate(state, m, (axis,))
+                got = apply_gate(state, m, (axis,))
                 np.testing.assert_allclose(
                     got.reshape(-1), expected @ state.reshape(-1), rtol=0, atol=1e-14
                 )
@@ -392,12 +392,12 @@ class TestLocalGateApplication:
                     locals_by_targets[targets] = dense_gate(Gate(kind, targets), span)
                 local = locals_by_targets[targets]
                 expected = local @ state.reshape(2**low, 2**span, 2 ** (9 - high))
-                got = _apply_gate(state, _gate_matrix(Gate(kind, (1, 2))), (first, second))
+                got = apply_gate(state, _gate_matrix(Gate(kind, (1, 2))), (first, second))
                 np.testing.assert_array_equal(got.reshape(-1), expected.reshape(-1))
 
     def test_compiled_plan_matches_gate_by_gate(self, monkeypatch):
         """A circuit's plan, run on the whole operand, applies each gate as
-        _apply_gate does, bit for bit, and reads no gate matrix's nonzero
+        apply_gate does, bit for bit, and reads no gate matrix's nonzero
         pattern while it runs."""
         rng = np.random.default_rng(83)
         cases = []
@@ -421,7 +421,7 @@ class TestLocalGateApplication:
         state = np.eye(4, dtype=complex)
         for matrix in (np.eye(4) * 1j, np.ones((4, 4)), np.eye(4)[[0, 0, 1, 2]]):
             with pytest.raises(ValidationError, match="permute"):
-                _apply_gate(state, matrix.astype(complex), (0, 1))
+                apply_gate(state, matrix.astype(complex), (0, 1))
 
     def test_circuits_share_each_fixed_pair_compilation(self):
         """A fixed two-spin kind on one axis pair compiles once per process,
@@ -436,7 +436,7 @@ class TestLocalGateApplication:
             index[0] = 0
 
     def test_apply_gate_checks_every_matrix(self):
-        """_apply_gate compiles through the plans' cache, keyed by the
+        """apply_gate compiles through the plans' cache, keyed by the
         matrix itself: on axes a plan has compiled CZ for, another matrix
         is checked and applied as itself, and a rejected one is rejected
         every time."""
@@ -444,19 +444,19 @@ class TestLocalGateApplication:
         hadamard = _gate_matrix(Gate("H", (1,)))
         for _ in range(2):
             with pytest.raises(ValidationError, match="permute"):
-                _apply_gate(np.eye(4, dtype=complex), np.kron(hadamard, hadamard), (0, 1))
+                apply_gate(np.eye(4, dtype=complex), np.kron(hadamard, hadamard), (0, 1))
         negated_cz = -circuit_module._FIXED_2Q["CZ"]
-        np.testing.assert_array_equal(_apply_gate(np.eye(4), negated_cz, (0, 1)), negated_cz)
+        np.testing.assert_array_equal(apply_gate(np.eye(4), negated_cz, (0, 1)), negated_cz)
         cz = circuit_module._FIXED_2Q["CZ"]
         before = circuit_module._pair_arguments.cache_info()
-        np.testing.assert_array_equal(_apply_gate(np.eye(4), cz, (0, 1)), cz)
+        np.testing.assert_array_equal(apply_gate(np.eye(4), cz, (0, 1)), cz)
         assert circuit_module._pair_arguments.cache_info().hits == before.hits + 1
 
     def test_input_is_not_modified(self):
         state = np.arange(16, dtype=complex).reshape(4, 4)
         before = state.copy()
-        _apply_gate(state, _gate_matrix(Gate("H", (1,))), (0,))
-        _apply_gate(state, _gate_matrix(Gate("CNOT", (2, 1))), (1, 0))
+        apply_gate(state, _gate_matrix(Gate("H", (1,))), (0,))
+        apply_gate(state, _gate_matrix(Gate("CNOT", (2, 1))), (1, 0))
         np.testing.assert_array_equal(state, before)
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -649,6 +650,56 @@ class TestRunSimulate:
         assert "evolved ensemble state: NPT" in "\n".join(summary_lines(report))
 
 
+def test_both_callers_spend_rho_before_the_first_eigenstate_block(tmp_path, monkeypatch):
+    """engine._pathways fixes one order for compare_pathways and simulate:
+    rho''s stream is spent before the first block of eigenstates is drawn.
+    In simulate the separability reader has then made both reports, the
+    exact one included, so no eigenstate block exists beside its K x K copy
+    of rho'.  At N = 9 each stream has four blocks."""
+    n_spins = 9
+    events, reports_made = [], []
+
+    def recorded(name, source):
+        def blocks(*args):
+            for start, block in source(*args):
+                events.append((name, start, [len(made) for made in reports_made]))
+                yield start, block
+            events.append((name, "spent", [len(made) for made in reports_made]))
+
+        return blocks
+
+    def capturing(blocks, probabilities, part, reports):
+        reports_made.append(reports)
+        return reader(blocks, probabilities, part, reports)
+
+    reader = cli_module._with_separability
+    sources = {"rho": engine_module._evolved_blocks, "eigen": engine_module._eigenstate_blocks}
+    for module in (engine_module, cli_module):
+        monkeypatch.setattr(module, "_evolved_blocks", recorded("rho", sources["rho"]))
+        monkeypatch.setattr(module, "_eigenstate_blocks", recorded("eigen", sources["eigen"]))
+    monkeypatch.setattr(cli_module, "_with_separability", capturing)
+    circuit = random_circuit(n_spins, np.random.default_rng(61), min_depth=20, max_depth=20)
+    config = load_config(
+        write_config(
+            tmp_path,
+            spins_config(n_spins).replace("temperature = 3.0e5", "temperature = 0.3"),
+            format_circuit(circuit),
+        )
+    )
+    starts = list(range(0, 2**n_spins, 128))
+
+    compare_pathways(circuit, config._ensemble, [config._observable])
+    expected = [(name, start, []) for name in ("rho", "eigen") for start in starts + ["spent"]]
+    assert events == expected
+
+    events.clear()
+    report = run_simulate(config)
+    assert report["separability"]["evolved"]["min_pt_eigenvalue"] is not None
+    rho = [("rho", start, [0]) for start in starts + ["spent"]]
+    eigen = [("eigen", start, [2]) for start in starts + ["spent"]]
+    assert events == rho + eigen
+
+
 class TestRunSweep:
     def make_config(self, tmp_path, extra="seed = 7\n"):
         text = (
@@ -1073,31 +1124,67 @@ class TestMainExitCodes:
 
 
 class TestFailedRunKeepsReport:
-    """A run that fails after the numerics must leave an earlier report intact."""
+    """A run that fails, before or after the numerics, must leave an
+    earlier report intact."""
 
-    def test_overflowing_temperature_keeps_earlier_report(self, tmp_path):
+    @staticmethod
+    def rerun(tmp_path, capsys, monkeypatch, text, **patches):
+        """The exit code and stderr lines of a simulate on config text, with
+        warnings raised as errors and the cli names in patches replaced, run
+        after a good simulate whose report it must leave as it was."""
         path = write_config(tmp_path)
         assert main(["simulate", "--config", path]) == 0
         report = tmp_path / "report.json"
         before = report.read_bytes()
         names_before = sorted(os.listdir(tmp_path))
-        # epsilon = spread / T overflows to inf, which the report cannot hold
-        write_config(tmp_path, BASE_CONFIG.replace("temperature = 3.0e5", "temperature = 1e-320"))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "spinensemble", "simulate", "--config", path],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr.splitlines() == ["validation error: non-finite value inf in report"]
+        capsys.readouterr()
+        write_config(tmp_path, text)
+        for name, replacement in patches.items():
+            monkeypatch.setattr(cli_module, name, replacement)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--config", path])
         assert report.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == names_before
+        return code, capsys.readouterr().err.splitlines()
+
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("the run went further than it should")
+
+    def test_overflowing_temperature_keeps_earlier_report(self, tmp_path, capsys, monkeypatch):
+        """At T = 1e-320, epsilon = spread / T overflows: the ensemble
+        refuses it, so the config is refused naming the temperature, before
+        the circuit is read."""
+        text = BASE_CONFIG.replace("temperature = 3.0e5", "temperature = 1e-320")
+        assert self.rerun(tmp_path, capsys, monkeypatch, text, parse_circuit=self.refuse) == (
+            1,
+            ["error: temperature 1e-320 is too small: epsilon = spread / T overflows"],
+        )
+
+    def test_overflowing_level_spread_keeps_earlier_report(self, tmp_path, capsys, monkeypatch):
+        """Larmor frequencies 1e308, 1e308 give finite level energies whose
+        spread max - min = 2e308 overflows: the config is refused naming
+        larmor, before the circuit is read."""
+        text = BASE_CONFIG.replace("larmor = 2.0, 1.0", "larmor = 1e308, 1e308").replace(
+            "temperature = 3.0e5", "temperature = 1"
+        )
+        assert self.rerun(tmp_path, capsys, monkeypatch, text, parse_circuit=self.refuse) == (
+            1,
+            ["error: larmor frequencies and sum |w| must be finite, got inf"],
+        )
+
+    def test_failed_render_keeps_earlier_report(self, tmp_path, capsys, monkeypatch):
+        """A report that fails to render after the numerics, as one holding
+        a non-finite value would, exits 2."""
+
+        def fail(report):
+            raise ValidationError("non-finite value inf in report")
+
+        assert self.rerun(tmp_path, capsys, monkeypatch, BASE_CONFIG, render_report=fail) == (
+            2,
+            ["validation error: non-finite value inf in report"],
+        )
 
 
 TEN_SPIN_CIRCUIT = """\

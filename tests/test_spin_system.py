@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import warnings
 
@@ -89,9 +90,13 @@ class TestBoltzmannPopulations:
         np.testing.assert_allclose(pops, [10.0, 0.0], atol=1e-12)
 
     def test_overflowing_exponent_gives_zero_weight_silently(self):
+        """At T = 1e-300 the exponent -3e300 takes exp past the smallest
+        float, to weight 0, with no warning.  A smaller T, whose exponent
+        overflows to -inf, overflows epsilon = spread / T too, and the
+        ensemble refuses it."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pops = boltzmann_counts([-1.5, -0.5, 0.5, 1.5], 1e-320, 1.0e6)
+            pops = boltzmann_counts([-1.5, -0.5, 0.5, 1.5], 1e-300, 1.0e6)
         np.testing.assert_array_equal(pops, [1.0e6, 0.0, 0.0, 0.0])
 
     def test_rejects_bad_temperature_and_count(self):
@@ -122,6 +127,31 @@ class TestSpinSystem:
     def test_rejects_oversized_system(self):
         with pytest.raises(ValidationError, match="cap"):
             SpinSystem(13, tuple(float(k) for k in range(2**13)))
+
+    @pytest.mark.parametrize(
+        "energies", [(-1e308, 1e308), (0.0, math.inf), (math.nan, 0.0), (0.0, math.nan)]
+    )
+    def test_rejects_energies_whose_spread_is_not_finite(self, energies):
+        """Finite energies can still spread past the largest float, and a
+        NaN is not caught by max - min alone."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValidationError, match="^level energies and their spread max - min must be finite$"
+            ):
+                SpinSystem(1, energies)
+
+    @pytest.mark.parametrize(
+        "larmor,spread", [([1e308, 1e308], "inf"), ([math.inf, 1.0], "inf"), ([math.nan, 1.0], "nan")]
+    )
+    def test_zeeman_rejects_a_spread_that_is_not_finite(self, larmor, spread):
+        """The Zeeman spread max - min is sum |w|, so larmor 1e308, 1e308
+        gives finite energies whose spread overflows."""
+        message = f"larmor frequencies and sum |w| must be finite, got {spread}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                SpinSystem.zeeman(larmor)
 
 
 class TestThermalEnsemble:
@@ -168,6 +198,40 @@ class TestThermalEnsemble:
         system = SpinSystem.zeeman([2.0, 1.0])
         ens = ThermalEnsemble.boltzmann(system, 1.0, sys.float_info.min)
         assert ens.molecule_count == sys.float_info.min
+
+    @pytest.mark.parametrize(
+        "temperature,molecule_count,message",
+        [
+            (math.nan, 1.0, "temperature must be positive and finite, got nan"),
+            (math.inf, 1.0, "temperature must be positive and finite, got inf"),
+            (1.0, math.inf, "molecule_count must be positive and finite, got inf"),
+            (1.0, math.nan, "molecule_count must be positive and finite, got nan"),
+        ],
+    )
+    def test_rejects_non_finite_temperature_and_molecule_count(
+        self, temperature, molecule_count, message
+    ):
+        """NaN fails no comparison and +inf passes '> 0', and the population
+        sum is held to tol * M, which an infinite M makes no test at all:
+        these explicit populations were accepted with epsilon NaN or every
+        probability 0."""
+        system = SpinSystem(2, default_energies(2, [2, 1]))
+        populations = np.array([0.4, 0.3, 0.2, 0.1])
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ThermalEnsemble(system, temperature, molecule_count, populations)
+
+    def test_rejects_a_temperature_that_overflows_epsilon(self):
+        """epsilon = spread / T must be finite: 3 / 1e-320 overflows, and
+        3 / 1e-300 does not."""
+        system = SpinSystem.zeeman([2.0, 1.0])
+        message = "temperature 1e-320 is too small: epsilon = spread / T overflows"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                ThermalEnsemble.boltzmann(system, 1e-320, 1.0e6)
+            with pytest.raises(ValidationError, match="epsilon = spread / T overflows"):
+                ThermalEnsemble(system, np.float64(1e-320), 1.0, np.array([1.0, 0.0, 0.0, 0.0]))
+        assert epsilon_report(ThermalEnsemble.boltzmann(system, 1e-300, 1.0e6)).epsilon == 3e300
 
     @pytest.mark.parametrize("temperature", [0.0, -1.0])
     def test_boltzmann_rejects_temperature_once_without_warning(self, temperature):
