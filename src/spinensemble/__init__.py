@@ -38,7 +38,6 @@ from .spin_system import (
     ThermalEnsemble,
     default_energies,
     epsilon_report,
-    equilibrium_density_matrix,
 )
 
 __all__ = [
@@ -60,7 +59,6 @@ __all__ = [
     "density_matrix",
     "entanglement_report",
     "epsilon_report",
-    "equilibrium_density_matrix",
     "format_circuit",
     "hermitian",
     "parse_circuit",

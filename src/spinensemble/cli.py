@@ -6,11 +6,13 @@ output_path.  Relative paths inside a config resolve against the config
 file's directory; a path given on the command line resolves against the
 working directory.
 
-Reports are JSON with a fixed section layout (config_echo, ensemble,
+Both commands share one frame: _report_target makes every refusal of
+the config and the output target before any circuit work, and
+_write_report builds the fixed section layout (config_echo, ensemble,
 pathways, entanglement, separability, sweep; unused sections are null)
-and floats printed with 17 significant digits, so a report is a
-byte-deterministic function of config, circuit text, and seed.  No
-timestamps, no environment echo.
+and writes it in one step.  Floats are printed with 17 significant
+digits, so a report is a byte-deterministic function of config, circuit
+text, and seed.  No timestamps, no environment echo.
 
 The observable spec names a PauliSum, the collective or one spin's
 magnetisation, which the pathways read term by term: neither command
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import functools
 import json
 import math
@@ -190,32 +193,28 @@ def build_ensemble(config: RunConfig) -> ThermalEnsemble:
     return ThermalEnsemble.boltzmann(system, config.temperature, config.molecule_count)
 
 
-def _config_echo(config: RunConfig) -> dict:
-    # output_path and base_dir are excluded so that redirecting the output
-    # of a run never changes the report body.
-    echo = {key: getattr(config, key) for key in _KEY_ORDER if key != "output_path"}
-    echo["larmor"] = list(config.larmor)
-    return echo
-
-
-def _ensemble_section(ensemble: ThermalEnsemble) -> dict:
-    return {
-        "dim": ensemble.system.dim,
-        "level_energies": list(ensemble.system.level_energies),
-        "epsilon_report": dataclasses.asdict(epsilon_report(ensemble)),
-        "populations": ensemble.populations.tolist(),
-    }
+def _report_target(config: RunConfig, command: str, output_path: str | None) -> str:
+    """The target of command's report, output_path (--output) before the
+    config's.  Every refusal the command makes of its config comes here,
+    before any circuit work: a key it needs, no target, or a target in a
+    directory that does not exist."""
+    needed = ("seed",) if command == "sweep" else ("circuit_path", "observable", "bipartition")
+    for key in needed:
+        if getattr(config, key) is None and (key != "bipartition" or config.n_spins >= 2):
+            suffix = " for 2 or more spins" if key == "bipartition" else ""
+            raise ConfigError(f"{command} needs {key} in the config{suffix}")
+    if output_path is None:
+        if config.output_path is None:
+            raise ConfigError("no output path: set output_path in the config or pass --output")
+        output_path = config.resolve(config.output_path)
+    if not os.path.isdir(os.path.dirname(os.path.realpath(output_path))):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), output_path)
+    return output_path
 
 
 def run_simulate(config: RunConfig, output_path: str | None = None) -> dict:
     """Dual-pathway run of one circuit; writes and returns the report."""
-    if config.circuit_path is None:
-        raise ConfigError("simulate needs circuit_path in the config")
-    if config.observable is None:
-        raise ConfigError("simulate needs observable in the config")
-    if config.n_spins >= 2 and config.bipartition is None:
-        raise ConfigError("simulate needs bipartition in the config for 2 or more spins")
-
+    target = _report_target(config, "simulate", output_path)
     circuit_text = _read_text(config.resolve(config.circuit_path), "circuit")
     circuit = parse_circuit(circuit_text, config.n_spins)
     ensemble = config._ensemble
@@ -230,27 +229,20 @@ def run_simulate(config: RunConfig, output_path: str | None = None) -> dict:
         eigenstates = _with_schmidt_rows(eigenstates, part, per_state)
     (result,) = _pathways(rho_blocks, eigenstates, ensemble, [observable])
     initial, evolved = map(dataclasses.asdict, separability)
-    tolerance = _pathway_tolerance(ensemble)
-    entanglement = None if part is None else {"bipartition": str(part), "per_state": per_state}
-
-    report = {
-        "config_echo": _config_echo(config),
-        "ensemble": _ensemble_section(ensemble),
-        "pathways": {
+    return _write_report(
+        config, target,
+        pathways={
             "gate_count": len(circuit.gates),
             "per_state_values": result.per_state_values.tolist(),
             "expectation_sum": result.expectation_sum,
             "expectation_trace": result.expectation_trace,
             "abs_difference": result.abs_difference,
-            "tolerance": tolerance,
+            "tolerance": _pathway_tolerance(ensemble),
             "within_tolerance": _within_tolerance(result.abs_difference, ensemble),
         },
-        "entanglement": entanglement,
-        "separability": {"initial": initial, "evolved": evolved},
-        "sweep": None,
-    }
-    _write_report(report, config, output_path)
-    return report
+        entanglement=None if part is None else {"bipartition": str(part), "per_state": per_state},
+        separability={"initial": initial, "evolved": evolved},
+    )
 
 
 def _with_schmidt_rows(blocks, part, per_state: list):
@@ -273,14 +265,12 @@ def _with_schmidt_rows(blocks, part, per_state: list):
 
 def run_sweep(config: RunConfig, n_circuits: int, output_path: str | None = None) -> dict:
     """Seeded random circuits, both pathways on all three collective axes."""
-    if config.seed is None:
-        raise ConfigError("sweep needs seed in the config")
+    target = _report_target(config, "sweep", output_path)
     if n_circuits < 0:
         raise ConfigError(f"circuit count must be nonnegative, got {n_circuits}")
 
     ensemble = config._ensemble
     observables = [PauliSum.collective(config.n_spins, axis) for axis in SWEEP_AXES]
-    tolerance = _pathway_tolerance(ensemble)
     rng = np.random.default_rng(config.seed)
 
     per_circuit: list[float] = []
@@ -301,16 +291,12 @@ def run_sweep(config: RunConfig, n_circuits: int, output_path: str | None = None
                 }
         per_circuit.append(circuit_max)
 
-    report = {
-        "config_echo": _config_echo(config),
-        "ensemble": _ensemble_section(ensemble),
-        "pathways": None,
-        "entanglement": None,
-        "separability": None,
-        "sweep": {
+    return _write_report(
+        config, target,
+        sweep={
             "n_circuits": n_circuits,
             "observables": [f"collective {axis}" for axis in SWEEP_AXES],
-            "tolerance": tolerance,
+            "tolerance": _pathway_tolerance(ensemble),
             "per_circuit_max_difference": per_circuit,
             "max_abs_difference": max(per_circuit) if per_circuit else None,
             "within_tolerance": (
@@ -318,23 +304,37 @@ def run_sweep(config: RunConfig, n_circuits: int, output_path: str | None = None
             ),
             "worst_case": worst,
         },
-    }
-    _write_report(report, config, output_path)
-    return report
+    )
 
 
-def _write_report(report: dict, config: RunConfig, output_path: str | None):
-    """Render first, then replace the target in one step.
+def _write_report(
+    config: RunConfig, target: str, *,
+    pathways=None, entanglement=None, separability=None, sweep=None,
+) -> dict:
+    """The fixed six-section report, a section not passed left null;
+    rendered first, then written over target in one step, and returned.
 
     A run that fails while rendering or writing leaves an earlier report
     at the target untouched and no temporary file behind.
     """
-    if output_path is not None:
-        target = output_path
-    elif config.output_path is not None:
-        target = config.resolve(config.output_path)
-    else:
-        raise ConfigError("no output path: set output_path in the config or pass --output")
+    ensemble = config._ensemble
+    # output_path and base_dir are left out of the echo, so that redirecting
+    # the output of a run never changes the report body.
+    echo = {key: getattr(config, key) for key in _KEY_ORDER if key != "output_path"}
+    echo["larmor"] = list(config.larmor)
+    report = {
+        "config_echo": echo,
+        "ensemble": {
+            "dim": ensemble.system.dim,
+            "level_energies": list(ensemble.system.level_energies),
+            "epsilon_report": dataclasses.asdict(epsilon_report(ensemble)),
+            "populations": ensemble.populations.tolist(),
+        },
+        "pathways": pathways,
+        "entanglement": entanglement,
+        "separability": separability,
+        "sweep": sweep,
+    }
     text = render_report(report)
     # Write through a symlink instead of replacing it with a regular file.
     real = os.path.realpath(target)
@@ -352,6 +352,7 @@ def _write_report(report: dict, config: RunConfig, output_path: str | None):
         if isinstance(exc, OSError):  # name the target, not the temporary file
             raise OSError(exc.errno, exc.strerror, target) from None
         raise
+    return report
 
 
 def render_report(report: dict) -> str:

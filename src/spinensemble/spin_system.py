@@ -102,6 +102,13 @@ class ThermalEnsemble:
                 raise ValidationError(f"{name} must be positive and finite, got {value}")
         if self.molecule_count < sys.float_info.min:  # else p = C / M keeps only 5e-324 / M
             raise ValidationError(f"molecule_count {self.molecule_count} is subnormal")
+        # The signal reaches M * N / 2; bounding twice that leaves room for
+        # the population-sum slack and for |sum - trace|.
+        if not math.isfinite(float(self.molecule_count) * self.system.n_spins):
+            raise ValidationError(
+                f"molecule_count {self.molecule_count} is too large: "
+                f"molecule_count * n_spins overflows"
+            )
         # a Python float division overflows to inf quietly, where numpy's warns
         if not math.isfinite(self.system.spectral_width / float(self.temperature)):
             raise ValidationError(
@@ -156,11 +163,6 @@ class EpsilonReport:
     delta_e: float
     epsilon: float
     max_population_spread: float
-
-
-def equilibrium_density_matrix(ensemble: ThermalEnsemble) -> np.ndarray:
-    """The ensemble-averaged statistical operator, diagonal in the eigenbasis."""
-    return np.diag(ensemble.probabilities.astype(complex))
 
 
 def epsilon_report(ensemble: ThermalEnsemble) -> EpsilonReport:

@@ -154,6 +154,11 @@ def dense_trace_value(rho, matrix, molecule_count):
     return molecule_count * np.einsum("ij,ji->", rho, matrix).real
 
 
+def equilibrium_rho(ensemble):
+    """Reference initial density matrix diag(p), as a dense complex matrix."""
+    return np.diag(ensemble.probabilities.astype(complex))
+
+
 def maximally_mixed(dim):
     """Reference I/dim."""
     return np.eye(dim, dtype=complex) / dim

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from helpers import equilibrium_rho
 from spinensemble.circuit import Circuit, compose_propagator, parse_circuit, random_circuit
 from spinensemble.cli import main
 from spinensemble.engine import compare_pathways
@@ -22,7 +23,6 @@ from spinensemble.spin_system import (
     PauliSum,
     SpinSystem,
     ThermalEnsemble,
-    equilibrium_density_matrix,
 )
 
 PACKAGE_ROOT = Path(__file__).resolve().parents[1]
@@ -86,7 +86,7 @@ def test_criterion_2_entangled_molecules_mixed_ensemble():
         if abs(report.entropy_bits - 1.0) > 1e-9:
             problems.append(f"eigenstate {k}: entropy {report.entropy_bits} not 1.0 +- 1e-9")
 
-    rho = propagator @ equilibrium_density_matrix(ensemble) @ propagator.conj().T
+    rho = propagator @ equilibrium_rho(ensemble) @ propagator.conj().T
     sep = ppt_report(rho, cut)
     if sep.negativity > 1e-12:
         problems.append(f"evolved ensemble negativity {sep.negativity} > 1e-12")
@@ -115,7 +115,7 @@ def test_criterion_3_populations_flatten_as_temperature_grows():
         ensemble = ThermalEnsemble.boltzmann(system, system.spectral_width / epsilon, 1.0e6)
         spread = float(np.max(np.abs(ensemble.probabilities - 0.25)))
         spreads.append(spread)
-        distance = ppt_report(equilibrium_density_matrix(ensemble), cut).frobenius_to_mixed
+        distance = ppt_report(equilibrium_rho(ensemble), cut).frobenius_to_mixed
         if distance > 2.0 * epsilon:
             problems.append(f"epsilon {epsilon}: ||rho - I/4|| = {distance} > {2.0 * epsilon}")
     for a, b in zip(spreads, spreads[1:]):

@@ -1243,6 +1243,79 @@ class TestThreadCountIndependence:
         assert len(one) == len(two)
 
 
+class TestRefusalsRunNoGatePass:
+    """Every refusal a command makes of its config or output target exits 1
+    with one line before the first gate pass, which would raise here."""
+
+    @pytest.fixture(autouse=True)
+    def no_gate_pass(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a gate pass ran")
+
+        monkeypatch.setattr(circuit_module, "_run_plan", refuse)
+
+    @staticmethod
+    def refusal(capsys, command, path, *extra):
+        """The one stderr line of command on the config at path; a sweep
+        would draw three circuits."""
+        count = ["--n", "3"] if command == "sweep" else []
+        assert main([command, "--config", path, *extra, *count]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        return err
+
+    @pytest.mark.parametrize(
+        "command,drop,message",
+        [
+            ("simulate", "circuit_path = bell.qc\n", "simulate needs circuit_path in the config"),
+            ("simulate", "observable = x\n", "simulate needs observable in the config"),
+            (
+                "simulate",
+                "bipartition = 1|2\n",
+                "simulate needs bipartition in the config for 2 or more spins",
+            ),
+            ("sweep", "seed = 3\n", "sweep needs seed in the config"),
+        ],
+        ids=["circuit_path", "observable", "bipartition", "seed"],
+    )
+    def test_missing_needed_key(self, tmp_path, capsys, command, drop, message):
+        path = write_config(tmp_path, (BASE_CONFIG + "seed = 3\n").replace(drop, ""))
+        assert self.refusal(capsys, command, path) == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_no_output_target(self, tmp_path, capsys, command):
+        text = (BASE_CONFIG + "seed = 3\n").replace("output_path = report.json\n", "")
+        message = "error: no output path: set output_path in the config or pass --output\n"
+        assert self.refusal(capsys, command, write_config(tmp_path, text)) == message
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_target_in_a_missing_directory(self, tmp_path, capsys, command, source):
+        target = tmp_path / "missing" / "r.json"
+        text = BASE_CONFIG + "seed = 3\n"
+        extra = ["--output", str(target)] if source == "flag" else []
+        if source == "config":
+            text = text.replace("output_path = report.json", "output_path = missing/r.json")
+        err = self.refusal(capsys, command, write_config(tmp_path, text), *extra)
+        assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+        assert sorted(os.listdir(tmp_path)) == ["bell.qc", "run.cfg"]
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_molecule_count_whose_signal_overflows(self, tmp_path, capsys, command):
+        """At M = 1.7e308 and N = 3 the signal M * N / 2 and |sum - trace|
+        overflowed: simulate exited 2 naming no input, and a sweep read the
+        NaN difference as 0 and exited 0."""
+        text = (
+            "n_spins = 3\nlarmor = 1, 1, 1\ntemperature = 0.01\nmolecule_count = 1.7e308\n"
+            "circuit_path = bell.qc\nobservable = z\nbipartition = 1|2,3\nseed = 1\n"
+            "output_path = report.json\n"
+        )
+        path = write_config(tmp_path, text, circuit="Z 1\n")
+        message = "molecule_count 1.7e+308 is too large: molecule_count * n_spins overflows"
+        assert self.refusal(capsys, command, path) == f"error: {message}\n"
+        assert not (tmp_path / "report.json").exists()
+
+
 class TestReportReplacement:
     """The report replaces its target in one step, keeping what a rewrite keeps."""
 
@@ -1274,6 +1347,17 @@ class TestReportReplacement:
         err = capsys.readouterr().err
         assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
         assert sorted(os.listdir(tmp_path)) == ["bell.qc", "run.cfg"]
+
+    def test_failed_replace_names_the_target(self, tmp_path, capsys):
+        """A target that is a directory fails at the replace, after the run:
+        the error names the target, and the temporary file is removed."""
+        target = tmp_path / "taken"
+        target.mkdir()
+        assert main(["simulate", "--config", write_config(tmp_path), "--output", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 21] Is a directory: '{target}'\n"
+        assert sorted(os.listdir(tmp_path)) == ["bell.qc", "run.cfg", "taken"]
+        assert os.listdir(target) == []
 
 
 OUTPUT = "temperature = 3.0e5\nmolecule_count = 1.0e6\noutput_path = report.json\n"

@@ -19,6 +19,7 @@ from helpers import (
     dense_observable,
     dense_per_state_values,
     dense_trace_value,
+    equilibrium_rho,
     every_kind_circuit,
     random_unitary,
     row_passes,
@@ -46,7 +47,6 @@ from spinensemble.spin_system import (
     PauliSum,
     SpinSystem,
     ThermalEnsemble,
-    equilibrium_density_matrix,
 )
 
 H2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -507,7 +507,7 @@ class TestRowPassDensityMatrix:
                 circuits = [Circuit(n_spins, c.gates + tail.gates) for c in circuits]
             for circuit in circuits:
                 rho = evolved_density_matrix(circuit, ens)
-                reference = conjugate_gate_by_gate(circuit, equilibrium_density_matrix(ens))
+                reference = conjugate_gate_by_gate(circuit, equilibrium_rho(ens))
                 assert np.max(np.abs(rho - reference)) <= 1e-15
                 hermitian(rho)
                 assert np.max(np.abs(rho - rho.conj().T)) <= 1e-15
@@ -526,7 +526,7 @@ class TestRowPassDensityMatrix:
         expected = row_passes(circuit, ens.probabilities[:, None] * u_dagger)
         rho = evolved_density_matrix(circuit, ens)
         assert rho.tobytes() == expected.tobytes()
-        reference = conjugate_gate_by_gate(circuit, equilibrium_density_matrix(ens))
+        reference = conjugate_gate_by_gate(circuit, equilibrium_rho(ens))
         assert np.max(np.abs(rho - reference)) <= 1e-15
 
     @staticmethod
@@ -578,7 +578,7 @@ class TestRowPassDensityMatrix:
         rho' is diag(p) bit for bit."""
         ens = zeeman_ensemble(3)
         rho = evolved_density_matrix(Circuit(3), ens)
-        assert rho.tobytes() == equilibrium_density_matrix(ens).tobytes()
+        assert rho.tobytes() == equilibrium_rho(ens).tobytes()
 
     def test_empty_circuit_over_several_blocks_conjugates_only(self):
         """Over sixteen column blocks at N = 10 an empty circuit only scales
@@ -587,7 +587,7 @@ class TestRowPassDensityMatrix:
         would leave."""
         ens = zeeman_ensemble(10)
         rho = evolved_density_matrix(Circuit(10), ens)
-        assert rho.tobytes() == equilibrium_density_matrix(ens).tobytes()
+        assert rho.tobytes() == equilibrium_rho(ens).tobytes()
         assert not np.signbit(rho.imag).any()
 
     def test_scaling_step_rounds_like_an_in_place_product(self):

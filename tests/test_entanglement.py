@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     bell_state,
     entropy_reference,
+    equilibrium_rho,
     maximally_mixed,
     random_density,
     random_state,
@@ -25,11 +26,7 @@ from spinensemble.entanglement import (
     ppt_report,
 )
 from spinensemble.qlinalg import BipartitionSpec, ValidationError
-from spinensemble.spin_system import (
-    SpinSystem,
-    ThermalEnsemble,
-    equilibrium_density_matrix,
-)
+from spinensemble.spin_system import SpinSystem, ThermalEnsemble
 
 CUT_12 = BipartitionSpec((1,), (2,))
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -439,7 +436,7 @@ class TestMixednessReport:
         epsilon = 1.0e-5
         temperature = system.spectral_width / epsilon
         ens = ThermalEnsemble.boltzmann(system, temperature, 1.0e6)
-        report = ppt_report(equilibrium_density_matrix(ens), CUT_12)
+        report = ppt_report(equilibrium_rho(ens), CUT_12)
         assert report.frobenius_to_mixed <= epsilon
 
 
@@ -568,7 +565,7 @@ class TestHeadlineContrast:
             report = entanglement_report(psi, CUT_12)
             assert abs(report.entropy_bits - 1.0) < 1e-9
             assert report.schmidt_rank == 2
-        rho = u @ equilibrium_density_matrix(ens) @ u.conj().T
+        rho = u @ equilibrium_rho(ens) @ u.conj().T
         sep = ppt_report(rho, CUT_12)
         assert sep.ppt_holds is True
         assert sep.negativity <= 1e-12

@@ -30,6 +30,7 @@ DELETED = (
     "schmidt_coefficients",
     "entanglement_entropy",
     "evolve_eigenstate",
+    "equilibrium_density_matrix",
 )
 
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import dense_observable
+from helpers import dense_observable, equilibrium_rho
 from spinensemble.entanglement import ppt_report
 from spinensemble.qlinalg import BipartitionSpec, ValidationError
 from spinensemble.spin_system import (
@@ -15,7 +15,6 @@ from spinensemble.spin_system import (
     ThermalEnsemble,
     default_energies,
     epsilon_report,
-    equilibrium_density_matrix,
 )
 
 
@@ -220,6 +219,19 @@ class TestThermalEnsemble:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             ThermalEnsemble(system, temperature, molecule_count, populations)
 
+    def test_rejects_a_molecule_count_whose_signal_overflows(self):
+        """The signal reaches M * N / 2, and M * N must be finite: at N = 3,
+        1.7e308 * 3 overflows and 5e307 * 3 does not."""
+        system = SpinSystem.zeeman([1.0, 1.0, 1.0])
+        message = "molecule_count 1.7e+308 is too large: molecule_count * n_spins overflows"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                ThermalEnsemble.boltzmann(system, 0.01, 1.7e308)
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                ThermalEnsemble(system, 0.01, np.float64(1.7e308), np.full(8, 1.7e308 / 8))
+        assert ThermalEnsemble.boltzmann(system, 0.01, 5e307).molecule_count == 5e307
+
     def test_rejects_a_temperature_that_overflows_epsilon(self):
         """epsilon = spread / T must be finite: 3 / 1e-320 overflows, and
         3 / 1e-300 does not."""
@@ -252,36 +264,34 @@ class TestThermalEnsemble:
 
 
 class TestEquilibriumDensityMatrix:
+    """The equilibrium density matrix is diag(p), read as ens.probabilities."""
+
     def test_equal_weights(self):
         system = SpinSystem.zeeman([1.0])
         ens = ThermalEnsemble(system, 1.0, 10.0, np.array([5.0, 5.0]))
-        np.testing.assert_array_equal(
-            equilibrium_density_matrix(ens), np.diag([0.5, 0.5]).astype(complex)
-        )
+        np.testing.assert_array_equal(ens.probabilities, [0.5, 0.5])
 
     def test_zero_temperature_limit_is_pure(self):
         system = SpinSystem.zeeman([1.0, 1.0])
         ens = ThermalEnsemble(system, 1.0, 8.0, np.array([8.0, 0.0, 0.0, 0.0]))
-        np.testing.assert_array_equal(
-            equilibrium_density_matrix(ens), np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-        )
+        np.testing.assert_array_equal(ens.probabilities, [1.0, 0.0, 0.0, 0.0])
 
     def test_ln2_example_gives_thirds(self):
         t = 1.3
         system = SpinSystem(1, (0.0, math.log(2.0) * t))
         ens = ThermalEnsemble.boltzmann(system, t, 600.0)
-        np.testing.assert_allclose(
-            equilibrium_density_matrix(ens).diagonal().real, [2 / 3, 1 / 3], rtol=1e-14
-        )
+        np.testing.assert_allclose(ens.probabilities, [2 / 3, 1 / 3], rtol=1e-14)
 
-    def test_commutes_with_hamiltonian(self):
+    def test_ratios_follow_boltzmann(self):
+        """p_i / p_j = exp(-(E_i - E_j) / T) for every pair of levels."""
         rng = np.random.default_rng(62)
         for _ in range(10):
             system = SpinSystem.zeeman(rng.uniform(0.5, 3.0, size=2))
-            ens = ThermalEnsemble.boltzmann(system, float(rng.uniform(0.5, 5.0)), 100.0)
-            rho = equilibrium_density_matrix(ens)
-            h = np.diag(np.array(system.level_energies, dtype=complex))
-            np.testing.assert_allclose(rho @ h - h @ rho, np.zeros((4, 4)), atol=1e-12)
+            t = float(rng.uniform(0.5, 5.0))
+            p = ThermalEnsemble.boltzmann(system, t, 100.0).probabilities
+            e = np.array(system.level_energies)
+            expected = np.exp(-(e[:, None] - e[None, :]) / t)
+            np.testing.assert_allclose(p[:, None] / p[None, :], expected, rtol=1e-12)
 
 
 class TestEpsilonReport:
@@ -310,7 +320,7 @@ class TestEpsilonReport:
         spreads = []
         for t in (1e1, 1e2, 1e3):
             ens = ThermalEnsemble.boltzmann(system, t, 1.0)
-            rho = equilibrium_density_matrix(ens)
+            rho = equilibrium_rho(ens)
             distances.append(ppt_report(rho, BipartitionSpec((1,), (2,))).frobenius_to_mixed)
             spreads.append(epsilon_report(ens).max_population_spread)
         assert distances[0] > distances[1] > distances[2]
