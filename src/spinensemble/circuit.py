@@ -36,7 +36,9 @@ runs the daggered plan and a row scaling by p (_scale_rows) before it.
 Gates act on row axes only, so every plan runs on the identity one block
 of columns at a time (_column_blocks), holding a result block and one
 spare while a block is built and one block while it is read: blocks of
-at most max(1, K/1024) MiB, however many gates run.
+at most max(1, K/1024) MiB, however many gates run.  A caller that runs
+streams back to back, as a sweep does, hands one block buffer from each
+spent stream to the next through a slot it owns.
 """
 
 from __future__ import annotations
@@ -340,20 +342,30 @@ def _scale_rows(state: np.ndarray, out: np.ndarray, scale: np.ndarray) -> None:
     np.multiply(state, scale[:, None], out=out)
 
 
-def _column_blocks(dim: int, plan):
+def _column_blocks(dim: int, plan, slot: list | None = None):
     """Each column block of the product a plan applies to the K x K
     identity, with its first index: columns start .. start + w - 1, w =
     _block_width(K).  Each block is built where the one before it was
     read, its steps writing alternately to that buffer and to a fresh
     spare, and only the one holding the result is kept: a reader reads a
-    block, or copies it, before drawing the next."""
+    block, or copies it, before drawing the next.
+
+    slot, a one-element list its caller owns, carries one buffer from a
+    spent stream to the next, so streams run back to back reuse pages
+    instead of faulting fresh ones.  The stream empties it at its first
+    draw, building there when its buffer is (K, w), and leaves its last
+    block there only once spent: an abandoned stream holds nothing."""
     width = _block_width(dim)
-    block = np.empty((dim, width), dtype=complex)
+    slot = [None] if slot is None else slot
+    block, slot[0] = slot[0], None
+    if block is None or block.shape != (dim, width):
+        block = np.empty((dim, width), dtype=complex)
     for start in range(0, dim, width):
         block.fill(0.0)
         np.fill_diagonal(block[start : start + width], 1.0)
         block = _run_plan(block, np.empty_like(block), plan)
         yield start, block
+    slot[0] = block
 
 
 def compose_propagator(circuit: Circuit) -> np.ndarray:

@@ -48,7 +48,6 @@ from .engine import (
     _pathway_tolerance,
     _pathways,
     _within_tolerance,
-    compare_pathways,
 )
 from .entanglement import _schmidt_table, _with_separability
 from .qlinalg import BipartitionSpec, ValidationError, _read_int, _read_real
@@ -275,9 +274,15 @@ def run_sweep(config: RunConfig, n_circuits: int, output_path: str | None = None
 
     per_circuit: list[float] = []
     worst = None
+    slot = [None]  # one block buffer, handed from each spent stream to the next
     for index in range(n_circuits):
         circuit = random_circuit(config.n_spins, rng)
-        results = compare_pathways(circuit, ensemble, observables)
+        results = _pathways(
+            _evolved_blocks(circuit, ensemble, slot),
+            _eigenstate_blocks(circuit, slot),
+            ensemble,
+            observables,
+        )
         circuit_max = 0.0
         for axis, result in zip(SWEEP_AXES, results):
             difference = result.abs_difference

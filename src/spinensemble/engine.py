@@ -28,8 +28,12 @@ read, so neither half holds a K x K array.  The separability reports are
 no part of either half: simulate hands _pathways rho''s blocks through
 entanglement._with_separability, which finishes, and runs any exact
 report on its copy of rho', before an eigenstate block exists, and the
-eigenstates through its Schmidt table.  compare_pathways hands it the
-bare streams.
+eigenstates through its Schmidt table.  compare_pathways and sweep hand
+it the bare streams; sweep runs them through one slot it owns, so the
+buffer rho''s spent stream leaves there is where the eigenstates are
+built, and the next circuit's rho' after them.  While a block is read,
+memory holds it and at most one conjugate of it (_per_state_values): the
+same two blocks its build holds.
 
 An observable is a PauliSum (spin_system), such as the collective
 magnetisation, and the engine accepts nothing else.  It is read term by
@@ -97,8 +101,10 @@ def _per_state_values(u: np.ndarray, obs: PauliSum, pairs: dict | None = None) -
     axes of conj(u[bit j = 0]) * u[bit j = 1] has real part <sigma_x>/2
     and imaginary part <sigma_y>/2, so those values are real by
     construction; each spin's product is made once and kept in pairs, so
-    x and y of one u share it.  <sigma_z>/2 weights |u|^2 by each row's
-    magnetisation.
+    x and y of one u share it.  conj(u) is made once per call, at the
+    first spin whose product is missing, and every spin reads its rows as
+    views of that one copy, so a read holds u and one conjugate.
+    <sigma_z>/2 weights |u|^2 by each row's magnetisation.
     """
     if obs.axis == "z":
         index = np.arange(u.shape[0])
@@ -106,10 +112,14 @@ def _per_state_values(u: np.ndarray, obs: PauliSum, pairs: dict | None = None) -
         return np.einsum("i,ik->k", weights, u.real**2 + u.imag**2)
     pairs = {} if pairs is None else pairs
     values = np.zeros(u.shape[1])
+    conjugate = None
     for spin in obs.spins:
         if spin not in pairs:
-            rows = u.reshape(2 ** (spin - 1), 2, -1, u.shape[1])
-            pairs[spin] = np.einsum("ijk,ijk->k", rows[:, 0].conj(), rows[:, 1])
+            if conjugate is None:
+                conjugate = u.conj()
+            shape = (2 ** (spin - 1), 2, -1, u.shape[1])
+            rows, conjugate_rows = u.reshape(shape), conjugate.reshape(shape)
+            pairs[spin] = np.einsum("ijk,ijk->k", conjugate_rows[:, 0], rows[:, 1])
         values += pairs[spin].real if obs.axis == "x" else pairs[spin].imag
     return values
 
@@ -126,13 +136,14 @@ def _weighted_sum(populations: np.ndarray, per_state: np.ndarray) -> float:
     return float(np.cumsum(populations * per_state)[-1]) + 0.0
 
 
-def _evolved_blocks(circuit: Circuit, ensemble: ThermalEnsemble):
+def _evolved_blocks(circuit: Circuit, ensemble: ThermalEnsemble, slot: list | None = None):
     """Each column block of rho' = U P U^dagger, P = diag(p), with its
-    first index, from circuit._column_blocks: rho' E_J = U P U^dagger E_J
-    is the daggered plan, a row scaling by p and the plan on E_J."""
+    first index, from circuit._column_blocks through slot: rho' E_J =
+    U P U^dagger E_J is the daggered plan, a row scaling by p and the plan
+    on E_J."""
     plan, dagger = circuit._plans
     scaling = (_scale_rows, (ensemble.probabilities,))
-    return _column_blocks(circuit.dim, dagger + (scaling,) + plan)
+    return _column_blocks(circuit.dim, dagger + (scaling,) + plan, slot)
 
 
 def _reduced_blocks(block: np.ndarray, start: int, shifts: np.ndarray) -> np.ndarray:
@@ -228,10 +239,11 @@ def _trace_side(blocks, ensemble: ThermalEnsemble, observables) -> list[float]:
     return [_trace_value(by_spin, obs, ensemble.molecule_count) for obs in observables]
 
 
-def _eigenstate_blocks(circuit: Circuit):
+def _eigenstate_blocks(circuit: Circuit, slot: list | None = None):
     """Each block of evolved eigenstates with its first index, from
-    circuit._column_blocks: the columns U|k>, k = start .. start + w - 1."""
-    return _column_blocks(circuit.dim, circuit._plans[0])
+    circuit._column_blocks through slot: the columns U|k>, k = start ..
+    start + w - 1."""
+    return _column_blocks(circuit.dim, circuit._plans[0], slot)
 
 
 def _sum_side(blocks, ensemble: ThermalEnsemble, observables) -> list[tuple[np.ndarray, float]]:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -523,6 +524,55 @@ class TestColumnBlocks:
         assert u.tobytes() == row_passes(circuit, np.eye(dim, dtype=complex)).tobytes()
         block = 16 * dim * circuit_module._block_width(dim)
         assert peak <= 16 * dim * dim + 2 * block + 16384  # and small views
+
+    @staticmethod
+    def drawn(stream):
+        """A copy of each block of a stream, by its first index."""
+        return {start: block.copy() for start, block in stream}
+
+    @pytest.mark.parametrize("n_spins", [5, 9])  # one block, four blocks
+    def test_slot_carries_one_buffer_between_streams(self, n_spins):
+        """The second stream builds its first block in the first stream's
+        last buffer, and both yield the bytes they yield with no slot.  The
+        plans have 22 steps, an even count, so each result lands back in
+        the buffer its block was built in."""
+        rng = np.random.default_rng(97)
+        first, second = (every_kind_circuit(n_spins, rng, 8) for _ in range(2))
+        plans = (first._plans[0], second._plans[1])
+        dim = first.dim
+        slot = [None]
+        streams = [circuit_module._column_blocks(dim, plan, slot) for plan in plans]
+        yielded = [self.drawn(streams[0])]
+        last = slot[0]
+        assert last is not None
+        start, block = next(streams[1])
+        assert start == 0 and slot == [None] and np.shares_memory(block, last)
+        yielded.append(self.drawn(itertools.chain([(start, block)], streams[1])))
+        assert slot[0] is not None
+        for plan, copies in zip(plans, yielded):
+            expected = self.drawn(circuit_module._column_blocks(dim, plan))
+            assert copies.keys() == expected.keys()
+            assert all(copies[s].tobytes() == expected[s].tobytes() for s in expected)
+
+    def test_abandoned_stream_leaves_the_slot_empty(self):
+        circuit = every_kind_circuit(9, np.random.default_rng(98), 0)
+        width = circuit_module._block_width(circuit.dim)
+        slot = [np.empty((circuit.dim, width), dtype=complex)]
+        stream = circuit_module._column_blocks(circuit.dim, circuit._plans[0], slot)
+        next(stream)
+        stream.close()
+        assert slot == [None]
+
+    def test_slot_of_another_shape_is_not_used(self):
+        circuit = every_kind_circuit(9, np.random.default_rng(99), 0)
+        held = np.empty((circuit.dim // 2, 2 * circuit_module._block_width(circuit.dim)), complex)
+        slot = [held]
+        stream = circuit_module._column_blocks(circuit.dim, circuit._plans[0], slot)
+        _, block = next(stream)
+        assert slot == [None] and not np.shares_memory(block, held)
+        assert block.tobytes() == np.ascontiguousarray(
+            compose_propagator(circuit)[:, : block.shape[1]]
+        ).tobytes()
 
     @pytest.mark.parametrize("shape", [(1024, 64), (256, 256)])
     def test_negation_is_exact_and_allocates_nothing(self, shape):

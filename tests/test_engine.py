@@ -626,9 +626,10 @@ def test_sum_side_over_column_blocks_matches_whole_propagator():
     columns of the composed propagator, so every per-state value and
     weighted sum equals the whole-propagator reading.  At N = 10 the sum
     half holds two blocks at most, an eighth of a K x K array (an identity
-    block and its spare while a block is built, then the block and half a
-    block for the row-pair product while it is read, and never the block
-    before it), where the whole propagator was one K x K array."""
+    block and its spare while a block is built, then the block and one
+    conjugate of it, shared by every spin's row-pair product, while it is
+    read, and never the block before it), where the whole propagator was
+    one K x K array."""
     rng = np.random.default_rng(55)
     circuits = (random_circuit(4, rng, min_depth=20, max_depth=20), every_kind_circuit(10, rng, 7))
     for circuit, blocks in zip(circuits, (1, 16)):
